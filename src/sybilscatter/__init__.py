@@ -34,8 +34,10 @@ from .distance import (
     DistanceVector,
     adjusted_cosine_distance,
     adjusted_distance_rows,
+    adjusted_distances,
     baseline_distance,
     baseline_distance_rows,
+    baseline_distances,
     baseline_profile_distance_vector,
     cosine_distance,
     distance_matrix,
@@ -86,9 +88,12 @@ from .pipeline import (
     build_signature,
     correlate,
     extract_reflection,
+    full_window_ends,
     moving_average,
     segment_backscatter,
     signature_from_trace,
+    signature_rows,
+    window_rows,
 )
 from .scenario import (
     ChannelParams,
@@ -97,12 +102,14 @@ from .scenario import (
     ScenarioConfig,
     ScenarioRun,
     TagLayout,
+    TraceBatch,
     Trajectory,
     alternating_code,
     position_at,
     reflected_power,
     simulate_scenario,
     synthesize_trace,
+    synthesize_traces,
     tag_block_bit_spans,
     tag_reflection_powers,
     trace_seeds,

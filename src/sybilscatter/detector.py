@@ -202,11 +202,14 @@ def weighted_log_likelihood(weights, bias, X, y, v) -> float:
     return float(np.sum(v * (-np.logaddexp(0.0, -z) - (1.0 - y) * z)))
 
 
-def weighted_gradient(weights, bias, X, y, v):
-    """Analytic gradient of weighted_log_likelihood in (weights, bias)."""
-    z = X @ weights + bias
+def _gradient_at(z, X, y, v):
     r = v * (y - sigmoid(z))
     return X.T @ r, float(np.sum(r))
+
+
+def weighted_gradient(weights, bias, X, y, v):
+    """Analytic gradient of weighted_log_likelihood in (weights, bias)."""
+    return _gradient_at(X @ weights + bias, X, y, v)
 
 
 def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
@@ -215,38 +218,45 @@ def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
     Full-batch gradient ascent from zero-initialized parameters.  The step
     uses the gradient divided by the total sample weight, so the pinned
     learning rate behaves identically at any corpus size; the maximizer is
-    unchanged by the scaling.  Deterministic: same samples and config give
-    bit-identical models.
+    unchanged by the scaling.  Raises TrainingDivergenceError once the
+    scores or the gradient stop being finite.  Deterministic: same samples
+    and config give bit-identical models.
     """
     X, y, v = _design(samples)
     total_weight = float(v.sum())
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    for _ in range(config.max_iters):
-        obj = weighted_log_likelihood(w, b, X, y, v)
-        if not np.isfinite(obj):
-            raise TrainingDivergenceError(f"objective became {obj} during training")
-        grad_w, grad_b = weighted_gradient(w, b, X, y, v)
-        grad_w /= total_weight
-        grad_b /= total_weight
-        if max(float(np.abs(grad_w).max()), abs(grad_b)) < config.grad_tol:
-            break
-        w = w + config.learning_rate * grad_w
-        b = b + config.learning_rate * grad_b
+    # overflow is caught below and raised as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_iters):
+            z = X @ w + b
+            if not np.all(np.isfinite(z)):
+                raise TrainingDivergenceError("scores became non-finite during training")
+            grad_w, grad_b = _gradient_at(z, X, y, v)
+            grad_w /= total_weight
+            grad_b /= total_weight
+            if not (np.all(np.isfinite(grad_w)) and np.isfinite(grad_b)):
+                raise TrainingDivergenceError("gradient became non-finite during training")
+            if max(float(np.abs(grad_w).max()), abs(grad_b)) < config.grad_tol:
+                break
+            w = w + config.learning_rate * grad_w
+            b = b + config.learning_rate * grad_b
     return LRModel(weights=w, bias=b)
 
 
 def similarity_matrix(model: LRModel, distances: DistanceMatrix) -> SimilarityMatrix:
-    """Apply the model to every off-diagonal distance vector."""
+    """Apply the model to every off-diagonal distance vector.
+
+    Each score is one BLAS dot product, as predict_similarity takes it, so
+    the matrix matches pair-by-pair prediction bit for bit.
+    """
     if model.profile_len != distances.profile_len:
         raise ShapeError(
             f"model expects L={model.profile_len} but matrix has L={distances.profile_len}")
-    n = distances.n_identities
-    probs = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                probs[i, j] = predict_similarity(model, distances.values[i, j])
+    values = distances.values
+    z = np.matmul(values[:, :, None, :], model.weights[:, None])[:, :, 0, 0]
+    probs = sigmoid(z + model.bias)
+    np.fill_diagonal(probs, 0.0)
     return SimilarityMatrix(identities=distances.identities, probs=probs)
 
 

@@ -91,17 +91,92 @@ class DistanceMatrix:
                               values=self.values[i, j])
 
 
+def _windows(windows_f, windows_g, means_f=None):
+    """Validated float arrays of aligned (..., L, K) windows and (..., K) means."""
+    F = np.asarray(windows_f, dtype=np.float64)
+    G = np.asarray(windows_g, dtype=np.float64)
+    if F.shape != G.shape or F.ndim < 2:
+        raise ShapeError(f"window blocks must agree as (..., L, K), got {F.shape} vs {G.shape}")
+    if means_f is None:
+        return F, G
+    M = np.asarray(means_f, dtype=np.float64)
+    if M.shape != F.shape[:-2] + F.shape[-1:]:
+        raise ShapeError(f"window blocks {F.shape} and means {M.shape} disagree")
+    return F, G, M
+
+
+def _adjusted(F, G, M):
+    """(distances before substitution, |f - mean|, |g - mean|) per row.
+
+    Every reduction runs over the last axis of (rows, K) arrays, so a row
+    gives the same bits whatever the batch shape around it.
+    """
+    k = F.shape[-1]
+    fc = (F - M[..., None, :]).reshape(-1, k)
+    gc = (G - M[..., None, :]).reshape(-1, k)
+    nf = np.linalg.norm(fc, axis=1)
+    ng = np.linalg.norm(gc, axis=1)
+    bad = (nf < DEGENERATE_NORM_TOL) | (ng < DEGENERATE_NORM_TOL)
+    safe = np.where(bad, 1.0, nf * ng)
+    values = np.clip(1.0 - np.einsum("ij,ij->i", fc, gc) / safe, 0.0, 2.0)
+    # bitwise-equal centered vectors are zero by definition; the float
+    # formula can leave a +-1 ulp residue
+    values[np.all(fc == gc, axis=1)] = 0.0
+    shape = F.shape[:-1]
+    return values.reshape(shape), nf.reshape(shape), ng.reshape(shape)
+
+
+def adjusted_distances(windows_f, windows_g, means_f) -> np.ndarray:
+    """Adjusted cosine distances of aligned windows, with substitutions.
+
+    ``windows_f`` and ``windows_g`` are (..., L, K) profile windows and
+    ``means_f`` the (..., K) means of the first ones; the result is the
+    (..., L) row-by-row distances.  Both rows are centered on the first
+    window's mean.  Degenerate rows are substituted: a first-side collapse
+    gives F_SIDE_DEGENERATE_DISTANCE, a second-side collapse
+    G_SIDE_DEGENERATE_DISTANCE, and the first side is checked first.
+    """
+    values, nf, ng = _adjusted(*_windows(windows_f, windows_g, means_f))
+    values[ng < DEGENERATE_NORM_TOL] = G_SIDE_DEGENERATE_DISTANCE
+    values[nf < DEGENERATE_NORM_TOL] = F_SIDE_DEGENERATE_DISTANCE
+    return values
+
+
+def baseline_distances(windows_f, windows_g, metric: str) -> np.ndarray:
+    """Baseline distances of aligned (..., L, K) windows: (..., L)."""
+    if metric not in BASELINE_METRICS:
+        raise ParameterError(f"unknown metric {metric!r}; expected one of {BASELINE_METRICS}")
+    F, G = _windows(windows_f, windows_g)
+    shape = F.shape[:-1]
+    rows_f = F.reshape(-1, F.shape[-1])
+    rows_g = G.reshape(-1, G.shape[-1])
+    diff = rows_f - rows_g
+    if metric == "manhattan":
+        values = np.abs(diff).sum(axis=1)
+    elif metric == "euclidean":
+        values = np.linalg.norm(diff, axis=1)
+    elif metric == "chebyshev":
+        values = np.abs(diff).max(axis=1)
+    else:
+        nf = np.linalg.norm(rows_f, axis=1)
+        ng = np.linalg.norm(rows_g, axis=1)
+        if np.any(nf == 0.0) or np.any(ng == 0.0):
+            raise ParameterError("cosine distance undefined for a zero row")
+        values = np.maximum(0.0, 1.0 - np.einsum("ij,ij->i", rows_f, rows_g) / (nf * ng))
+    return values.reshape(shape)
+
+
+def _vectors(*vectors):
+    out = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if out[0].ndim != 1 or any(v.shape != out[0].shape for v in out):
+        raise ShapeError(
+            f"vectors must be equal-length 1-D, got {[v.shape for v in out]}")
+    return out
+
+
 def cosine_distance(f, g) -> float:
     """1 - cos(angle between f and g); in [0, 1] for nonnegative vectors."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ShapeError(f"vectors must be equal-length 1-D, got {f.shape} and {g.shape}")
-    nf = np.linalg.norm(f)
-    ng = np.linalg.norm(g)
-    if nf == 0.0 or ng == 0.0:
-        raise ParameterError("cosine distance undefined for a zero vector")
-    return max(0.0, 1.0 - float(np.dot(f, g)) / (nf * ng))
+    return baseline_distance(f, g, "cosine")
 
 
 def adjusted_cosine_distance(f, g, mean_f) -> float:
@@ -112,89 +187,45 @@ def adjusted_cosine_distance(f, g, mean_f) -> float:
     Raises DegenerateCenteringError when either centered vector has norm
     below DEGENERATE_NORM_TOL; callers substitute a fixed distance per side.
     """
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    mean_f = np.asarray(mean_f, dtype=np.float64)
-    if not (f.shape == g.shape == mean_f.shape) or f.ndim != 1:
-        raise ShapeError(
-            f"vectors must be equal-length 1-D, got {f.shape}, {g.shape}, {mean_f.shape}")
-    fc = f - mean_f
-    gc = g - mean_f
-    nf = np.linalg.norm(fc)
-    ng = np.linalg.norm(gc)
-    if nf < DEGENERATE_NORM_TOL:
+    f, g, mean_f = _vectors(f, g, mean_f)
+    values, nf, ng = _adjusted(f[None, None], g[None, None], mean_f[None])
+    if nf[0, 0] < DEGENERATE_NORM_TOL:
         raise DegenerateCenteringError(
-            f"centered first vector has norm {nf:.3e}", side="first")
-    if ng < DEGENERATE_NORM_TOL:
+            f"centered first vector has norm {nf[0, 0]:.3e}", side="first")
+    if ng[0, 0] < DEGENERATE_NORM_TOL:
         raise DegenerateCenteringError(
-            f"centered second vector has norm {ng:.3e}", side="second")
-    # bitwise-equal centered vectors are zero by definition; the float
-    # formula can leave a +-1 ulp residue
-    if np.array_equal(fc, gc):
-        return 0.0
-    d = 1.0 - float(np.dot(fc, gc)) / (nf * ng)
-    return float(np.clip(d, 0.0, 2.0))
+            f"centered second vector has norm {ng[0, 0]:.3e}", side="second")
+    return float(values[0, 0])
 
 
 def adjusted_distance_rows(rows_f, rows_g, mean_f) -> np.ndarray:
-    """Adjusted cosine distance per aligned row pair, with substitutions.
-
-    Bulk form of adjusted_cosine_distance over the L rows of two profiles.
-    Degenerate rows are substituted instead of raised: a first-side collapse
-    gives F_SIDE_DEGENERATE_DISTANCE, a second-side collapse
-    G_SIDE_DEGENERATE_DISTANCE (first side checked first, as in the scalar
-    form).
-    """
+    """Adjusted cosine distance per aligned row pair of two (L, K) blocks,
+    centered on mean_f, with the substitutions of adjusted_distances."""
     rows_f = np.atleast_2d(np.asarray(rows_f, dtype=np.float64))
     rows_g = np.atleast_2d(np.asarray(rows_g, dtype=np.float64))
     mean_f = np.asarray(mean_f, dtype=np.float64)
-    if rows_f.shape != rows_g.shape or mean_f.shape != (rows_f.shape[1],):
-        raise ShapeError(
-            f"row blocks {rows_f.shape} / {rows_g.shape} and mean {mean_f.shape} disagree")
-    fc = rows_f - mean_f
-    gc = rows_g - mean_f
-    nf = np.linalg.norm(fc, axis=1)
-    ng = np.linalg.norm(gc, axis=1)
-    f_bad = nf < DEGENERATE_NORM_TOL
-    g_bad = ng < DEGENERATE_NORM_TOL
-    safe = np.where(f_bad | g_bad, 1.0, nf * ng)
-    values = np.clip(1.0 - np.einsum("ij,ij->i", fc, gc) / safe, 0.0, 2.0)
-    values[np.all(fc == gc, axis=1)] = 0.0  # see adjusted_cosine_distance
-    values[g_bad] = G_SIDE_DEGENERATE_DISTANCE
-    values[f_bad] = F_SIDE_DEGENERATE_DISTANCE
-    return values
+    return adjusted_distances(rows_f[None], rows_g[None], mean_f[None])[0]
 
 
 def baseline_distance_rows(rows_f, rows_g, metric: str) -> np.ndarray:
-    """Baseline distance per aligned row pair (bulk form of baseline_distance)."""
+    """Baseline distance per aligned row pair of two (L, K) blocks."""
     rows_f = np.atleast_2d(np.asarray(rows_f, dtype=np.float64))
     rows_g = np.atleast_2d(np.asarray(rows_g, dtype=np.float64))
-    if rows_f.shape != rows_g.shape:
-        raise ShapeError(f"row blocks must agree, got {rows_f.shape} vs {rows_g.shape}")
-    diff = rows_f - rows_g
-    if metric == "manhattan":
-        return np.abs(diff).sum(axis=1)
-    if metric == "euclidean":
-        return np.linalg.norm(diff, axis=1)
-    if metric == "chebyshev":
-        return np.abs(diff).max(axis=1)
-    if metric == "cosine":
-        nf = np.linalg.norm(rows_f, axis=1)
-        ng = np.linalg.norm(rows_g, axis=1)
-        if np.any(nf == 0.0) or np.any(ng == 0.0):
-            raise ParameterError("cosine distance undefined for a zero row")
-        return np.maximum(0.0, 1.0 - np.einsum("ij,ij->i", rows_f, rows_g) / (nf * ng))
-    raise ParameterError(f"unknown metric {metric!r}; expected one of {BASELINE_METRICS}")
+    return baseline_distances(rows_f[None], rows_g[None], metric)[0]
 
 
-def profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile) -> DistanceVector:
-    """Row-by-row adjusted cosine distances, centered on profile_f's mean."""
+def _check_profiles(profile_f: SignalProfile, profile_g: SignalProfile):
     if profile_f.signatures.shape != profile_g.signatures.shape:
         raise ShapeError(
             f"profiles must agree in (L, K): {profile_f.signatures.shape} "
             f"vs {profile_g.signatures.shape}")
-    values = adjusted_distance_rows(profile_f.signatures, profile_g.signatures,
-                                    profile_f.mean_vector)
+
+
+def profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile) -> DistanceVector:
+    """Row-by-row adjusted cosine distances, centered on profile_f's mean."""
+    _check_profiles(profile_f, profile_g)
+    values = adjusted_distances(profile_f.signatures[None], profile_g.signatures[None],
+                                profile_f.mean_vector[None])[0]
     return DistanceVector(from_identity=profile_f.identity,
                           to_identity=profile_g.identity, values=values)
 
@@ -210,42 +241,26 @@ def distance_matrix(profiles) -> DistanceMatrix:
         if p.signatures.shape != shape:
             raise ShapeError(
                 f"profile {p.identity!r} has shape {p.signatures.shape}, expected {shape}")
-    ids = tuple(p.identity for p in profiles)
+    windows = np.stack([p.signatures for p in profiles])
+    means = np.stack([p.mean_vector for p in profiles])
+    f_idx, g_idx = np.nonzero(~np.eye(n, dtype=bool))
     values = np.zeros((n, n, shape[0]), dtype=np.float64)
-    for i, pf in enumerate(profiles):
-        for j, pg in enumerate(profiles):
-            if i != j:
-                values[i, j] = profile_distance_vector(pf, pg).values
-    return DistanceMatrix(identities=ids, values=values)
+    values[f_idx, g_idx] = adjusted_distances(windows[f_idx], windows[g_idx],
+                                              means[f_idx])
+    return DistanceMatrix(identities=tuple(p.identity for p in profiles), values=values)
 
 
 def baseline_distance(f, g, metric: str) -> float:
     """Classical distances used for the metric-comparison experiment."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ShapeError(f"vectors must be equal-length 1-D, got {f.shape} and {g.shape}")
-    if metric == "manhattan":
-        return float(np.abs(f - g).sum())
-    if metric == "euclidean":
-        return float(np.linalg.norm(f - g))
-    if metric == "chebyshev":
-        return float(np.abs(f - g).max())
-    if metric == "cosine":
-        return cosine_distance(f, g)
-    raise ParameterError(f"unknown metric {metric!r}; expected one of {BASELINE_METRICS}")
+    f, g = _vectors(f, g)
+    return float(baseline_distances(f[None, None], g[None, None], metric)[0, 0])
 
 
 def baseline_profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile,
                                      metric: str) -> DistanceVector:
     """Row-by-row baseline distances between two profiles."""
-    if profile_f.signatures.shape != profile_g.signatures.shape:
-        raise ShapeError(
-            f"profiles must agree in (L, K): {profile_f.signatures.shape} "
-            f"vs {profile_g.signatures.shape}")
-    values = np.array([
-        baseline_distance(profile_f.row(l), profile_g.row(l), metric)
-        for l in range(profile_f.profile_len)
-    ])
+    _check_profiles(profile_f, profile_g)
+    values = baseline_distances(profile_f.signatures[None], profile_g.signatures[None],
+                                metric)[0]
     return DistanceVector(from_identity=profile_f.identity,
                           to_identity=profile_g.identity, values=values)

@@ -75,7 +75,7 @@ class TrainingDataError(ValueError):
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Objective became non-finite during gradient ascent."""
+    """Scores or gradient became non-finite during gradient ascent."""
 
 
 class MetricsUndefinedError(ValueError):

@@ -188,21 +188,23 @@ def read_samples_csv(path) -> LabeledDataset:
         profile_len = len(header) - 8
         if profile_len < 1:
             raise ConfigError(f"{path}: no distance columns")
-        for line in fp:
+        for lineno, line in enumerate(fp, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             key = (int(parts[0]), int(parts[1]))
             from_id, to_id = parts[3], parts[4]
+            values = np.array([float(v) for v in parts[8:]], dtype=np.float64)
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{path}:{lineno}: distances must be finite")
             sources.setdefault(key, {})
             sources[key][from_id] = parts[5]
             sources[key][to_id] = parts[6]
             samples.append(DatasetSample(
                 scenario_key=key, window=int(parts[2]),
                 from_identity=from_id, to_identity=to_id,
-                label=int(parts[7]),
-                values=np.array([float(v) for v in parts[8:]], dtype=np.float64)))
+                label=int(parts[7]), values=values))
     return LabeledDataset(samples=tuple(samples), sources=sources,
                           provenance={"profile_len": profile_len, "path": str(path)})
 

@@ -32,22 +32,22 @@ from .detector import (
     sigmoid,
     train_mwle,
 )
-from .distance import BASELINE_METRICS, adjusted_distance_rows, baseline_distance_rows
+from .distance import BASELINE_METRICS, adjusted_distances, baseline_distances
 from .errors import (
     ConfigError,
-    DegenerateSignatureError,
     MetricsUndefinedError,
     ParameterError,
-    SegmentationError,
     ShapeError,
 )
 from .pipeline import (
     DEFAULT_PROFILE_LEN,
     DEFAULT_SMOOTHING_WINDOW,
-    ProfileAssembler,
-    signature_from_trace,
+    full_window_ends,
+    signature_rows,
+    trace_batches,
+    window_rows,
 )
-from .scenario import scenario_to_dict, simulate_scenario
+from .scenario import prevalidated, scenario_to_dict, simulate_scenario
 
 ADJUSTED_METRIC = "adjusted"
 DATASET_METRICS = (ADJUSTED_METRIC,) + BASELINE_METRICS
@@ -172,40 +172,47 @@ def dataset_digest(dataset: LabeledDataset) -> str:
 
 @dataclass(frozen=True)
 class ScenarioSignatures:
-    """Signature streams of one simulated scenario, ground truth included."""
+    """Signature streams of one simulated scenario, ground truth included.
+
+    Per identity with at least one valid signature: the increasing period
+    indices that have one, and the aligned (n, K) rows of normalized and of
+    raw signatures.
+    """
 
     scenario_key: tuple
     sources: dict  # identity -> true_source_id, full map from the simulator
-    periods: dict  # identity -> list of period indices with valid signatures
-    signatures: dict  # identity -> list of MultipathSignature, aligned
+    periods: dict  # identity -> int array of period indices with valid signatures
+    signatures: dict  # identity -> (n, K) normalized signatures, aligned
+    raw: dict  # identity -> (n, K) raw signatures, aligned
 
 
 def extract_signatures(run, smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
                        config_index: int = 0) -> ScenarioSignatures:
     """Run every trace of a scenario through the signal pipeline.
 
-    Traces that fail segmentation or yield a degenerate signature are
-    skipped; their period simply has no entry for that identity.
+    Each identity's traces go through signature_rows as one batch (or one
+    per run of equal layout).  Traces that fail segmentation or yield a
+    degenerate signature are skipped; their period simply has no entry for
+    that identity.
     """
-    periods = {}
-    signatures = {}
+    periods, signatures, raw = {}, {}, {}
     for identity, traces in run.traces.items():
-        ps, sigs = [], []
-        for k, trace in enumerate(traces):
-            try:
-                sig = signature_from_trace(trace, smoothing_window)
-            except (SegmentationError, DegenerateSignatureError):
-                continue
-            ps.append(k)
-            sigs.append(sig)
-        if ps:
-            periods[identity] = ps
-            signatures[identity] = sigs
+        kept, raw_rows, unit_rows = [], [], []
+        for first, batch in trace_batches(traces):
+            rows, batch_raw, batch_unit = signature_rows(batch, smoothing_window)
+            kept.append(first + rows)
+            raw_rows.append(batch_raw)
+            unit_rows.append(batch_unit)
+        if any(k.size for k in kept):
+            periods[identity] = np.concatenate(kept)
+            raw[identity] = np.concatenate(raw_rows)
+            signatures[identity] = np.concatenate(unit_rows)
     return ScenarioSignatures(
         scenario_key=(int(config_index), int(run.seed)),
         sources=dict(run.true_sources),
         periods=periods,
         signatures=signatures,
+        raw=raw,
     )
 
 
@@ -222,22 +229,17 @@ def corpus_signatures(configs, seeds,
 
 
 def _window_tables(scenario: ScenarioSignatures, profile_len: int, normalized: bool):
-    """Per-identity map: period -> (window rows, window mean)."""
+    """identity -> (window periods, (W, L, K) windows, (W, K) window means).
+
+    Only identities with at least one full window are listed.
+    """
     tables = {}
-    for identity in scenario.periods:
-        assembler = ProfileAssembler(identity, profile_len)
-        table = {}
-        for period, sig in zip(scenario.periods[identity], scenario.signatures[identity]):
-            profile = assembler.push(period, sig)
-            if profile is None:
-                continue
-            if normalized:
-                rows = profile.signatures
-            else:
-                rows = np.vstack([s.raw for s in assembler.window])
-            table[period] = (rows, rows.mean(axis=0))
-        if table:
-            tables[identity] = table
+    for identity, periods in scenario.periods.items():
+        rows = scenario.signatures[identity] if normalized else scenario.raw[identity]
+        ends = full_window_ends(periods, profile_len)
+        if ends.size:
+            windows = window_rows(rows, ends, profile_len)
+            tables[identity] = (periods[ends], windows, windows.mean(axis=1))
     return tables
 
 
@@ -248,32 +250,40 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
 
     For every update period where two identities of a scenario both have a
     full profile window, both directed distance vectors are emitted; the
-    label marks whether the identities share a physical source.
+    label marks whether the identities share a physical source.  Each
+    ordered identity pair takes one batched distance call over all of its
+    shared windows.
     """
     if metric not in DATASET_METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {DATASET_METRICS}")
     samples = []
     sources = {}
     for scenario in scenarios:
+        key = tuple(scenario.scenario_key)
         tables = _window_tables(scenario, profile_len, normalized)
         idents = [i for i in scenario.periods if i in tables]
         n_before = len(samples)
         for i in idents:
+            periods_i, windows_i, means_i = tables[i]
             for j in idents:
                 if i == j:
                     continue
-                shared = sorted(set(tables[i]) & set(tables[j]))
+                periods_j, windows_j, _ = tables[j]
+                shared, at_i, at_j = np.intersect1d(
+                    periods_i, periods_j, assume_unique=True, return_indices=True)
+                if metric == ADJUSTED_METRIC:
+                    values = adjusted_distances(windows_i[at_i], windows_j[at_j],
+                                                means_i[at_i])
+                else:
+                    values = baseline_distances(windows_i[at_i], windows_j[at_j], metric)
+                values.flags.writeable = False
                 label = int(scenario.sources[i] == scenario.sources[j])
-                for period in shared:
-                    rows_i, mean_i = tables[i][period]
-                    rows_j, _ = tables[j][period]
-                    if metric == ADJUSTED_METRIC:
-                        values = adjusted_distance_rows(rows_i, rows_j, mean_i)
-                    else:
-                        values = baseline_distance_rows(rows_i, rows_j, metric)
-                    samples.append(DatasetSample(
-                        scenario_key=scenario.scenario_key, window=period,
-                        from_identity=i, to_identity=j, label=label, values=values))
+                # fields are well-formed by construction: skip per-sample checks
+                samples.extend(
+                    prevalidated(DatasetSample, scenario_key=key, window=period,
+                                 from_identity=i, to_identity=j, label=label,
+                                 values=row)
+                    for period, row in zip(shared.tolist(), values))
         if len(samples) == n_before:
             warnings.warn(f"scenario {scenario.scenario_key} produced no samples; skipped")
             continue

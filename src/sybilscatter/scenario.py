@@ -18,6 +18,7 @@ same tag geometry.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,17 @@ def _positive(name, value):
 def _readonly(obj, name, arr):
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
+
+
+def prevalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields were already
+    validated in bulk; its own per-instance checks are skipped."""
+    obj = object.__new__(cls)
+    # attribute by attribute, as a dataclass __init__ sets them: filling
+    # obj.__dict__ directly would give every instance its own dict
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -233,6 +245,42 @@ class RobotAgent:
         return self.power_scale_per_identity.get(identity, 1.0)
 
 
+def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
+                  sample_rate_hz, ndim):
+    """Validate the arrays of one trace (ndim 1) or of a row batch (ndim 2).
+
+    Returns samples, schedule and code as read-only arrays of the stored
+    dtypes.  Rows are traces of equal length sharing one code.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    schedule = np.asarray(tag_schedule, dtype=np.int16)
+    code = np.asarray(tag_code, dtype=np.uint8)
+    _positive("sample_rate_hz", sample_rate_hz)
+    if code.ndim != 1 or code.size == 0:
+        raise ParameterError("tag_code must be a nonempty 1-D binary array")
+    if np.any((code != 0) & (code != 1)):
+        raise ParameterError("tag_code entries must be 0 or 1")
+    if samples_per_bit < 1:
+        raise ParameterError(f"samples_per_bit must be >= 1, got {samples_per_bit}")
+    if n_tags < 1:
+        raise ParameterError(f"n_tags must be >= 1, got {n_tags}")
+    if samples.ndim != ndim or schedule.shape != samples.shape:
+        raise ShapeError(
+            f"samples {samples.shape} and tag_schedule {schedule.shape} "
+            f"must be {ndim}-D arrays of equal shape")
+    if samples.shape[-1] < code.size * samples_per_bit:
+        raise ParameterError("trace shorter than one full code span")
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("trace magnitudes must be finite")
+    if np.any(samples < 0):
+        raise ParameterError("trace magnitudes must be nonnegative")
+    if schedule.size and (schedule.min() < 0 or schedule.max() > n_tags):
+        raise ParameterError("tag_schedule values must lie in 0..n_tags")
+    for arr in (samples, schedule, code):
+        arr.flags.writeable = False
+    return samples, schedule, code
+
+
 @dataclass(frozen=True)
 class ReceivedTrace:
     """Magnitude samples received for one identity announcement.
@@ -253,31 +301,12 @@ class ReceivedTrace:
     n_tags: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        schedule = np.asarray(self.tag_schedule, dtype=np.int16)
-        code = np.asarray(self.tag_code, dtype=np.uint8)
-        _positive("sample_rate_hz", self.sample_rate_hz)
-        if code.ndim != 1 or code.size == 0:
-            raise ParameterError("tag_code must be a nonempty 1-D binary array")
-        if np.any((code != 0) & (code != 1)):
-            raise ParameterError("tag_code entries must be 0 or 1")
-        if self.samples_per_bit < 1:
-            raise ParameterError(f"samples_per_bit must be >= 1, got {self.samples_per_bit}")
-        if self.n_tags < 1:
-            raise ParameterError(f"n_tags must be >= 1, got {self.n_tags}")
-        if samples.ndim != 1 or schedule.shape != samples.shape:
-            raise ShapeError(
-                f"samples {samples.shape} and tag_schedule {schedule.shape} "
-                "must be 1-D arrays of equal length")
-        if samples.size < code.size * self.samples_per_bit:
-            raise ParameterError("trace shorter than one full code span")
-        if np.any(samples < 0):
-            raise ParameterError("trace magnitudes must be nonnegative")
-        if schedule.min() < 0 or schedule.max() > self.n_tags:
-            raise ParameterError("tag_schedule values must lie in 0..n_tags")
-        _readonly(self, "samples", samples)
-        _readonly(self, "tag_schedule", schedule)
-        _readonly(self, "tag_code", code)
+        samples, schedule, code = _trace_arrays(
+            self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
+            self.n_tags, self.sample_rate_hz, ndim=1)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "tag_schedule", schedule)
+        object.__setattr__(self, "tag_code", code)
 
     @property
     def code_span(self) -> int:
@@ -288,6 +317,91 @@ class ReceivedTrace:
         """Ground-truth start index of the backscattered region, or None."""
         nz = np.nonzero(self.tag_schedule)[0]
         return int(nz[0]) if nz.size else None
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBatch(Sequence):
+    """Every trace of one identity as one array, one row per trace.
+
+    Row k of ``samples`` and ``tag_schedule`` is the trace announced at
+    ``t_s[k]``; all rows share the code, the modulation and the tag count.
+    The batch is validated once as a whole.  As a sequence it yields
+    ReceivedTrace objects; see ``__getitem__``.
+    """
+
+    identity: str
+    true_source_id: str
+    t_s: np.ndarray
+    sample_rate_hz: float
+    samples: np.ndarray
+    tag_schedule: np.ndarray
+    tag_code: np.ndarray
+    samples_per_bit: int
+    n_tags: int
+
+    def __post_init__(self):
+        samples, schedule, code = _trace_arrays(
+            self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
+            self.n_tags, self.sample_rate_hz, ndim=2)
+        t_s = np.asarray(self.t_s, dtype=np.float64)
+        if t_s.shape != samples.shape[:1]:
+            raise ShapeError(f"t_s {t_s.shape} must hold one time per row of "
+                             f"samples {samples.shape}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "tag_schedule", schedule)
+        object.__setattr__(self, "tag_code", code)
+        _readonly(self, "t_s", t_s)
+
+    @classmethod
+    def stack(cls, traces) -> "TraceBatch":
+        """Rows of already validated traces of one identity and one layout."""
+        traces = list(traces)
+        if not traces:
+            raise ShapeError("need at least one trace to stack")
+        first = traces[0]
+        for trace in traces[1:]:
+            if (trace.samples.size != first.samples.size
+                    or trace.samples_per_bit != first.samples_per_bit
+                    or trace.n_tags != first.n_tags
+                    or not np.array_equal(trace.tag_code, first.tag_code)):
+                raise ShapeError("stacked traces must share length, code and modulation")
+        if len(traces) == 1:  # a one-row call: views of the trace's read-only arrays
+            samples, schedule = first.samples[None], first.tag_schedule[None]
+        else:
+            samples = np.stack([t.samples for t in traces])
+            schedule = np.stack([t.tag_schedule for t in traces])
+            samples.flags.writeable = False
+            schedule.flags.writeable = False
+        return prevalidated(
+            cls, identity=first.identity, true_source_id=first.true_source_id,
+            t_s=np.array([t.t_s for t in traces], dtype=np.float64),
+            sample_rate_hz=first.sample_rate_hz, samples=samples,
+            tag_schedule=schedule, tag_code=first.tag_code,
+            samples_per_bit=first.samples_per_bit, n_tags=first.n_tags)
+
+    def __len__(self) -> int:
+        return int(self.samples.shape[0])
+
+    def __getitem__(self, k):
+        """The trace of row k, holding its own copy of the row.
+
+        A row view would pin the whole batch for as long as any one trace
+        taken from it is kept; a consumer that keeps a subset of the traces
+        (a receiver dropping lost announcements) would then hold every row.
+        """
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]
+        samples = self.samples[k].copy()
+        schedule = self.tag_schedule[k].copy()
+        samples.flags.writeable = False
+        schedule.flags.writeable = False
+        return prevalidated(
+            ReceivedTrace, identity=self.identity,
+            true_source_id=self.true_source_id, t_s=float(self.t_s[k]),
+            sample_rate_hz=self.sample_rate_hz, samples=samples,
+            tag_schedule=schedule, tag_code=self.tag_code,
+            samples_per_bit=self.samples_per_bit, n_tags=self.n_tags)
 
 
 @dataclass(frozen=True)
@@ -351,7 +465,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """Output of simulate_scenario: per-identity trace streams plus truth."""
+    """Output of simulate_scenario: per-identity trace streams plus truth.
+
+    ``traces`` maps each identity to a sequence of ReceivedTrace, one per
+    update period: a TraceBatch from the simulator, any sequence otherwise.
+    """
 
     traces: dict
     true_sources: dict
@@ -387,104 +505,154 @@ def tag_block_bit_spans(n_bits: int, n_tags: int):
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_tags)]
 
 
-def reflected_power(channel: ChannelParams, tx_power_w: float,
-                    d_t_m: float, d_r_m: float) -> float:
-    """Tag-reflected signal strength at the receiver.
+def _squared(d) -> np.ndarray:
+    """Elementwise ``x ** 2`` as Python computes it for a float (C ``pow``).
+
+    numpy's square and power differ from ``pow`` in the last bit on some
+    inputs.  Channel powers keep the scalar rounding, so a trace comes out
+    bit-identical whether it is synthesized alone or in a batch.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    return np.array([x ** 2 for x in d.ravel().tolist()],
+                    dtype=np.float64).reshape(d.shape)
+
+
+def reflected_powers(channel: ChannelParams, tx_power_w: float,
+                     d_t_m, d_r_m) -> np.ndarray:
+    """Tag-reflected signal strengths at the receiver, elementwise.
 
     Two cascaded free-space segments (transmitter -> tag, tag -> receiver)
     with the tag's scattering lumped into channel.tag_transfer.  Strictly
-    decreasing in both distances, linear in transmit power.
+    decreasing in both distances, linear in transmit power.  The distance
+    arrays broadcast against each other.
     """
     tx_power_w = _positive("tx_power_w", tx_power_w)
-    d_t_m = _positive("d_t_m", d_t_m)
-    d_r_m = _positive("d_r_m", d_r_m)
-    incident = tx_power_w * channel.tx_gain / (4.0 * math.pi * d_t_m ** 2)
-    collected = channel.wavelength_m ** 2 * channel.rx_gain / (16.0 * math.pi ** 2 * d_r_m ** 2)
+    d_t = np.asarray(d_t_m, dtype=np.float64)
+    d_r = np.asarray(d_r_m, dtype=np.float64)
+    for name, d in (("d_t_m", d_t), ("d_r_m", d_r)):
+        ok = (d > 0) & np.isfinite(d)
+        if not np.all(ok):
+            raise ParameterError(
+                f"{name} must be strictly positive, got {float(d[~ok].flat[0])!r}")
+    incident = tx_power_w * channel.tx_gain / (4.0 * math.pi * _squared(d_t))
+    collected = channel.wavelength_m ** 2 * channel.rx_gain / (
+        16.0 * math.pi ** 2 * _squared(d_r))
     return incident * collected * channel.tag_transfer
+
+
+def reflected_power(channel: ChannelParams, tx_power_w: float,
+                    d_t_m: float, d_r_m: float) -> float:
+    """Tag-reflected signal strength at the receiver for one tag."""
+    return float(reflected_powers(channel, tx_power_w, d_t_m, d_r_m))
+
+
+def positions_at(trajectory: Trajectory, t_s) -> np.ndarray:
+    """Piecewise-linear interpolation of the trajectory: (n, 2) at n times."""
+    t = np.asarray(t_s, dtype=np.float64)
+    wp = trajectory.waypoints
+    inside = (wp[0, 0] <= t) & (t <= wp[-1, 0])
+    if not np.all(inside):
+        raise TrajectoryRangeError(
+            f"t = {float(t[~inside].flat[0])} outside trajectory span "
+            f"[{wp[0, 0]}, {wp[-1, 0]}]")
+    return np.column_stack([np.interp(t, wp[:, 0], wp[:, 1]),
+                            np.interp(t, wp[:, 0], wp[:, 2])])
 
 
 def position_at(trajectory: Trajectory, t_s: float) -> np.ndarray:
     """Piecewise-linear interpolation of the trajectory at time t_s."""
-    wp = trajectory.waypoints
-    if not (wp[0, 0] <= t_s <= wp[-1, 0]):
-        raise TrajectoryRangeError(
-            f"t = {t_s} outside trajectory span [{wp[0, 0]}, {wp[-1, 0]}]")
-    return np.array([np.interp(t_s, wp[:, 0], wp[:, 1]),
-                     np.interp(t_s, wp[:, 0], wp[:, 2])])
+    return positions_at(trajectory, [t_s])[0]
 
 
-def tag_reflection_powers(scenario: ScenarioConfig, agent: RobotAgent,
-                          identity: str, t_s: float) -> np.ndarray:
-    """Ground-truth per-tag reflected powers for one announcement.
+def tag_reflection_power_rows(scenario: ScenarioConfig, agent: RobotAgent,
+                              identity: str, t_s) -> np.ndarray:
+    """Ground-truth per-tag reflected powers, (n, K) for n announcement times.
 
-    The receiver pose is sampled at t_s and held for the whole trace
+    The receiver pose is sampled at each time and held for the whole trace
     (quasi-static); tag positions are body-frame offsets from it.
     """
     if identity not in agent.claimed_identities:
         raise IdentityError(
             f"identity {identity!r} does not belong to agent {agent.true_source_id!r}")
     tx_power = agent.base_tx_power_w * agent.alpha_for(identity)
-    tx_pos = position_at(agent.trajectory, t_s)
-    rx_pos = position_at(scenario.receiver_trajectory, t_s)
-    tag_world = rx_pos[None, :] + scenario.tag_layout.tag_positions
-    d_t = np.hypot(*(tx_pos[None, :] - tag_world).T)
-    d_r = scenario.tag_layout.tag_ranges_m
-    return np.array([
-        reflected_power(scenario.channel, tx_power, float(dt), float(dr))
-        for dt, dr in zip(d_t, d_r)
-    ])
+    tx_pos = positions_at(agent.trajectory, t_s)
+    rx_pos = positions_at(scenario.receiver_trajectory, t_s)
+    tag_world = rx_pos[:, None, :] + scenario.tag_layout.tag_positions
+    offset = tx_pos[:, None, :] - tag_world
+    d_t = np.hypot(offset[..., 0], offset[..., 1])
+    return reflected_powers(scenario.channel, tx_power, d_t,
+                            scenario.tag_layout.tag_ranges_m)
 
 
-def synthesize_trace(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
-                     t_s: float, rng_seed: int) -> ReceivedTrace:
-    """Synthesize the received trace for one identity announcement.
+def tag_reflection_powers(scenario: ScenarioConfig, agent: RobotAgent,
+                          identity: str, t_s: float) -> np.ndarray:
+    """Ground-truth per-tag reflected powers for one announcement."""
+    return tag_reflection_power_rows(scenario, agent, identity, [t_s])[0]
 
-    Layout: an ambient-only guard prefix of random length (one to three code
-    spans), the backscattered region (all tags keyed on/off by the shared
-    code, one contiguous block per tag), and an ambient-only suffix filling
-    the trace to five code spans.  Additive white Gaussian noise is scaled
-    to scenario.snr_db relative to the strongest tag reflection of this
-    trace; snr_db = None disables it.
+
+def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
+                      t_s, rng_seeds) -> TraceBatch:
+    """Synthesize the received traces of one identity, one row per announcement.
+
+    Row k is announced at t_s[k] and drawn from its own generator, seeded
+    with rng_seeds[k].  Layout: an ambient-only guard prefix of random
+    length (one to three code spans), the backscattered region (all tags
+    keyed on/off by the shared code, one contiguous block per tag), and an
+    ambient-only suffix filling the trace to five code spans.  Additive
+    white Gaussian noise is scaled to scenario.snr_db relative to the
+    strongest tag reflection of the row; snr_db = None disables it.
     """
-    powers = tag_reflection_powers(scenario, agent, identity, t_s)
+    t_s = np.asarray(t_s, dtype=np.float64)
+    seeds = [int(s) for s in rng_seeds]
+    if t_s.ndim != 1 or len(seeds) != t_s.size:
+        raise ShapeError(f"need one seed per announcement time, got {len(seeds)} "
+                         f"seeds for times of shape {t_s.shape}")
+    powers = tag_reflection_power_rows(scenario, agent, identity, t_s)
     code = alternating_code(scenario.code_bits)
     spans = tag_block_bit_spans(scenario.code_bits, scenario.tag_layout.n_tags)
     spb = scenario.samples_per_bit
     code_span = scenario.code_bits * spb
     total = TRACE_SPANS * code_span
+    n = t_s.size
 
-    rng = np.random.default_rng(rng_seed)
-    # prefix drawn before noise so the layout is reproducible on its own
-    prefix = int(rng.integers(MIN_GUARD_SPANS * code_span,
-                              (TRACE_SPANS - 2 * MIN_GUARD_SPANS) * code_span + 1))
-    t0 = prefix
+    # tag number (1..K) and on/off keying of every sample of the region
+    tag_of = np.repeat(np.arange(1, len(spans) + 1, dtype=np.int16),
+                       [(b1 - b0) * spb for b0, b1 in spans])
+    on = np.repeat(code, spb).astype(np.float64)
+    region = scenario.ambient_w + powers[:, tag_of - 1] * on
 
-    samples = np.full(total, scenario.ambient_w, dtype=np.float64)
-    schedule = np.zeros(total, dtype=np.int16)
-    for tag_idx, (b0, b1) in enumerate(spans):
-        lo, hi = t0 + b0 * spb, t0 + b1 * spb
-        schedule[lo:hi] = tag_idx + 1
-        block_bits = code[b0:b1]
-        on = np.repeat(block_bits, spb).astype(np.float64)
-        samples[lo:hi] += powers[tag_idx] * on
-
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # each start is drawn before that row's noise, so the layout is
+    # reproducible on its own
+    starts = np.array([rng.integers(MIN_GUARD_SPANS * code_span,
+                                    (TRACE_SPANS - 2 * MIN_GUARD_SPANS) * code_span + 1)
+                       for rng in rngs], dtype=np.intp).reshape(n, 1)
+    samples = np.full((n, total), scenario.ambient_w, dtype=np.float64)
+    schedule = np.zeros((n, total), dtype=np.int16)
+    rows = np.arange(n)[:, None]
+    cols = starts + np.arange(code_span)
+    samples[rows, cols] = region
+    schedule[rows, cols] = tag_of
     if scenario.snr_db is not None:
-        sigma = float(powers.max()) * 10.0 ** (-scenario.snr_db / 20.0)
-        if sigma > 0:
-            samples = samples + rng.normal(0.0, sigma, total)
+        sigma = powers.max(axis=1) * 10.0 ** (-scenario.snr_db / 20.0)
+        for row, rng, row_sigma in zip(samples, rngs, sigma):
+            if row_sigma > 0:
+                row += rng.normal(0.0, row_sigma, total)
     np.maximum(samples, 0.0, out=samples)
+    for arr in (samples, schedule, t_s):
+        arr.flags.writeable = False
+    # finite and nonnegative by construction from a validated config
+    return prevalidated(
+        TraceBatch, identity=identity, true_source_id=agent.true_source_id,
+        t_s=t_s, sample_rate_hz=scenario.sample_rate_hz, samples=samples,
+        tag_schedule=schedule, tag_code=code, samples_per_bit=spb,
+        n_tags=scenario.tag_layout.n_tags)
 
-    return ReceivedTrace(
-        identity=identity,
-        true_source_id=agent.true_source_id,
-        t_s=t_s,
-        sample_rate_hz=scenario.sample_rate_hz,
-        samples=samples,
-        tag_schedule=schedule,
-        tag_code=code,
-        samples_per_bit=spb,
-        n_tags=scenario.tag_layout.n_tags,
-    )
+
+def synthesize_trace(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
+                     t_s: float, rng_seed: int) -> ReceivedTrace:
+    """Synthesize the received trace for one identity announcement."""
+    return synthesize_traces(scenario, agent, identity, [t_s], [rng_seed])[0]
 
 
 def scenario_to_dict(scenario: ScenarioConfig) -> dict:
@@ -557,15 +725,15 @@ def simulate_scenario(scenario: ScenarioConfig, rng_seed: int) -> ScenarioRun:
                     f"the scenario horizon [0, {scenario.horizon_s}]")
 
     seeds = trace_seeds(rng_seed, len(identities), n_periods)
-    traces = {ident: [] for ident in identities}
+    period_starts = np.arange(n_periods) * scenario.period_s
+    traces = {}
     for id_idx, ident in enumerate(identities):
-        agent = scenario.agent_of(ident)
-        for k in range(n_periods):
-            t_s = k * scenario.period_s + id_idx * scenario.slot_spacing_s
-            seed = int(seeds[id_idx * n_periods + k])
-            traces[ident].append(synthesize_trace(scenario, agent, ident, t_s, seed))
+        traces[ident] = synthesize_traces(
+            scenario, scenario.agent_of(ident), ident,
+            period_starts + id_idx * scenario.slot_spacing_s,
+            seeds[id_idx * n_periods:(id_idx + 1) * n_periods])
     return ScenarioRun(
-        traces={ident: tuple(ts) for ident, ts in traces.items()},
+        traces=traces,
         true_sources=scenario.true_sources(),
         seed=int(rng_seed),
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from sybilscatter import (
     DistanceMatrix,
     LRModel,
@@ -11,6 +12,7 @@ from sybilscatter import (
     SimilarityMatrix,
     TrainingConfig,
     TrainingDataError,
+    TrainingDivergenceError,
     TrainingSample,
     Verdict,
     compute_class_weights,
@@ -191,6 +193,23 @@ class TestTrainMWLE:
         near = predict_similarity(model, np.full(3, 0.05))
         far = predict_similarity(model, np.full(3, 1.2))
         assert near > 0.5 > far
+
+    def test_matches_objective_checked_ascent(self):
+        samples = toy_samples(np.random.default_rng(20), n=50, dim=4)
+        config = TrainingConfig(max_iters=300)
+        model = train_mwle(samples, config)
+        X = np.vstack([s.distance for s in samples])
+        y = np.array([s.label for s in samples], dtype=np.float64)
+        w, b = oracle.train_mwle(X, y, np.ones(len(samples)), config)
+        np.testing.assert_array_equal(model.weights, w)
+        assert model.bias == b
+
+    def test_huge_learning_rate_diverges(self):
+        # the first step (gradient about -250 per weight) overflows the weights
+        samples = [TrainingSample(1e3 * s.distance, s.label)
+                   for s in toy_samples(np.random.default_rng(21))]
+        with pytest.raises(TrainingDivergenceError):
+            train_mwle(samples, TrainingConfig(learning_rate=1e306, max_iters=100))
 
     def test_single_class_rejected(self):
         samples = [TrainingSample(np.array([0.1]), 1),

@@ -193,6 +193,16 @@ class TestSamplesFiles:
         with pytest.raises(ConfigError):
             read_samples_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_distance_rejected(self, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, handmade_dataset())
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1] + [bad])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=":3:"):
+            read_samples_csv(path)
+
 
 class TestModelFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):

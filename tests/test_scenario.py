@@ -314,6 +314,17 @@ class TestSynthesizeTrace:
         with pytest.raises(ParameterError):  # schedule value beyond n_tags
             ReceivedTrace(samples=np.ones(20), tag_schedule=np.full(20, 3), **good)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        code = alternating_code(4)
+        samples = np.ones(20)
+        samples[7] = bad
+        with pytest.raises(ParameterError):
+            ReceivedTrace(identity="x", true_source_id="s", t_s=0.0,
+                          sample_rate_hz=100.0, samples=samples,
+                          tag_schedule=np.zeros(20, dtype=int), tag_code=code,
+                          samples_per_bit=2, n_tags=1)
+
 
 class TestSimulateScenario:
     def test_ten_periods_ten_traces(self, four_identity_scenario, four_identity_run):
