@@ -408,16 +408,16 @@ def expired(period, newest_period, max_age_periods):
     return period <= newest_period - max_age_periods
 
 
-def full_window_ends(periods, profile_len: int,
-                     max_age_periods: int | None = None) -> np.ndarray:
+def full_window_ends(periods, profile_len: int) -> np.ndarray:
     """Positions e in a signature stream where ProfileAssembler emits a profile.
 
     ``periods`` are the increasing period indices of the stream.  The
     window ending at e holds entries e - L + 1 .. e, and it is full exactly
     when its oldest entry has not expired by period[e]: eviction by age
     runs from the oldest end, so any expired entry would include that one.
+    The max age is ProfileAssembler's default, 2 L.
     """
-    age = max_age_periods_for(profile_len, max_age_periods)
+    age = max_age_periods_for(profile_len)
     p = np.asarray(periods, dtype=np.int64)
     ends = np.arange(profile_len - 1, p.size)
     return ends[~expired(p[ends - profile_len + 1], p[ends], age)]

@@ -505,18 +505,6 @@ def tag_block_bit_spans(n_bits: int, n_tags: int):
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_tags)]
 
 
-def _squared(d) -> np.ndarray:
-    """Elementwise ``x ** 2`` as Python computes it for a float (C ``pow``).
-
-    numpy's square and power differ from ``pow`` in the last bit on some
-    inputs.  Channel powers keep the scalar rounding, so a trace comes out
-    bit-identical whether it is synthesized alone or in a batch.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    return np.array([x ** 2 for x in d.ravel().tolist()],
-                    dtype=np.float64).reshape(d.shape)
-
-
 def reflected_powers(channel: ChannelParams, tx_power_w: float,
                      d_t_m, d_r_m) -> np.ndarray:
     """Tag-reflected signal strengths at the receiver, elementwise.
@@ -534,9 +522,12 @@ def reflected_powers(channel: ChannelParams, tx_power_w: float,
         if not np.all(ok):
             raise ParameterError(
                 f"{name} must be strictly positive, got {float(d[~ok].flat[0])!r}")
-    incident = tx_power_w * channel.tx_gain / (4.0 * math.pi * _squared(d_t))
+    # float_power calls C pow per element, as Python's ``x ** 2`` does for a
+    # float; numpy's square and power round differently in the last bit on
+    # some inputs.  So a trace is bit-identical alone or in a batch.
+    incident = tx_power_w * channel.tx_gain / (4.0 * math.pi * np.float_power(d_t, 2.0))
     collected = channel.wavelength_m ** 2 * channel.rx_gain / (
-        16.0 * math.pi ** 2 * _squared(d_r))
+        16.0 * math.pi ** 2 * np.float_power(d_r, 2.0))
     return incident * collected * channel.tag_transfer
 
 

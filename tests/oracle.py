@@ -154,9 +154,9 @@ def signatures(traces, window):
 class ProfileAssembler:
     """The deque-driven sliding window, evicting by max age."""
 
-    def __init__(self, profile_len, max_age_periods=None):
+    def __init__(self, profile_len):
         self.profile_len = profile_len
-        self.max_age = 2 * profile_len if max_age_periods is None else max_age_periods
+        self.max_age = 2 * profile_len
         self.window = deque()
 
     def push(self, period, row):
