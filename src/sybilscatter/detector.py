@@ -35,11 +35,15 @@ class LRModel:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
+        bias = float(self.bias)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError(f"weights must be a nonempty 1-D vector, got {w.shape}")
+        # a NaN parameter makes every similarity NaN, which no threshold flags
+        if not (np.all(np.isfinite(w)) and np.isfinite(bias)):
+            raise ParameterError("model weights and bias must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", bias)
 
     @property
     def profile_len(self) -> int:
@@ -98,7 +102,7 @@ class SimilarityMatrix:
             raise ParameterError("identities must be unique")
         if p.shape != (n, n):
             raise ShapeError(f"probs must be ({n}, {n}), got {p.shape}")
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
             raise ParameterError("similarities must lie in [0, 1]")
         if np.any(p[np.arange(n), np.arange(n)] != 0.0):
             raise ParameterError("diagonal must be zero")

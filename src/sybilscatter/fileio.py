@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import CorpusSpec
 from .detector import LRModel
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .harness import DatasetSample, LabeledDataset, MetricsReport
 from .scenario import (
     ChannelParams,
@@ -226,7 +226,10 @@ def read_model_json(path) -> LRModel:
     weights = np.array(payload["weights"], dtype=np.float64)
     if int(payload["L"]) != weights.size:
         raise ConfigError(f"{path}: L={payload['L']} but {weights.size} weights")
-    return LRModel(weights=weights, bias=float(payload["bias"]))
+    try:
+        return LRModel(weights=weights, bias=float(payload["bias"]))
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:

@@ -25,7 +25,7 @@ from .errors import (
     SegmentationError,
     ShapeError,
 )
-from .scenario import ReceivedTrace, TraceBatch, tag_block_bit_spans
+from .scenario import ReceivedTrace, TraceBatch, prevalidated, tag_block_bit_spans
 
 DEFAULT_SMOOTHING_WINDOW = 9
 DEFAULT_PROFILE_LEN = 10
@@ -45,9 +45,19 @@ def row_norms(rows) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
+def _readonly_arrays(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class MultipathSignature:
-    """Per-tag reflected powers and their unit-norm form."""
+    """Per-tag reflected powers and their unit-norm form.
+
+    The constructor checks everything a SignalProfile row needs (finite,
+    nonnegative, unit norm), so a ProfileAssembler trusts its signatures.
+    """
 
     raw: np.ndarray
     normalized: np.ndarray
@@ -59,14 +69,13 @@ class MultipathSignature:
             raise ShapeError(f"raw {raw.shape} and normalized {normed.shape} must match")
         if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(normed))):
             raise ParameterError("signature powers must be finite")
-        if np.any(raw < 0):
-            raise ParameterError("raw reflected powers must be nonnegative")
-        if raw.any() and abs(np.linalg.norm(normed) - 1.0) > 1e-9:
+        if np.any(raw < 0) or np.any(normed < 0):
+            raise ParameterError("reflected powers must be nonnegative")
+        if abs(np.linalg.norm(normed) - 1.0) > 1e-9:
             raise ParameterError("normalized signature must have unit L2 norm")
-        raw.flags.writeable = False
-        normed.flags.writeable = False
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized", normed)
+        _readonly_arrays(raw, normed)
 
     @classmethod
     def from_raw(cls, raw) -> "MultipathSignature":
@@ -142,6 +151,18 @@ class SegmentBounds:
                 f"bounds must satisfy 0 <= t_start < t_end, got [{self.t_start}, {self.t_end})")
 
 
+@functools.lru_cache(maxsize=64)
+def _smoothing_bounds(n: int, window: int):
+    """Running-sum bounds (lo, hi) of each output sample of an n-sample
+    moving average, and the truncated window widths hi - lo as floats (the
+    values a division by the integer widths would convert them to)."""
+    back, fwd = window // 2, (window - 1) // 2
+    idx = np.arange(n)
+    lo = np.maximum(idx - back, 0)
+    hi = np.minimum(idx + fwd + 1, n)
+    return _readonly_arrays(lo, hi, (hi - lo).astype(np.float64))
+
+
 def _smooth_rows(x, window: int) -> np.ndarray:
     """moving_average over each row of an (R, N) array."""
     n = x.shape[1]
@@ -151,17 +172,14 @@ def _smooth_rows(x, window: int) -> np.ndarray:
         raise ParameterError(f"window {window} exceeds signal length {n}")
     if window == 1:
         return x.copy()
-    back, fwd = window // 2, (window - 1) // 2
+    lo, hi, width = _smoothing_bounds(n, window)
     # anchored on each row's first sample so the running sums stay near zero
     # and a constant row really does pass through bit-exactly
     anchor = x[:, :1]
     csum = np.zeros((x.shape[0], n + 1))
     np.cumsum(x - anchor, axis=1, out=csum[:, 1:])
-    idx = np.arange(n)
-    lo = np.maximum(idx - back, 0)
-    hi = np.minimum(idx + fwd + 1, n)
     # take keeps the rows C-contiguous, which the BLAS correlation needs
-    return anchor + (csum.take(hi, axis=1) - csum.take(lo, axis=1)) / (hi - lo)
+    return anchor + (csum.take(hi, axis=1) - csum.take(lo, axis=1)) / width
 
 
 def moving_average(samples, window: int) -> np.ndarray:
@@ -215,6 +233,28 @@ def expand_code(code, samples_per_bit: int) -> np.ndarray:
     return np.repeat(np.asarray(code, dtype=np.float64), samples_per_bit)
 
 
+@functools.lru_cache(maxsize=64)
+def _template(code_bytes: bytes, samples_per_bit: int) -> np.ndarray:
+    """expand_code of a uint8 code, read-only."""
+    return _readonly_arrays(
+        expand_code(np.frombuffer(code_bytes, dtype=np.uint8), samples_per_bit))[0]
+
+
+def _median_rows(c) -> np.ndarray:
+    """np.median over each row of a 2-D array, without its set-up cost.
+
+    The middle element of a row, or the mean of the two middle elements of
+    an even-length row, both as np.median takes them.  Unlike np.median it
+    does not turn a row holding NaN into NaN; locate_rows never needs it
+    to, since such a row's NaN peak fails every comparison anyway.
+    """
+    mid = c.shape[1] // 2
+    if c.shape[1] % 2:
+        return np.partition(c, mid, axis=1)[:, mid]
+    part = np.partition(c, (mid - 1, mid), axis=1)
+    return (part[:, mid - 1] + part[:, mid]) / 2.0
+
+
 def locate_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
     """Segment every row of a batch: (starts, decodable, peaks, floors).
 
@@ -223,11 +263,11 @@ def locate_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
     times the row's median correlation, means no code is convincingly
     present, and the row is not decodable.
     """
-    template = expand_code(batch.tag_code, batch.samples_per_bit)
+    template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
     c = _correlate_rows(_smooth_rows(batch.samples, window), template)
     starts = np.argmax(c, axis=1)
     peaks = c[np.arange(c.shape[0]), starts]
-    floors = PEAK_FLOOR_RATIO * np.median(c, axis=1)
+    floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
 
 
@@ -237,12 +277,17 @@ def segment_backscatter(trace: ReceivedTrace,
 
     Raises SegmentationError when the trace is not decodable.
     """
-    starts, decodable, peaks, floors = locate_rows(TraceBatch.stack([trace]), window)
+    start = _region_start(TraceBatch.stack([trace]), window)
+    return SegmentBounds(t_start=start, t_end=start + trace.code_span)
+
+
+def _region_start(batch: TraceBatch, window: int) -> int:
+    """locate_rows on a one-row batch; raises SegmentationError."""
+    starts, decodable, peaks, floors = locate_rows(batch, window)
     if not decodable[0]:
         raise SegmentationError(
             f"correlation peak {peaks[0]:.3e} below decision floor {floors[0]:.3e}")
-    start = int(starts[0])
-    return SegmentBounds(t_start=start, t_end=start + trace.code_span)
+    return int(starts[0])
 
 
 def _reflections(on, off) -> np.ndarray:
@@ -287,14 +332,10 @@ def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
         offsets = b0 * samples_per_bit + np.arange(mask.size)
         groups.setdefault((int(mask.sum()), mask.size), []).append(
             (tag_idx, offsets[mask], offsets[~mask]))
-    out = []
-    for members in groups.values():
-        arrays = [np.array([m[0] for m in members]),
-                  np.stack([m[1] for m in members]), np.stack([m[2] for m in members])]
-        for arr in arrays:
-            arr.flags.writeable = False
-        out.append(tuple(arrays))
-    return out
+    return [_readonly_arrays(np.array([m[0] for m in members]),
+                             np.stack([m[1] for m in members]),
+                             np.stack([m[2] for m in members]))
+            for members in groups.values()]
 
 
 def reflection_rows(batch: TraceBatch, rows, starts) -> np.ndarray:
@@ -322,17 +363,29 @@ def build_signature(trace: ReceivedTrace, bounds: SegmentBounds) -> MultipathSig
         raise ShapeError(
             f"bounds span {bounds.t_end - bounds.t_start} does not equal the "
             f"code span {trace.code_span}")
-    raw = reflection_rows(TraceBatch.stack([trace]), [0], [bounds.t_start])[0]
+    return _signature(trace, TraceBatch.stack([trace]), bounds.t_start)
+
+
+def _signature(trace: ReceivedTrace, batch: TraceBatch, start: int) -> MultipathSignature:
+    """reflection_rows on the one-row batch of ``trace``, normalized as
+    signature_rows does it.  The powers of a validated trace need no
+    further checks; raises DegenerateSignatureError."""
+    raw = reflection_rows(batch, [0], [start])
     if not raw.any():
         raise DegenerateSignatureError(
             f"identity {trace.identity!r} at t={trace.t_s}: zero reflection on every tag")
-    return MultipathSignature.from_raw(raw)
+    norm = row_norms(raw)[0]
+    if norm == 0.0:  # every power underflows when squared
+        raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
+    raw, normalized = _readonly_arrays(raw[0], raw[0] / norm)
+    return prevalidated(MultipathSignature, raw=raw, normalized=normalized)
 
 
 def signature_from_trace(trace: ReceivedTrace,
                          window: int = DEFAULT_SMOOTHING_WINDOW) -> MultipathSignature:
-    """Segment and extract in one step."""
-    return build_signature(trace, segment_backscatter(trace, window))
+    """Segment and extract in one step, on one stack of the trace."""
+    batch = TraceBatch.stack([trace])
+    return _signature(trace, batch, _region_start(batch, window))
 
 
 def signature_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
@@ -465,6 +518,10 @@ class ProfileAssembler:
                                        self.max_age_periods):
             self._window.popleft()
         if len(self._window) == self.profile_len:
+            # rows of validated signatures: unit norm, and their mean by
+            # construction, so SignalProfile's checks would add nothing
             rows = np.vstack([sig.normalized for _, sig in self._window])
-            return SignalProfile.from_rows(self.identity, rows)
+            rows, mean = _readonly_arrays(rows, rows.mean(axis=0))
+            return prevalidated(SignalProfile, identity=self.identity,
+                                signatures=rows, mean_vector=mean)
         return None

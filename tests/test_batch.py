@@ -17,14 +17,17 @@ import oracle
 from conftest import make_scenario
 from sybilscatter import (
     ChannelParams,
+    DegenerateSignatureError,
     LRModel,
     MultipathSignature,
     ProfileAssembler,
     ReceivedTrace,
     ScenarioRun,
+    SegmentationError,
     SignalProfile,
     build_corpus,
     build_dataset,
+    build_signature,
     distance_matrix,
     extract_signatures,
     generate_dataset,
@@ -175,6 +178,35 @@ class TestExtract:
             assert len(periods) == len(traces)
             np.testing.assert_array_equal(got.periods["n0"], periods)
             np.testing.assert_array_equal(got.raw["n0"], np.vstack(raw))
+
+    def test_one_row_calls_match_per_trace_oracle(self, degraded_run):
+        _, streams = degraded_run
+        outcomes = set()
+        for traces in streams.values():
+            for trace in traces:
+                start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+                if start is None:
+                    outcomes.add("rejected")
+                    with pytest.raises(SegmentationError):
+                        signature_from_trace(trace)
+                    continue
+                bounds = segment_backscatter(trace)
+                assert bounds.t_start == start
+                raw = oracle.build_signature(trace.samples, start, trace.tag_code, 8,
+                                             trace.n_tags)
+                if not raw.any():
+                    outcomes.add("degenerate")
+                    for call in (lambda: signature_from_trace(trace),
+                                 lambda: build_signature(trace, bounds)):
+                        with pytest.raises(DegenerateSignatureError):
+                            call()
+                    continue
+                outcomes.add("kept")
+                for sig in (signature_from_trace(trace), build_signature(trace, bounds)):
+                    assert sig.raw.tobytes() == raw.tobytes()
+                    assert sig.normalized.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+                    assert not (sig.raw.flags.writeable or sig.normalized.flags.writeable)
+        assert outcomes == {"rejected", "degenerate", "kept"}
 
     def test_scalar_calls_are_rows_of_the_batch(self, degraded_run):
         _, streams = degraded_run

@@ -65,6 +65,15 @@ class TestSigmoid:
         assert sigmoid(np.ones(4)).shape == (4,)
 
 
+class TestLRModel:
+    @pytest.mark.parametrize("weights, bias", [
+        ([0.1, np.nan], 0.0), ([np.inf, 0.1], 0.0), ([0.1, 0.2], np.nan),
+        ([0.1, 0.2], -np.inf)])
+    def test_non_finite_parameters_rejected(self, weights, bias):
+        with pytest.raises(ParameterError, match="finite"):
+            LRModel(weights=np.array(weights), bias=bias)
+
+
 class TestPredictSimilarity:
     def test_null_model_gives_half(self):
         model = LRModel(weights=np.zeros(3), bias=0.0)
@@ -266,6 +275,11 @@ class TestSimilarityMatrix:
                              probs=np.array([[0.3, 0.1], [0.2, 0.0]]))
         with pytest.raises(ShapeError):
             SimilarityMatrix(identities=("a", "b"), probs=np.zeros((3, 3)))
+
+    def test_nan_similarity_rejected(self):
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            SimilarityMatrix(identities=("a", "b"),
+                             probs=np.array([[0.0, np.nan], [0.2, 0.0]]))
 
 
 def sims_from(ids, entries):

@@ -226,6 +226,13 @@ class TestModelFiles:
         with pytest.raises(ConfigError):
             read_model_json(path)
 
+    def test_non_finite_weight_rejected(self, tmp_path):
+        # json writes and reads NaN as a bare literal
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"L": 2, "weights": [0.1, float("nan")], "bias": 0.0}))
+        with pytest.raises(ConfigError, match="model.json: .*finite"):
+            read_model_json(path)
+
 
 class TestReportFiles:
     def test_metrics_field_set(self, tmp_path):

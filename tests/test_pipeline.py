@@ -29,6 +29,13 @@ from sybilscatter import (
 )
 
 from conftest import make_scenario
+from sybilscatter.pipeline import (
+    _median_rows,
+    _smoothing_bounds,
+    _tag_gathers,
+    _template,
+    expand_code,
+)
 
 
 def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
@@ -84,6 +91,30 @@ class TestMovingAverage:
             moving_average(np.ones(5), 6)
         with pytest.raises(ShapeError):
             moving_average(np.ones((2, 3)), 2)
+
+
+class TestOnlineSetUp:
+    @pytest.mark.parametrize("n_lags", [1, 2, 7, 8, 2048, 2049])
+    def test_median_rows_is_np_median(self, n_lags):
+        rng = np.random.default_rng(n_lags)
+        # steps of 0.1 over a small range give many ties, and even rows
+        # average two different middle values
+        ties = rng.integers(-3, 4, (30, n_lags)) * 0.1
+        c = np.vstack([ties, rng.normal(size=(30, n_lags))])
+        assert _median_rows(c).tobytes() == np.median(c, axis=1).tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        trace = handmade_trace(n_tags=3)
+        segment_backscatter(trace)
+        lo, hi, width = _smoothing_bounds(trace.samples.size, 9)
+        template = _template(trace.tag_code.tobytes(), trace.samples_per_bit)
+        gathers = [arr for group in _tag_gathers(trace.tag_code.tobytes(),
+                                                 trace.samples_per_bit, 3)
+                   for arr in group]
+        for arr in [lo, hi, width, template] + gathers:
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(template, expand_code(trace.tag_code, 8))
+        np.testing.assert_array_equal(width, hi - lo)
 
 
 class TestCorrelate:
@@ -236,6 +267,11 @@ class TestMultipathSignature:
         with pytest.raises(ParameterError):
             MultipathSignature.from_raw([1.0, -0.1])
 
+    @pytest.mark.parametrize("normalized", [[0.0, 0.0], [-0.6, 0.8], [0.6, 0.6]])
+    def test_constructor_rejects_what_a_profile_row_cannot_be(self, normalized):
+        with pytest.raises(ParameterError):
+            MultipathSignature(raw=np.array([3.0, 4.0]), normalized=np.array(normalized))
+
 
 class TestBuildSignatureFromTrace:
     def test_noise_free_recovers_injected_powers(self):
@@ -321,6 +357,18 @@ class TestProfileWindows:
         profile = assembler.push(9, sigs[4])
         np.testing.assert_array_equal(
             profile.signatures, np.vstack([s.normalized for s in sigs[2:5]]))
+
+    def test_assembler_profile_is_the_validated_one(self):
+        sigs = self._signatures(4)
+        assembler = ProfileAssembler("a", profile_len=3)
+        profiles = [assembler.push(k, s) for k, s in enumerate(sigs)]
+        expected = SignalProfile.from_rows("a", np.vstack([s.normalized for s in sigs[1:]]))
+        profile = profiles[-1]
+        assert isinstance(profile, SignalProfile) and profile.identity == "a"
+        assert profile.signatures.tobytes() == expected.signatures.tobytes()
+        assert profile.mean_vector.tobytes() == expected.mean_vector.tobytes()
+        assert not profile.signatures.flags.writeable
+        assert not profile.mean_vector.flags.writeable
 
     def test_assembler_requires_increasing_periods(self):
         assembler = ProfileAssembler("a", profile_len=2)
