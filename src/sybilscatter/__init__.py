@@ -19,6 +19,7 @@ from .detector import (
     SimilarityMatrix,
     TrainingConfig,
     TrainingSample,
+    TrainingSet,
     Verdict,
     compute_class_weights,
     detect_sybil,

@@ -11,6 +11,7 @@ follow by pair membership.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +63,54 @@ class TrainingSample:
         d = np.asarray(self.distance, dtype=np.float64)
         if d.ndim != 1 or d.size == 0:
             raise ShapeError(f"distance must be a nonempty 1-D vector, got {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ParameterError("training distances must be finite")
         if self.label not in (0, 1):
             raise ParameterError(f"label must be 0 or 1, got {self.label!r}")
-        if not (self.weight > 0):
-            raise ParameterError(f"weight must be > 0, got {self.weight}")
+        if not (0 < self.weight < math.inf):  # NaN fails both comparisons
+            raise ParameterError(f"weight must be finite and > 0, got {self.weight}")
         d.flags.writeable = False
         object.__setattr__(self, "distance", d)
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "weight", float(self.weight))
+
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """Labeled distance vectors as arrays, the form train_mwle reads.
+
+    ``X`` is the (N, L) design, one distance vector per row, ``y`` the 0/1
+    labels and ``v`` the per-sample class weights.  All three are copied
+    to read-only float64 arrays (``X`` C-contiguous) and validated once,
+    here, with the checks a TrainingSample makes per sample.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        X = np.array(self.X, dtype=np.float64, order="C")
+        y = np.array(self.y, dtype=np.float64)
+        v = np.array(self.v, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] == 0:
+            raise ShapeError(f"X must be an (N, L) array with L >= 1, got {X.shape}")
+        n = X.shape[0]
+        if y.shape != (n,) or v.shape != (n,):
+            raise ShapeError(
+                f"y and v must be ({n},) vectors, got {y.shape} and {v.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ParameterError("training distances must be finite")
+        if not np.all((y == 0) | (y == 1)):
+            raise ParameterError("labels must all be 0 or 1")
+        if not np.all((v > 0) & (v < np.inf)):  # NaN fails both comparisons
+            raise ParameterError("weights must be finite and > 0")
+        for name, a in (("X", X), ("y", y), ("v", v)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __len__(self):
+        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,17 +183,62 @@ class Verdict:
         return self.fake_identities | self.legit_identities
 
 
-def sigmoid(z):
-    """Logistic function, stable for any float input.
+class _Workspace:
+    """Work vectors of the logistic and gradient kernels, for scores of one
+    shape.  A fit allocates one and reuses it every iteration."""
 
-    Evaluated on -|z| and reflected: exp never overflows, and the reflected
-    branch is exact (the positive branch lies in [0.5, 1], so 1 - g is a
-    Sterbenz subtraction), which makes g(-z) == 1 - g(z) hold bit-exactly.
-    """
+    def __init__(self, shape):
+        # |z|, -|z|, exp(-|z|), 1 + exp(-|z|), then the gradient's residual
+        self.e = np.empty(shape)
+        self.c = np.empty(shape)  # g(z) - 1/2
+
+    def logistic(self, z) -> float:
+        """Write g(z) - 1/2 to self.c; return max |z|, which is NaN or inf
+        exactly when some score is not finite.
+
+        g is evaluated on -|z|, so exp never overflows, and reflected:
+        g(z) - 1/2 = copysign(g(|z|) - 1/2, z).  Every step after the
+        division is exact, because g(|z|) lies in [1/2, 1]: g(|z|) - 1/2 is
+        a Sterbenz subtraction, and 1/2 + c is g(|z|) itself for z >= 0 and
+        the representable 1 - g(|z|) for z < 0.  So g(-z) == 1 - g(z) holds
+        bit-exactly, and the result has the bits of the two-branch form
+        where(z >= 0, g(|z|), 1 - g(|z|)) for every non-NaN z.
+        """
+        e, c = self.e, self.c
+        np.absolute(z, out=e)
+        largest = np.maximum.reduce(e, axis=None, initial=0.0)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=e)
+        np.divide(1.0, e, out=c)
+        np.subtract(c, 0.5, out=c)
+        np.copysign(c, z, out=c)
+        return largest
+
+    def gradient(self, z, XT, h, v, grad_w):
+        """Write X^T r to grad_w for r = v * (y - g(z)), given h = y - 1/2;
+        return (sum of r, max |z|).
+
+        For 0/1 labels y - g(z) is exact in either form, so h - (g(z) - 1/2)
+        has its bits.  X^T r is one BLAS dgemv on the transposed view of the
+        C-contiguous design, and the sum is numpy's pairwise one, as np.sum
+        takes it.
+        """
+        largest = self.logistic(z)
+        r = self.e
+        np.subtract(h, self.c, out=r)
+        np.multiply(v, r, out=r)
+        np.dot(XT, r, out=grad_w)
+        return np.add.reduce(r), largest
+
+
+def sigmoid(z):
+    """Logistic function, stable for any float input (see _Workspace.logistic)."""
     z = np.asarray(z, dtype=np.float64)
-    upper = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    out = np.where(z >= 0, upper, 1.0 - upper)
-    return float(out) if out.ndim == 0 else out
+    work = _Workspace(z.shape)
+    work.logistic(z)
+    g = np.add(work.c, 0.5, out=work.c)
+    return float(g) if z.ndim == 0 else g
 
 
 def predict_similarity(model: LRModel, d) -> float:
@@ -181,19 +267,21 @@ def compute_class_weights(labels) -> dict:
     return {0: n / (2.0 * n_neg), 1: n / (2.0 * n_pos)}
 
 
-def _design(samples):
+def _design(samples) -> TrainingSet:
+    """The training set of train_mwle; a TrainingSample sequence is stacked."""
     if len(samples) < 2:
         raise TrainingDataError(f"need at least 2 training samples, got {len(samples)}")
-    dim = samples[0].distance.size
-    for s in samples:
-        if s.distance.size != dim:
-            raise ShapeError("all training distances must have the same length")
-    X = np.vstack([s.distance for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.float64)
-    v = np.array([s.weight for s in samples], dtype=np.float64)
-    if y.min() == y.max():
+    if not isinstance(samples, TrainingSet):
+        dim = samples[0].distance.size
+        for s in samples:
+            if s.distance.size != dim:
+                raise ShapeError("all training distances must have the same length")
+        samples = TrainingSet(X=np.vstack([s.distance for s in samples]),
+                              y=[s.label for s in samples],
+                              v=[s.weight for s in samples])
+    if samples.y.min() == samples.y.max():
         raise TrainingDataError("training set contains a single class")
-    return X, y, v
+    return samples
 
 
 def weighted_log_likelihood(weights, bias, X, y, v) -> float:
@@ -206,45 +294,62 @@ def weighted_log_likelihood(weights, bias, X, y, v) -> float:
     return float(np.sum(v * (-np.logaddexp(0.0, -z) - (1.0 - y) * z)))
 
 
-def _gradient_at(z, X, y, v):
-    r = v * (y - sigmoid(z))
-    return X.T @ r, float(np.sum(r))
-
-
 def weighted_gradient(weights, bias, X, y, v):
     """Analytic gradient of weighted_log_likelihood in (weights, bias)."""
-    return _gradient_at(X @ weights + bias, X, y, v)
+    X = np.asarray(X, dtype=np.float64)
+    z = X @ weights + bias
+    grad_w = np.empty(X.shape[1])
+    grad_b, _ = _Workspace(z.shape).gradient(z, X.T, np.subtract(y, 0.5), v, grad_w)
+    return grad_w, float(grad_b)
 
 
 def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
     """Fit the similarity model by maximum weighted likelihood.
 
-    Full-batch gradient ascent from zero-initialized parameters.  The step
-    uses the gradient divided by the total sample weight, so the pinned
-    learning rate behaves identically at any corpus size; the maximizer is
-    unchanged by the scaling.  Raises TrainingDivergenceError once the
-    scores or the gradient stop being finite.  Deterministic: same samples
-    and config give bit-identical models.
+    ``samples`` is a TrainingSet or a sequence of TrainingSample.  Full-batch
+    gradient ascent from zero-initialized parameters.  The step uses the
+    gradient divided by the total sample weight, so the pinned learning rate
+    behaves identically at any corpus size; the maximizer is unchanged by
+    the scaling.  Raises TrainingDivergenceError once the scores or the
+    gradient stop being finite.  Deterministic: same samples and config
+    give bit-identical models (for a fixed BLAS thread count).
+
+    Every vector an iteration needs is allocated once per fit and written
+    in place.  The two BLAS products are the dgemv calls X @ w and X.T @ r
+    make, and every other step is the same ufunc or exact (see _Workspace),
+    so the iterates have the bits of the allocating form.
     """
-    X, y, v = _design(samples)
+    data = _design(samples)
+    X, v = data.X, data.v
+    XT = X.T
+    h = data.y - 0.5
     total_weight = float(v.sum())
-    w = np.zeros(X.shape[1], dtype=np.float64)
+    lr = config.learning_rate
+    work = _Workspace(len(data))
+    z = np.empty(len(data))
+    w = np.zeros(X.shape[1])
+    grad_w = np.empty_like(w)
+    step = np.empty_like(w)
     b = 0.0
     # overflow is caught below and raised as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
-            z = X @ w + b
-            if not np.all(np.isfinite(z)):
+            np.dot(X, w, out=z)
+            np.add(z, b, out=z)
+            grad_b, largest = work.gradient(z, XT, h, v, grad_w)
+            if not math.isfinite(largest):
                 raise TrainingDivergenceError("scores became non-finite during training")
-            grad_w, grad_b = _gradient_at(z, X, y, v)
-            grad_w /= total_weight
-            grad_b /= total_weight
-            if not (np.all(np.isfinite(grad_w)) and np.isfinite(grad_b)):
+            np.divide(grad_w, total_weight, out=grad_w)
+            grad_b = float(grad_b) / total_weight
+            # maximum.reduce propagates NaN from any component
+            steepest = float(np.maximum.reduce(np.absolute(grad_w, out=step),
+                                               axis=None, initial=0.0))
+            if not (math.isfinite(steepest) and math.isfinite(grad_b)):
                 raise TrainingDivergenceError("gradient became non-finite during training")
-            if max(float(np.abs(grad_w).max()), abs(grad_b)) < config.grad_tol:
+            if max(steepest, abs(grad_b)) < config.grad_tol:
                 break
-            w = w + config.learning_rate * grad_w
-            b = b + config.learning_rate * grad_b
+            np.add(w, np.multiply(grad_w, lr, out=step), out=w)
+            b = b + lr * grad_b
     return LRModel(weights=w, bias=b)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -128,17 +129,23 @@ def read_trace_csv(path, identity: str, labels: dict) -> list:
         header = fp.readline().strip()
         if header != TRACE_HEADER:
             raise ConfigError(f"{path}: expected header {TRACE_HEADER!r}, got {header!r}")
-        for line in fp:
+        for lineno, line in enumerate(fp, start=2):
             line = line.strip()
             if not line:
                 continue
-            t_str, sample_str, tag_str = line.split(",")
+            try:
+                t_str, sample_str, tag_str = line.split(",")
+                sample, tag = float(sample_str), int(tag_str)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: malformed trace line {line!r}") from None
+            if not math.isfinite(sample):
+                raise ConfigError(f"{path}:{lineno}: trace samples must be finite")
             if t_s is None or t_str != t_s:
                 flush()
                 t_s = t_str
                 samples, tags = [], []
-            samples.append(float(sample_str))
-            tags.append(int(tag_str))
+            samples.append(sample)
+            tags.append(tag)
     flush()
     return traces
 

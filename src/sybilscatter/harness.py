@@ -26,7 +26,7 @@ from .detector import (
     LRModel,
     SimilarityMatrix,
     TrainingConfig,
-    TrainingSample,
+    TrainingSet,
     compute_class_weights,
     detect_sybil,
     sigmoid,
@@ -146,12 +146,13 @@ class LabeledDataset:
             provenance=dict(self.provenance),
         )
 
-    def training_samples(self, class_weights=None) -> list:
+    def training_samples(self, class_weights=None) -> TrainingSet:
+        """The samples as one array training set, class-weighted."""
+        labels = self.labels()
         if class_weights is None:
-            class_weights = compute_class_weights(self.labels())
-        return [TrainingSample(distance=s.values, label=s.label,
-                               weight=class_weights[s.label])
-                for s in self.samples]
+            class_weights = compute_class_weights(labels)
+        weights = np.where(labels == 1, class_weights[1], class_weights[0])
+        return TrainingSet(X=self.features(), y=labels, v=weights)
 
 
 def config_digest(configs) -> str:

@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from sybilscatter.detector import sigmoid, weighted_gradient, weighted_log_likelihood
+from sybilscatter.detector import weighted_log_likelihood
 from sybilscatter.distance import (
     DEGENERATE_NORM_TOL,
     F_SIDE_DEGENERATE_DISTANCE,
@@ -262,6 +262,19 @@ def similarity_probs(model, values):
 
 
 # ---------------------------------------------------------------- train
+
+def sigmoid(z):
+    """The logistic function as the package evaluated it with fresh arrays."""
+    z = np.asarray(z, dtype=np.float64)
+    upper = 1.0 / (1.0 + np.exp(-np.abs(z)))
+    out = np.where(z >= 0, upper, 1.0 - upper)
+    return float(out) if out.ndim == 0 else out
+
+
+def weighted_gradient(weights, bias, X, y, v):
+    r = v * (y - sigmoid(X @ weights + bias))
+    return X.T @ r, float(np.sum(r))
+
 
 def train_mwle(X, y, v, config):
     """Gradient ascent that evaluates the objective every step."""

@@ -1,7 +1,8 @@
-"""Smoke test: the quick demos run to completion from a source checkout.
+"""Smoke test: every demo runs to completion from a source checkout.
 
-Demos 05 and 06 run cross-validation on a corpus and take several seconds
-each, so only 01-04 run here.
+Demos 05 and 06 are the only ones that cross-validate, so they are the
+ones that run train_mwle; each pins one printed result line, which makes
+trainer drift that reaches a printed number fail here.
 """
 
 import os
@@ -12,22 +13,30 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-9]_*.py"))
+
+# demo number -> a line of its output that pins a computed result
+PINNED_LINES = {
+    "01": "segmentation: code region found at [1480, 1992)",
+    "05": "AUROC     0.9923",
+    "06": "adjusted    1.000   0.000",
+}
 
 
 def run_demo(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=180)
 
 
-def test_quick_demos_are_found():
-    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04"]
+def test_demos_are_found():
+    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_cleanly(name):
     result = run_demo(name)
     assert result.returncode == 0, result.stderr
-    if name.startswith("01"):
-        assert "segmentation: code region found at [1480, 1992)" in result.stdout
+    pinned = PINNED_LINES.get(name[:2])
+    if pinned is not None:
+        assert pinned in result.stdout.splitlines()

@@ -14,6 +14,7 @@ from sybilscatter import (
     TrainingDataError,
     TrainingDivergenceError,
     TrainingSample,
+    TrainingSet,
     Verdict,
     compute_class_weights,
     detect_sybil,
@@ -40,6 +41,12 @@ def toy_samples(rng, n=40, dim=3, weight=None):
     return samples
 
 
+def toy_set(rng, n=40, dim=3):
+    samples = toy_samples(rng, n, dim)
+    return TrainingSet(X=np.vstack([s.distance for s in samples]),
+                       y=[s.label for s in samples], v=np.ones(n))
+
+
 class TestSigmoid:
     def test_zero(self):
         assert sigmoid(0.0) == 0.5
@@ -63,6 +70,27 @@ class TestSigmoid:
     def test_scalar_in_scalar_out(self):
         assert isinstance(sigmoid(1.3), float)
         assert sigmoid(np.ones(4)).shape == (4,)
+
+    def test_matches_the_allocating_formula_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0,
+                   745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+        for z in special + list(rng.normal(scale=20.0, size=50)):
+            got, want = sigmoid(z), oracle.sigmoid(z)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), z
+        for shape in [(0,), (7,), (3, 4), (2, 3, 5)]:
+            z = rng.normal(scale=20.0, size=shape)
+            z.flat[:len(special)] = special[:z.size]
+            assert sigmoid(z).tobytes() == oracle.sigmoid(z).tobytes()
+        for scale in [1e-8, 1.0, 40.0]:
+            z = rng.normal(scale=scale, size=20000)
+            assert sigmoid(z).tobytes() == oracle.sigmoid(z).tobytes()
+        assert np.isnan(sigmoid(np.nan))  # NaN maps to NaN, sign bit aside
+        z = rng.normal(size=4)
+        before = z.copy()
+        sigmoid(z)
+        assert z.tobytes() == before.tobytes()  # the input is not a buffer
 
 
 class TestLRModel:
@@ -143,6 +171,17 @@ class TestGradient:
                 - weighted_log_likelihood(w, b - h, X, y, v)) / (2 * h)
         assert abs(grad_b - fd_b) <= 1e-5 * max(1.0, abs(fd_b))
 
+    def test_matches_the_allocating_formula_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        X = rng.random((3000, 10))
+        y = (rng.random(3000) < 0.3).astype(np.float64)
+        v = rng.random(3000) + 0.5
+        w, b = rng.normal(size=10), 0.3
+        grad_w, grad_b = weighted_gradient(w, b, X, y, v)
+        want_w, want_b = oracle.weighted_gradient(w, b, X, y, v)
+        assert grad_w.tobytes() == want_w.tobytes()
+        assert grad_b == want_b
+
     def test_likelihood_finite_at_extreme_scores(self):
         X = np.array([[100.0], [-100.0]])
         y = np.array([0.0, 1.0])
@@ -213,6 +252,70 @@ class TestTrainMWLE:
         np.testing.assert_array_equal(model.weights, w)
         assert model.bias == b
 
+    def _assert_matches_oracle(self, data, config):
+        model = train_mwle(data, config)
+        w, b = oracle.train_mwle(data.X, data.y, data.v, config)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
+        return model
+
+    def test_early_grad_tol_break_matches_oracle(self):
+        data = toy_set(np.random.default_rng(24), n=50, dim=4)
+        loose = TrainingConfig(grad_tol=1e-2)
+        model = self._assert_matches_oracle(data, loose)
+        # the tolerance did stop the ascent before max_iters
+        full = train_mwle(data, TrainingConfig(grad_tol=1e-2, max_iters=20000))
+        capped = train_mwle(data, TrainingConfig(max_iters=5000))
+        assert model.weights.tobytes() == full.weights.tobytes()
+        assert model.weights.tobytes() != capped.weights.tobytes()
+
+    def test_single_iteration_matches_oracle(self):
+        data = toy_set(np.random.default_rng(25), n=50, dim=4)
+        model = self._assert_matches_oracle(data, TrainingConfig(max_iters=1))
+        assert np.all(model.weights != 0.0)
+
+    def test_unequal_class_weights_match_oracle(self):
+        rng = np.random.default_rng(26)
+        labels = (rng.random(90) < 0.2).astype(int)
+        weights = compute_class_weights(labels)
+        X = np.where(labels[:, None] == 1, 0.3, 0.7) * rng.random((90, 5))
+        data = TrainingSet(X=X, y=labels, v=[weights[c] for c in labels])
+        assert weights[0] != weights[1]
+        self._assert_matches_oracle(data, TrainingConfig(max_iters=400))
+
+    def test_wide_design_above_2048_samples_matches_oracle(self):
+        # past numpy's pairwise-sum block and BLAS's small-size paths
+        rng = np.random.default_rng(27)
+        labels = (rng.random(2600) < 0.25).astype(int)
+        weights = compute_class_weights(labels)
+        X = rng.random((2600, 10)) + 0.4 * (1 - labels[:, None])
+        data = TrainingSet(X=X, y=labels, v=[weights[c] for c in labels])
+        self._assert_matches_oracle(data, TrainingConfig(max_iters=150))
+
+    def test_array_set_and_sample_list_give_identical_models(self):
+        samples = toy_samples(np.random.default_rng(28), n=60, dim=5, weight=1.5)
+        data = TrainingSet(X=np.vstack([s.distance for s in samples]),
+                           y=[s.label for s in samples],
+                           v=[s.weight for s in samples])
+        a = train_mwle(samples, TrainingConfig(max_iters=700))
+        b = train_mwle(data, TrainingConfig(max_iters=700))
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias == b.bias
+
+    def test_nan_in_a_later_gradient_component_diverges(self):
+        # the weights sum to inf; column 1's single 1e308 product with its
+        # residual (+5e307) overflows to inf, so the scaled gradient is
+        # [0, inf / inf] = [0, NaN]: a max that skips NaN would read 0 and
+        # stop as if converged
+        X = np.array([[1.0, 1e308], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        data = TrainingSet(X=X, y=[1, 0, 1, 0], v=[1e308] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_w, _ = weighted_gradient(np.zeros(2), 0.0, X, data.y, data.v)
+            scaled = grad_w / data.v.sum()
+            assert scaled[0] == 0.0 and np.isnan(scaled[1])
+            with pytest.raises(TrainingDivergenceError, match="gradient"):
+                train_mwle(data)
+
     def test_huge_learning_rate_diverges(self):
         # the first step (gradient about -250 per weight) overflows the weights
         samples = [TrainingSample(1e3 * s.distance, s.label)
@@ -243,6 +346,68 @@ class TestTrainMWLE:
             TrainingSample(np.array([0.1]), 1, weight=0.0)
         with pytest.raises(ParameterError):
             TrainingConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_training_sample_rejects_non_finite_distance(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            TrainingSample(np.array([0.1, bad]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_training_sample_rejects_bad_weight(self, bad):
+        with pytest.raises(ParameterError, match="weight"):
+            TrainingSample(np.array([0.1]), 1, weight=bad)
+
+
+class TestTrainingSet:
+    def _args(self):
+        return {"X": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], "y": [1, 0, 1],
+                "v": [2.0, 1.0, 2.0]}
+
+    def test_holds_read_only_float_copies(self):
+        X = np.array([[0.1, 0.2], [0.3, 0.4]])
+        data = TrainingSet(X=X, y=np.array([1, 0]), v=[1.0, 1.0])
+        assert len(data) == 2
+        assert data.X.flags.c_contiguous and not data.X.flags.writeable
+        assert data.y.dtype == np.float64 and not data.y.flags.writeable
+        assert not data.v.flags.writeable
+        X[0, 0] = 9.0
+        assert data.X[0, 0] == 0.1
+        assert X.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_distance(self, bad):
+        args = self._args()
+        args["X"][2][1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            TrainingSet(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_weight(self, bad):
+        args = self._args()
+        args["v"][1] = bad
+        with pytest.raises(ParameterError, match="weights"):
+            TrainingSet(**args)
+
+    def test_rejects_bad_label(self):
+        args = self._args()
+        args["y"][0] = 2
+        with pytest.raises(ParameterError, match="labels"):
+            TrainingSet(**args)
+
+    @pytest.mark.parametrize("field, value", [
+        ("X", [0.1, 0.2, 0.3]), ("X", np.zeros((3, 0))), ("y", [1, 0]),
+        ("v", [[1.0, 1.0, 1.0]])])
+    def test_rejects_bad_shapes(self, field, value):
+        args = self._args()
+        args[field] = value
+        with pytest.raises(ShapeError):
+            TrainingSet(**args)
+
+    def test_trainer_checks_size_and_classes(self):
+        with pytest.raises(TrainingDataError):
+            train_mwle(TrainingSet(X=[[0.1]], y=[1], v=[1.0]))
+        with pytest.raises(TrainingDataError):
+            train_mwle(TrainingSet(X=[[0.1], [0.2]], y=[1, 1], v=[1.0, 1.0]))
 
 
 class TestSimilarityMatrix:

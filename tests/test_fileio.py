@@ -157,6 +157,29 @@ class TestTraceFiles:
             read_trace_csv(path, "n0", labels)
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.1x", ""])
+    def test_bad_sample_names_file_and_line(self, tmp_path, four_identity_run,
+                                            four_identity_scenario, bad):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n1.csv"
+        lines = path.read_text().splitlines()
+        t_s, _, tag = lines[4].split(",")
+        lines[4] = ",".join([t_s, bad, tag])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"trace_n1\.csv:5: "):
+            read_run(tmp_path)
+
+    def test_short_line_names_file_and_line(self, tmp_path, four_identity_run,
+                                            four_identity_scenario):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n0.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"trace_n0\.csv:3: malformed"):
+            read_run(tmp_path)
+
+
 class TestSamplesFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = handmade_dataset()

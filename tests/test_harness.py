@@ -9,8 +9,10 @@ from sybilscatter import (
     CorpusSpec,
     MetricsUndefinedError,
     ParameterError,
+    TrainingSet,
     build_corpus,
     build_dataset,
+    compute_class_weights,
     corpus_signatures,
     cross_validate,
     evaluate,
@@ -347,6 +349,17 @@ class TestCrossValidation:
         labels, identity_scores = _identity_scores(pair_scores, truth)
         rank = rank_auroc(identity_scores[labels == 1], identity_scores[labels == 0])
         assert abs(report.auroc - rank) <= 0.01
+
+    def test_training_set_holds_the_weighted_samples(self, small_dataset):
+        data = small_dataset.training_samples()
+        labels = small_dataset.labels()
+        weights = compute_class_weights(labels)
+        assert isinstance(data, TrainingSet) and len(data) == len(small_dataset)
+        assert data.X.tobytes() == small_dataset.features().tobytes()
+        np.testing.assert_array_equal(data.y, labels)
+        assert data.v.tolist() == [weights[c] for c in labels.tolist()]
+        chosen = small_dataset.training_samples({0: 0.25, 1: 4.0})
+        assert chosen.v.tolist() == [4.0 if c else 0.25 for c in labels.tolist()]
 
     def test_self_evaluation_is_strong(self, walking_dataset):
         model = train_mwle(walking_dataset.training_samples())
