@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import CorpusSpec
 from .detector import LRModel
 from .errors import ConfigError, ParameterError
-from .harness import DatasetSample, LabeledDataset, MetricsReport
+from .harness import LabeledDataset, MetricsReport
 from .scenario import (
     ChannelParams,
     ReceivedTrace,
@@ -164,33 +164,32 @@ def read_run(run_dir) -> tuple:
 
 # ---------------------------------------------------------------- dataset
 
+SAMPLE_COLUMNS = ["scenario", "seed", "window", "from_id", "to_id",
+                  "from_source", "to_source", "label"]
+
+
 def samples_header(profile_len: int) -> str:
-    cols = ["scenario", "seed", "window", "from_id", "to_id",
-            "from_source", "to_source", "label"]
-    cols += [f"d_{l}" for l in range(1, profile_len + 1)]
-    return ",".join(cols)
+    return ",".join(SAMPLE_COLUMNS + [f"d_{l}" for l in range(1, profile_len + 1)])
 
 
 def write_samples_csv(path, dataset: LabeledDataset) -> None:
-    profile_len = dataset.profile_len
-    lines = [samples_header(profile_len)]
-    for s in dataset.samples:
-        src = dataset.sources[s.scenario_key]
-        row = [str(s.scenario_key[0]), str(s.scenario_key[1]), str(s.window),
-               s.from_identity, s.to_identity,
-               src[s.from_identity], src[s.to_identity], str(s.label)]
-        row += [_fmt(v) for v in s.values]
+    lines = [samples_header(dataset.profile_len)]
+    for key, window, i, j, label, values in dataset.rows():
+        src = dataset.sources[key]
+        row = [str(key[0]), str(key[1]), str(window), i, j, src[i], src[j], str(label)]
+        row += [_fmt(v) for v in values]
         lines.append(",".join(row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_samples_csv(path) -> LabeledDataset:
-    samples = []
+    """Load a samples.csv; a malformed line raises ConfigError naming path:line."""
+    codes: dict = {}
     sources: dict = {}
+    rows = []  # (scenario code, window, label, from, to, distances)
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip().split(",")
-        if header[:8] != ["scenario", "seed", "window", "from_id", "to_id",
-                          "from_source", "to_source", "label"]:
+        if header[:8] != SAMPLE_COLUMNS:
             raise ConfigError(f"{path}: unexpected dataset header")
         profile_len = len(header) - 8
         if profile_len < 1:
@@ -200,20 +199,35 @@ def read_samples_csv(path) -> LabeledDataset:
             if not line:
                 continue
             parts = line.split(",")
-            key = (int(parts[0]), int(parts[1]))
-            from_id, to_id = parts[3], parts[4]
-            values = np.array([float(v) for v in parts[8:]], dtype=np.float64)
-            if not np.all(np.isfinite(values)):
+            if len(parts) != len(header):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+            try:
+                key = (int(parts[0]), int(parts[1]))
+                window, label = int(parts[2]), int(parts[7])
+                values = [float(v) for v in parts[8:]]
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: malformed sample line") from None
+            i, j, src_i, src_j = parts[3:7]
+            if label != int(src_i == src_j):  # rejects any label but 0 and 1 too
+                raise ConfigError(f"{path}:{lineno}: label {label} contradicts "
+                                  f"sources {src_i!r} and {src_j!r}")
+            if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{path}:{lineno}: distances must be finite")
-            sources.setdefault(key, {})
-            sources[key][from_id] = parts[5]
-            sources[key][to_id] = parts[6]
-            samples.append(DatasetSample(
-                scenario_key=key, window=int(parts[2]),
-                from_identity=from_id, to_identity=to_id,
-                label=int(parts[7]), values=values))
-    return LabeledDataset(samples=tuple(samples), sources=sources,
-                          provenance={"profile_len": profile_len, "path": str(path)})
+            known = sources.setdefault(key, {})
+            for ident, src in ((i, src_i), (j, src_j)):
+                if known.setdefault(ident, src) != src:
+                    raise ConfigError(f"{path}:{lineno}: identity {ident!r} changes source "
+                                      f"from {known[ident]!r} to {src!r}")
+            rows.append((codes.setdefault(key, len(codes)), window, label, i, j, values))
+    scenario, windows, labels, froms, tos, values = zip(*rows) if rows else [()] * 6
+    index = {name: n for n, name in enumerate(sorted(set(froms) | set(tos)))}
+    return LabeledDataset(
+        X=np.array(values, dtype=np.float64).reshape(-1, profile_len),
+        y=labels, scenario=scenario, window=windows,
+        from_id=[index[i] for i in froms], to_id=[index[j] for j in tos],
+        keys=tuple(codes), identities=tuple(index), sources=sources,
+        provenance={"profile_len": profile_len, "path": str(path)})
 
 
 # ---------------------------------------------------------------- model & metrics

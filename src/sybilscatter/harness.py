@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +48,7 @@ from .pipeline import (
     trace_batches,
     window_rows,
 )
-from .scenario import prevalidated, scenario_to_dict, simulate_scenario
+from .scenario import scenario_to_dict, simulate_scenario
 
 ADJUSTED_METRIC = "adjusted"
 DATASET_METRICS = (ADJUSTED_METRIC,) + BASELINE_METRICS
@@ -83,76 +84,105 @@ EXPERIMENT_CORPUS_SPEC = CorpusSpec(
 
 
 @dataclass(frozen=True)
-class DatasetSample:
-    """One labeled directed distance vector, traceable to its origin."""
-
-    scenario_key: tuple
-    window: int
-    from_identity: str
-    to_identity: str
-    label: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ParameterError(f"label must be 0 or 1, got {self.label!r}")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ShapeError(f"values must be a nonempty 1-D vector, got {vals.shape}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "scenario_key", tuple(self.scenario_key))
-        object.__setattr__(self, "label", int(self.label))
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    """Distance samples plus the ground truth needed to score them."""
+    """Labeled directed distance samples as columns, plus the ground truth.
 
-    samples: tuple
+    Row n is the distance vector X[n] from identities[from_id[n]] to
+    identities[to_id[n]] over the window ending at update period window[n]
+    of scenario keys[scenario[n]]; y[n] is 1 when both share a source.  Keys
+    come in order of first appearance and identities sorted.  The columns
+    are copied to read-only arrays and validated once, here.
+    """
+
+    X: np.ndarray  # (N, L) float64
+    y: np.ndarray  # the other columns are (N,) int64
+    scenario: np.ndarray
+    window: np.ndarray
+    from_id: np.ndarray
+    to_id: np.ndarray
+    keys: tuple
+    identities: tuple
     sources: dict  # scenario_key -> {identity: true_source_id}
     provenance: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        X = np.array(self.X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.profile_len:
+            raise ShapeError(f"X must be (N, {self.profile_len}), got {X.shape}")
+        columns = {name: np.array(getattr(self, name), dtype=np.int64)
+                   for name in ("y", "scenario", "window", "from_id", "to_id")}
+        if any(column.shape != X.shape[:1] for column in columns.values()):
+            raise ShapeError(f"every column needs the {len(X)} rows of X")
+        if not np.all(np.isfinite(X)):
+            raise ParameterError("distances must be finite")
+        if not np.all((columns["y"] == 0) | (columns["y"] == 1)):
+            raise ParameterError("labels must all be 0 or 1")
+        codes, first = np.unique(columns["scenario"], return_index=True)
+        if not np.array_equal(codes, np.arange(len(self.keys))) or np.any(np.diff(first) < 0):
+            raise ParameterError("scenario codes must number the keys by first appearance")
+        ids = np.concatenate([columns["from_id"], columns["to_id"]])
+        if np.any((ids < 0) | (ids >= len(self.identities))):
+            raise ParameterError("identity codes must index identities")
+        if list(self.identities) != sorted(set(self.identities)):
+            raise ParameterError("identities must be sorted and distinct")
+        if not set(self.keys) <= set(self.sources):
+            raise ParameterError("every scenario key needs its sources")
+        for name, column in (("X", X), *columns.items()):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "identities", tuple(self.identities))
 
     def __len__(self):
-        return len(self.samples)
+        return self.X.shape[0]
 
     @property
     def profile_len(self) -> int:
         return int(self.provenance["profile_len"])
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self.y
 
     def features(self) -> np.ndarray:
-        return np.vstack([s.values for s in self.samples]) if self.samples \
-            else np.empty((0, self.profile_len))
+        return self.X
 
     def positive_fraction(self) -> float:
-        return float(self.labels().mean()) if self.samples else 0.0
+        return float(self.y.mean()) if len(self) else 0.0
 
     def scenario_keys(self) -> tuple:
-        seen = dict.fromkeys(s.scenario_key for s in self.samples)
-        return tuple(seen)
+        return self.keys
+
+    def rows(self):
+        """Each sample as (scenario key, window, from, to, label, distances)."""
+        keys, names = self.keys, self.identities
+        for s, w, i, j, label, values in zip(
+                self.scenario.tolist(), self.window.tolist(), self.from_id.tolist(),
+                self.to_id.tolist(), self.y.tolist(), self.X):
+            yield keys[s], w, names[i], names[j], label, values
 
     def subset(self, indices) -> "LabeledDataset":
-        picked = tuple(self.samples[int(i)] for i in indices)
-        keys = set(s.scenario_key for s in picked)
+        idx = np.asarray(indices, dtype=np.int64)
+        codes, first, scenario = np.unique(self.scenario[idx], return_index=True,
+                                           return_inverse=True)
+        order = np.argsort(first)  # the picked scenarios by first appearance
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(order.size)
+        keys = tuple(self.keys[c] for c in codes[order].tolist())
+        picked = set(keys)
         return LabeledDataset(
-            samples=picked,
-            sources={k: v for k, v in self.sources.items() if k in keys},
+            X=self.X[idx], y=self.y[idx], scenario=renumber[scenario],
+            window=self.window[idx], from_id=self.from_id[idx], to_id=self.to_id[idx],
+            keys=keys, identities=self.identities,
+            sources={k: v for k, v in self.sources.items() if k in picked},
             provenance=dict(self.provenance),
         )
 
     def training_samples(self, class_weights=None) -> TrainingSet:
         """The samples as one array training set, class-weighted."""
-        labels = self.labels()
         if class_weights is None:
-            class_weights = compute_class_weights(labels)
-        weights = np.where(labels == 1, class_weights[1], class_weights[0])
-        return TrainingSet(X=self.features(), y=labels, v=weights)
+            class_weights = compute_class_weights(self.y)
+        weights = np.where(self.y == 1, class_weights[1], class_weights[0])
+        return TrainingSet(X=self.X, y=self.y, v=weights)
 
 
 def config_digest(configs) -> str:
@@ -164,10 +194,9 @@ def config_digest(configs) -> str:
 def dataset_digest(dataset: LabeledDataset) -> str:
     """Content hash of every sample, for determinism checks."""
     h = hashlib.sha256()
-    for s in dataset.samples:
-        h.update(repr((s.scenario_key, s.window, s.from_identity,
-                       s.to_identity, s.label)).encode())
-        h.update(s.values.tobytes())
+    for key, window, i, j, label, values in dataset.rows():
+        h.update(repr((key, window, i, j, label)).encode())
+        h.update(values.tobytes())
     return h.hexdigest()
 
 
@@ -257,13 +286,14 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
     """
     if metric not in DATASET_METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {DATASET_METRICS}")
-    samples = []
-    sources = {}
+    blocks = []  # (scenario code, from, to, label, window ends, values) per ordered pair
+    codes, sources = {}, {}
     for scenario in scenarios:
         key = tuple(scenario.scenario_key)
         tables = _window_tables(scenario, profile_len, normalized)
         idents = [i for i in scenario.periods if i in tables]
-        n_before = len(samples)
+        code = codes.get(key, len(codes))
+        pairs = []
         for i in idents:
             periods_i, windows_i, means_i = tables[i]
             for j in idents:
@@ -277,18 +307,17 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
                                                 means_i[at_i])
                 else:
                     values = baseline_distances(windows_i[at_i], windows_j[at_j], metric)
-                values.flags.writeable = False
                 label = int(scenario.sources[i] == scenario.sources[j])
-                # fields are well-formed by construction: skip per-sample checks
-                samples.extend(
-                    prevalidated(DatasetSample, scenario_key=key, window=period,
-                                 from_identity=i, to_identity=j, label=label,
-                                 values=row)
-                    for period, row in zip(shared.tolist(), values))
-        if len(samples) == n_before:
+                pairs.append((code, i, j, label, shared, values))
+        if not any(shared.size for *_, shared, _ in pairs):
             warnings.warn(f"scenario {scenario.scenario_key} produced no samples; skipped")
             continue
-        sources[scenario.scenario_key] = dict(scenario.sources)
+        codes[key] = code
+        blocks += pairs
+        sources[key] = dict(scenario.sources)
+    scenario_codes, froms, tos, labels, windows, values = zip(*blocks) if blocks else [()] * 6
+    index = {name: n for n, name in enumerate(sorted(set(froms) | set(tos)))}
+    sizes = [w.size for w in windows]
     info = {
         "profile_len": int(profile_len),
         "normalized": bool(normalized),
@@ -296,7 +325,15 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
     }
     if provenance:
         info.update(provenance)
-    return LabeledDataset(samples=tuple(samples), sources=sources, provenance=info)
+    return LabeledDataset(
+        X=np.concatenate([np.empty((0, profile_len)), *values]),
+        y=np.repeat(labels, sizes),
+        scenario=np.repeat(scenario_codes, sizes),
+        window=np.concatenate([np.empty(0, np.int64), *windows]),
+        from_id=np.repeat([index[i] for i in froms], sizes),
+        to_id=np.repeat([index[j] for j in tos], sizes),
+        keys=tuple(codes), identities=tuple(index), sources=sources, provenance=info,
+    )
 
 
 def generate_dataset(configs, seeds, n_tags: int, profile_len: int,
@@ -344,41 +381,34 @@ def kfold_split(dataset: LabeledDataset, k: int, seed: int,
         raise ParameterError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
     if by_scenario:
-        keys = dataset.scenario_keys()
-        if k > len(keys):
-            raise ParameterError(f"k={k} exceeds the {len(keys)} scenario groups")
-        by_key = {key: [] for key in keys}
-        positives = {key: 0 for key in keys}
-        for idx, s in enumerate(dataset.samples):
-            by_key[s.scenario_key].append(idx)
-            positives[s.scenario_key] += s.label
-        order = list(keys)
+        n_keys = len(dataset.keys)
+        if k > n_keys:
+            raise ParameterError(f"k={k} exceeds the {n_keys} scenario groups")
+        sizes = np.bincount(dataset.scenario, minlength=n_keys).tolist()
+        positives = np.bincount(dataset.scenario[dataset.y == 1], minlength=n_keys).tolist()
+        order = list(range(n_keys))
         rng.shuffle(order)
-        order.sort(key=lambda key: -positives[key])  # stable: ties keep shuffle order
-        fold_keys = [[] for _ in range(k)]
+        order.sort(key=lambda s: -positives[s])  # stable: ties keep shuffle order
+        fold_of = np.empty(n_keys, dtype=np.int64)
         fold_pos = np.zeros(k)
         fold_tot = np.zeros(k)
-        for key in order:
+        for s in order:
             # fewest positives, then fewest samples, then lowest index
             target = min(range(k), key=lambda f: (fold_pos[f], fold_tot[f], f))
-            fold_keys[target].append(key)
-            fold_pos[target] += positives[key]
-            fold_tot[target] += len(by_key[key])
-        tests = [np.array(sorted(i for key in fk for i in by_key[key]), dtype=np.int64)
-                 for fk in fold_keys]
+            fold_of[s] = target
+            fold_pos[target] += positives[s]
+            fold_tot[target] += sizes[s]
+        sample_fold = fold_of[dataset.scenario]
+        tests = [np.flatnonzero(sample_fold == f) for f in range(k)]
     else:
         if k > n:
             raise ParameterError(f"k={k} exceeds the {n} samples")
-        labels = dataset.labels()
-        pos = np.flatnonzero(labels == 1)
-        neg = np.flatnonzero(labels == 0)
+        pos = np.flatnonzero(dataset.y == 1)
+        neg = np.flatnonzero(dataset.y == 0)
         rng.shuffle(pos)
         rng.shuffle(neg)
         dealt = np.concatenate([pos, neg])
-        folds = [[] for _ in range(k)]
-        for position, idx in enumerate(dealt):
-            folds[position % k].append(int(idx))
-        tests = [np.array(sorted(f), dtype=np.int64) for f in folds]
+        tests = [np.sort(dealt[f::k]) for f in range(k)]
     all_idx = np.arange(n, dtype=np.int64)
     out = []
     for test in tests:
@@ -434,92 +464,54 @@ def rank_auroc(pos_scores, neg_scores) -> float:
 def predict_scores(model: LRModel, dataset: LabeledDataset,
                    indices=None) -> np.ndarray:
     """Directed similarity score for each (selected) sample."""
-    if indices is None:
-        X = dataset.features()
-    else:
-        X = np.vstack([dataset.samples[int(i)].values for i in indices])
+    X = dataset.X if indices is None else dataset.X[np.asarray(indices, dtype=np.int64)]
     if X.shape[1] != model.profile_len:
         raise ShapeError(
             f"dataset has L={X.shape[1]} but model expects L={model.profile_len}")
     return sigmoid(X @ model.weights + model.bias)
 
 
-def _pair_mean_scores(dataset, indices, scores):
-    """scenario_key -> {(from, to): mean score over windows}."""
-    sums = {}
-    counts = {}
-    for pos, idx in enumerate(indices):
-        s = dataset.samples[int(idx)]
-        key = (s.scenario_key, s.from_identity, s.to_identity)
-        sums[key] = sums.get(key, 0.0) + float(scores[pos])
-        counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for (scenario_key, i, j), total in sums.items():
-        out.setdefault(scenario_key, {})[(i, j)] = total / counts[(scenario_key, i, j)]
-    return out
+def _scenario_similarities(dataset, indices, scores) -> dict:
+    """scenario_key -> SimilarityMatrix of the mean score per directed pair.
 
-
-def _scenario_truth(dataset, pair_scores):
-    """scenario_key -> {identity: is_fake} over identities present in scores.
-
-    An identity is truly fake when its source is shared with any other
-    identity of the scenario, whether or not that sibling produced samples.
+    Each scenario's matrix spans, in sorted order, the identities of its
+    picked rows; a pair without picked rows scores 0.
     """
-    truth = {}
-    for scenario_key, pairs in pair_scores.items():
-        sources = dataset.sources[scenario_key]
-        present = sorted({i for pair in pairs for i in pair})
-        by_source = {}
-        for ident, src in sources.items():
-            by_source.setdefault(src, []).append(ident)
-        truth[scenario_key] = {
-            ident: len(by_source[sources[ident]]) > 1 for ident in present}
-    return truth
-
-
-def _conjunctive_pair_scores(pairs):
-    """{(i, j) unordered: min of the two directed means, missing side = 0}."""
+    n_ids = len(dataset.identities)
+    codes = (dataset.scenario[indices] * n_ids + dataset.from_id[indices]) * n_ids \
+        + dataset.to_id[indices]
+    pairs, inverse = np.unique(codes, return_inverse=True)
+    # bincount adds each pair's scores in input order, as a running sum does
+    means = np.bincount(inverse, weights=scores) / np.bincount(inverse)
+    scenario, from_to = np.divmod(pairs, n_ids * n_ids)
+    from_id, to_id = np.divmod(from_to, n_ids)
     out = {}
-    for i, j in {tuple(sorted(p)) for p in pairs}:
-        out[(i, j)] = min(pairs.get((i, j), 0.0), pairs.get((j, i), 0.0))
+    for s in np.unique(scenario).tolist():
+        picked = scenario == s
+        present = np.union1d(from_id[picked], to_id[picked])  # sorted, as identities are
+        probs = np.zeros((present.size, present.size))
+        probs[np.searchsorted(present, from_id[picked]),
+              np.searchsorted(present, to_id[picked])] = means[picked]
+        out[dataset.keys[s]] = SimilarityMatrix(
+            identities=tuple(dataset.identities[c] for c in present.tolist()), probs=probs)
     return out
 
 
-def _identity_scores(pair_scores, truth):
-    """Per-scenario identity score: best conjunctive pair score."""
-    labels = []
-    scores = []
-    for scenario_key, pairs in pair_scores.items():
-        conj = _conjunctive_pair_scores(pairs)
-        best = {}
-        for (i, j), score in conj.items():
-            best[i] = max(best.get(i, 0.0), score)
-            best[j] = max(best.get(j, 0.0), score)
-        for ident in sorted(best):
-            labels.append(1 if truth[scenario_key][ident] else 0)
-            scores.append(best[ident])
-    return np.array(labels, dtype=np.int64), np.array(scores, dtype=np.float64)
+def _robot_level(dataset, indices, scores, sigma):
+    """(is fake, flagged at sigma, score) per identity of every scored scenario.
 
-
-def _verdict_counts(dataset, pair_scores, truth, sigma):
-    tp = fp = fn = tn = 0
-    for scenario_key, pairs in pair_scores.items():
-        idents = sorted({i for pair in pairs for i in pair})
-        index = {ident: n for n, ident in enumerate(idents)}
-        probs = np.zeros((len(idents), len(idents)))
-        for (i, j), score in pairs.items():
-            probs[index[i], index[j]] = score
-        verdict = detect_sybil(SimilarityMatrix(identities=tuple(idents), probs=probs),
-                               sigma)
-        for ident in idents:
-            flagged = ident in verdict.fake_identities
-            if truth[scenario_key][ident]:
-                tp += flagged
-                fn += not flagged
-            else:
-                fp += flagged
-                tn += not flagged
-    return tp, fp, fn, tn
+    Fake means its source has a sibling identity, with or without samples;
+    the score is the best conjunctive pair score max_j min(P_ij, P_ji).
+    """
+    fake, flagged, best = [], [], []
+    for key, sims in _scenario_similarities(dataset, indices, scores).items():
+        sources = dataset.sources[key]
+        shared = Counter(sources.values())
+        verdict = detect_sybil(sims, sigma)
+        fake += [shared[sources[i]] > 1 for i in sims.identities]
+        flagged += [i in verdict.fake_identities for i in sims.identities]
+        best.append(np.minimum(sims.probs, sims.probs.T).max(axis=1))
+    return np.array(fake), np.array(flagged), np.concatenate(best)
 
 
 def metrics_from_scores(dataset: LabeledDataset, indices, scores,
@@ -529,20 +521,18 @@ def metrics_from_scores(dataset: LabeledDataset, indices, scores,
     scores = np.asarray(scores, dtype=np.float64)
     if indices.size == 0:
         raise MetricsUndefinedError("no samples to evaluate")
-    pair_scores = _pair_mean_scores(dataset, indices, scores)
-    truth = _scenario_truth(dataset, pair_scores)
-    tp, fp, fn, tn = _verdict_counts(dataset, pair_scores, truth, sigma)
-    n_fake = tp + fn
-    n_legit = fp + tn
+    fake, flagged, identity_scores = _robot_level(dataset, indices, scores, sigma)
+    n_fake = int(np.sum(fake))
+    n_legit = fake.size - n_fake
+    tp = int(np.sum(fake & flagged))
+    fp = int(np.sum(flagged)) - tp
     if n_fake == 0 or n_legit == 0:
         raise MetricsUndefinedError(
             f"need both robot classes, got {n_fake} fake / {n_legit} legit")
-    labels, identity_scores = _identity_scores(pair_scores, truth)
     thresholds = np.linspace(1.0, 0.0, N_ROC_THRESHOLDS)
-    flagged = identity_scores[None, :] >= thresholds[:, None]
-    pos = labels == 1
-    tpr_curve = flagged[:, pos].mean(axis=1)
-    fpr_curve = flagged[:, ~pos].mean(axis=1)
+    above = identity_scores[None, :] >= thresholds[:, None]
+    tpr_curve = above[:, fake].mean(axis=1)
+    fpr_curve = above[:, ~fake].mean(axis=1)
     sweep = tuple((float(t), float(f), float(r))
                   for t, f, r in zip(thresholds, fpr_curve, tpr_curve))
     points = {(0.0, 0.0), (1.0, 1.0)}
@@ -551,12 +541,12 @@ def metrics_from_scores(dataset: LabeledDataset, indices, scores,
     return MetricsReport(
         tpr=tp / n_fake,
         fpr=fp / n_legit,
-        accuracy=(tp + tn) / (n_fake + n_legit),
+        accuracy=(tp + n_legit - fp) / (n_fake + n_legit),
         auroc=trapezoid_area(roc_points),
         roc_points=roc_points,
         roc_sweep=sweep,
-        n_fake=int(n_fake),
-        n_legit=int(n_legit),
+        n_fake=n_fake,
+        n_legit=n_legit,
     )
 
 
@@ -574,19 +564,9 @@ def scenario_verdicts(model: LRModel, dataset: LabeledDataset,
     """Per-scenario Sybil verdicts: scenario_key -> Verdict."""
     if not len(dataset):
         raise MetricsUndefinedError("dataset is empty")
-    indices = np.arange(len(dataset))
     scores = predict_scores(model, dataset)
-    pair_scores = _pair_mean_scores(dataset, indices, scores)
-    verdicts = {}
-    for scenario_key, pairs in pair_scores.items():
-        idents = sorted({i for pair in pairs for i in pair})
-        index = {ident: n for n, ident in enumerate(idents)}
-        probs = np.zeros((len(idents), len(idents)))
-        for (i, j), score in pairs.items():
-            probs[index[i], index[j]] = score
-        verdicts[scenario_key] = detect_sybil(
-            SimilarityMatrix(identities=tuple(idents), probs=probs), sigma)
-    return verdicts
+    similarities = _scenario_similarities(dataset, np.arange(len(dataset)), scores)
+    return {key: detect_sybil(sims, sigma) for key, sims in similarities.items()}
 
 
 def cross_validate(dataset: LabeledDataset, k: int = DEFAULT_K_FOLDS,
@@ -612,6 +592,14 @@ def cross_validate(dataset: LabeledDataset, k: int = DEFAULT_K_FOLDS,
     return metrics_from_scores(dataset, np.arange(len(dataset)), scores, sigma)
 
 
+def _corpus_scenarios(spec: CorpusSpec, master_seed: int) -> tuple:
+    """Simulated and extracted scenarios of a corpus, and their provenance."""
+    configs, seeds = build_corpus(spec, master_seed)
+    provenance = {"seeds": tuple(seeds), "config_digest": config_digest(configs),
+                  "n_tags": spec.n_tags}
+    return corpus_signatures(configs, seeds), provenance
+
+
 def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
                        master_seed: int, k_folds: int = 5, sigma: float = 0.5,
                        training: TrainingConfig = TrainingConfig()) -> list:
@@ -627,10 +615,8 @@ def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
         raise ParameterError("tag_counts and profile_lens must be nonempty")
     rows = []
     for n_tags in tag_counts:
-        configs, seeds = build_corpus(replace(spec, n_tags=int(n_tags)), master_seed)
-        scenarios = corpus_signatures(configs, seeds)
-        provenance = {"seeds": tuple(seeds), "config_digest": config_digest(configs),
-                      "n_tags": int(n_tags)}
+        scenarios, provenance = _corpus_scenarios(replace(spec, n_tags=int(n_tags)),
+                                                  master_seed)
         for profile_len in profile_lens:
             try:
                 ds = build_dataset(scenarios, int(profile_len), provenance=provenance)
@@ -656,10 +642,8 @@ def ablation_normalization(spec: CorpusSpec, master_seed: int,
         raise ConfigError("ablation needs a corpus spec with power_scaling enabled")
     rows = []
     for scaling in (True, False):
-        configs, seeds = build_corpus(with_power_scaling(spec, scaling), master_seed)
-        scenarios = corpus_signatures(configs, seeds)
-        provenance = {"seeds": tuple(seeds), "config_digest": config_digest(configs),
-                      "n_tags": spec.n_tags}
+        scenarios, provenance = _corpus_scenarios(with_power_scaling(spec, scaling),
+                                                  master_seed)
         for normalized in (True, False):
             ds = build_dataset(scenarios, profile_len, normalized=normalized,
                                provenance=provenance)
@@ -681,10 +665,7 @@ def compare_distance_metrics(spec: CorpusSpec, master_seed: int,
                              training: TrainingConfig = TrainingConfig(),
                              metrics=DATASET_METRICS) -> list:
     """TPR/FPR of the detector under each distance metric, same corpus."""
-    configs, seeds = build_corpus(spec, master_seed)
-    scenarios = corpus_signatures(configs, seeds)
-    provenance = {"seeds": tuple(seeds), "config_digest": config_digest(configs),
-                  "n_tags": spec.n_tags}
+    scenarios, provenance = _corpus_scenarios(spec, master_seed)
     rows = []
     for metric in metrics:
         ds = build_dataset(scenarios, profile_len, metric=metric,

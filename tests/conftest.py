@@ -9,6 +9,7 @@ import pytest
 
 from sybilscatter import (
     ChannelParams,
+    LabeledDataset,
     RobotAgent,
     ScenarioConfig,
     TagLayout,
@@ -45,6 +46,24 @@ def make_scenario(agent_specs, horizon_s=6.0, n_tags=4, snr_db=20.0,
         ambient_w=ambient_w,
         **kwargs,
     )
+
+
+def labeled_dataset(rows, sources):
+    """LabeledDataset from (scenario key, window, from, to, label, distances) rows.
+
+    A scalar distance is a one-entry vector.
+    """
+    codes = {}
+    names = sorted({name for _, _, i, j, _, _ in rows for name in (i, j)})
+    X = np.array([np.atleast_1d(values) for *_, values in rows], dtype=np.float64)
+    return LabeledDataset(
+        X=X, y=[label for *_, label, _ in rows],
+        scenario=[codes.setdefault(key, len(codes)) for key, *_ in rows],
+        window=[window for _, window, *_ in rows],
+        from_id=[names.index(i) for _, _, i, *_ in rows],
+        to_id=[names.index(j) for _, _, _, j, *_ in rows],
+        keys=tuple(codes), identities=tuple(names), sources=sources,
+        provenance={"profile_len": X.shape[1]})
 
 
 FOUR_ID_SPECS = (

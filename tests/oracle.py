@@ -1,4 +1,4 @@
-"""Per-trace, per-window and per-pair reference forms of the batched kernels.
+"""Per-trace, per-window, per-pair and per-sample reference forms of the batched kernels.
 
 These are the one-at-a-time code paths the package used before it moved to
 batched kernels, kept here only as test oracles: the batched kernels must
@@ -6,15 +6,25 @@ match them bit for bit.  Nothing in the package imports this module.
 """
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
-from sybilscatter.detector import weighted_log_likelihood
+from sybilscatter.detector import (
+    SimilarityMatrix,
+    detect_sybil,
+    weighted_log_likelihood,
+)
 from sybilscatter.distance import (
     DEGENERATE_NORM_TOL,
     F_SIDE_DEGENERATE_DISTANCE,
     G_SIDE_DEGENERATE_DISTANCE,
+)
+from sybilscatter.harness import (
+    N_ROC_THRESHOLDS,
+    MetricsReport,
+    predict_scores,
+    trapezoid_area,
 )
 from sybilscatter.pipeline import PEAK_FLOOR_RATIO
 from sybilscatter.scenario import (
@@ -233,6 +243,175 @@ def dataset_rows(streams, sources, profile_len, metric="adjusted"):
                     values = baseline_distance_rows(rows_i, rows_j, metric)
                 out.append((period, i, j, label, values))
     return out
+
+
+# ---------------------------------------------------------------- folds & metrics
+
+Sample = namedtuple("Sample", "scenario_key window from_identity to_identity label values")
+
+
+def samples(dataset):
+    """One record per sample, the layout the dataset had before it went columnar."""
+    return [Sample(*row) for row in dataset.rows()]
+
+
+def kfold_split(dataset, k, seed, by_scenario=True):
+    """Folds dealt sample by sample, grouped by scenario key."""
+    records = samples(dataset)
+    n = len(records)
+    rng = np.random.default_rng(seed)
+    if by_scenario:
+        keys = tuple(dict.fromkeys(s.scenario_key for s in records))
+        if k > len(keys):
+            raise ValueError(f"k={k} exceeds the {len(keys)} scenario groups")
+        by_key = {key: [] for key in keys}
+        positives = {key: 0 for key in keys}
+        for idx, s in enumerate(records):
+            by_key[s.scenario_key].append(idx)
+            positives[s.scenario_key] += s.label
+        order = list(keys)
+        rng.shuffle(order)
+        order.sort(key=lambda key: -positives[key])
+        fold_keys = [[] for _ in range(k)]
+        fold_pos = np.zeros(k)
+        fold_tot = np.zeros(k)
+        for key in order:
+            target = min(range(k), key=lambda f: (fold_pos[f], fold_tot[f], f))
+            fold_keys[target].append(key)
+            fold_pos[target] += positives[key]
+            fold_tot[target] += len(by_key[key])
+        tests = [np.array(sorted(i for key in fk for i in by_key[key]), dtype=np.int64)
+                 for fk in fold_keys]
+    else:
+        labels = np.array([s.label for s in records], dtype=np.int64)
+        pos = np.flatnonzero(labels == 1)
+        neg = np.flatnonzero(labels == 0)
+        rng.shuffle(pos)
+        rng.shuffle(neg)
+        dealt = np.concatenate([pos, neg])
+        folds = [[] for _ in range(k)]
+        for position, idx in enumerate(dealt):
+            folds[position % k].append(int(idx))
+        tests = [np.array(sorted(f), dtype=np.int64) for f in folds]
+    all_idx = np.arange(n, dtype=np.int64)
+    out = []
+    for test in tests:
+        mask = np.ones(n, dtype=bool)
+        mask[test] = False
+        out.append((all_idx[mask], test))
+    return out
+
+
+def _pair_mean_scores(dataset, indices, scores):
+    """scenario_key -> {(from, to): mean score over windows}, by a dict walk."""
+    records = samples(dataset)
+    sums = {}
+    counts = {}
+    for pos, idx in enumerate(indices):
+        s = records[int(idx)]
+        key = (s.scenario_key, s.from_identity, s.to_identity)
+        sums[key] = sums.get(key, 0.0) + float(scores[pos])
+        counts[key] = counts.get(key, 0) + 1
+    out = {}
+    for (scenario_key, i, j), total in sums.items():
+        out.setdefault(scenario_key, {})[(i, j)] = total / counts[(scenario_key, i, j)]
+    return out
+
+
+def _scenario_truth(dataset, pair_scores):
+    """scenario_key -> {identity: is_fake} over identities present in scores."""
+    truth = {}
+    for scenario_key, pairs in pair_scores.items():
+        sources = dataset.sources[scenario_key]
+        present = sorted({i for pair in pairs for i in pair})
+        by_source = {}
+        for ident, src in sources.items():
+            by_source.setdefault(src, []).append(ident)
+        truth[scenario_key] = {
+            ident: len(by_source[sources[ident]]) > 1 for ident in present}
+    return truth
+
+
+def _conjunctive_pair_scores(pairs):
+    """{(i, j) unordered: min of the two directed means, missing side = 0}."""
+    out = {}
+    for i, j in {tuple(sorted(p)) for p in pairs}:
+        out[(i, j)] = min(pairs.get((i, j), 0.0), pairs.get((j, i), 0.0))
+    return out
+
+
+def _identity_scores(pair_scores, truth):
+    """(labels, scores) per identity: its best conjunctive pair score."""
+    labels = []
+    scores = []
+    for scenario_key, pairs in pair_scores.items():
+        conj = _conjunctive_pair_scores(pairs)
+        best = {}
+        for (i, j), score in conj.items():
+            best[i] = max(best.get(i, 0.0), score)
+            best[j] = max(best.get(j, 0.0), score)
+        for ident in sorted(best):
+            labels.append(1 if truth[scenario_key][ident] else 0)
+            scores.append(best[ident])
+    return np.array(labels, dtype=np.int64), np.array(scores, dtype=np.float64)
+
+
+def _similarities(pairs):
+    """SimilarityMatrix over the sorted identities of one scenario's pair means."""
+    idents = sorted({i for pair in pairs for i in pair})
+    index = {ident: n for n, ident in enumerate(idents)}
+    probs = np.zeros((len(idents), len(idents)))
+    for (i, j), score in pairs.items():
+        probs[index[i], index[j]] = score
+    return SimilarityMatrix(identities=tuple(idents), probs=probs)
+
+
+def _verdict_counts(dataset, pair_scores, truth, sigma):
+    tp = fp = fn = tn = 0
+    for scenario_key, pairs in pair_scores.items():
+        sims = _similarities(pairs)
+        verdict = detect_sybil(sims, sigma)
+        for ident in sims.identities:
+            flagged = ident in verdict.fake_identities
+            if truth[scenario_key][ident]:
+                tp += flagged
+                fn += not flagged
+            else:
+                fp += flagged
+                tn += not flagged
+    return tp, fp, fn, tn
+
+
+def metrics_from_scores(dataset, indices, scores, sigma):
+    """The robot-level report from the dict-walk aggregation."""
+    pair_scores = _pair_mean_scores(dataset, indices, scores)
+    truth = _scenario_truth(dataset, pair_scores)
+    tp, fp, fn, tn = _verdict_counts(dataset, pair_scores, truth, sigma)
+    n_fake = tp + fn
+    n_legit = fp + tn
+    labels, identity_scores = _identity_scores(pair_scores, truth)
+    thresholds = np.linspace(1.0, 0.0, N_ROC_THRESHOLDS)
+    flagged = identity_scores[None, :] >= thresholds[:, None]
+    pos = labels == 1
+    tpr_curve = flagged[:, pos].mean(axis=1)
+    fpr_curve = flagged[:, ~pos].mean(axis=1)
+    sweep = tuple((float(t), float(f), float(r))
+                  for t, f, r in zip(thresholds, fpr_curve, tpr_curve))
+    points = {(0.0, 0.0), (1.0, 1.0)}
+    points.update((float(f), float(r)) for f, r in zip(fpr_curve, tpr_curve))
+    roc_points = tuple(sorted(points))
+    return MetricsReport(
+        tpr=tp / n_fake, fpr=fp / n_legit, accuracy=(tp + tn) / (n_fake + n_legit),
+        auroc=trapezoid_area(roc_points), roc_points=roc_points, roc_sweep=sweep,
+        n_fake=int(n_fake), n_legit=int(n_legit))
+
+
+def scenario_verdicts(model, dataset, sigma):
+    """scenario_key -> Verdict from the dict-walk pair means."""
+    scores = predict_scores(model, dataset)
+    pair_scores = _pair_mean_scores(dataset, np.arange(len(dataset)), scores)
+    return {key: detect_sybil(_similarities(pairs), sigma)
+            for key, pairs in pair_scores.items()}
 
 
 # ---------------------------------------------------------------- online

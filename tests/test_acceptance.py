@@ -9,7 +9,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import FOUR_ID_SPECS, make_scenario
+from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
 
 from sybilscatter import (
     CorpusSpec,
@@ -61,11 +61,7 @@ from sybilscatter.harness import (
     DEFAULT_CORPUS_SPEC,
     DEFAULT_SEED,
     EXPERIMENT_CORPUS_SPEC,
-    DatasetSample,
-    LabeledDataset,
-    _identity_scores,
-    _pair_mean_scores,
-    _scenario_truth,
+    _robot_level,
     build_dataset,
     metrics_from_scores,
 )
@@ -235,10 +231,9 @@ def _auroc_two_ways():
     model = train_mwle(dataset.training_samples())
     report = evaluate(model, dataset)
     scores = predict_scores(model, dataset)
-    pair_scores = _pair_mean_scores(dataset, np.arange(len(dataset)), scores)
-    truth = _scenario_truth(dataset, pair_scores)
-    labels, identity_scores = _identity_scores(pair_scores, truth)
-    rank = rank_auroc(identity_scores[labels == 1], identity_scores[labels == 0])
+    fake, _, identity_scores = _robot_level(dataset, np.arange(len(dataset)), scores,
+                                            0.5)
+    rank = rank_auroc(identity_scores[fake], identity_scores[~fake])
     return abs(report.auroc - rank)
 
 
@@ -491,8 +486,8 @@ def _identity_battery(four_identity_run):
         scenario = extract_signatures(four_identity_run)
         ds = build_dataset([scenario], profile_len=3)
         by_window = {}
-        for s in ds.samples:
-            by_window.setdefault(s.window, []).append(s.label)
+        for _, window, _, _, label, _ in ds.rows():
+            by_window.setdefault(window, []).append(label)
         return all(len(lab) == 12 and sum(lab) == 2 for lab in by_window.values())
 
     check("four identities: 12 directed pairs, 2 positive", directed_pair_counts)
@@ -502,14 +497,10 @@ def _identity_battery(four_identity_run):
         sources = {key: {"a": "r0", "b": "r0", "c": "r1"}}
         pairs = {("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "c"): 0.0,
                  ("c", "a"): 0.0, ("b", "c"): 0.0, ("c", "b"): 0.0}
-        samples = tuple(
-            DatasetSample(key, 0, i, j,
-                          int(sources[key][i] == sources[key][j]),
-                          np.array([p]))
-            for (i, j), p in pairs.items())
-        ds = LabeledDataset(samples=samples, sources=sources,
-                            provenance={"profile_len": 1})
-        scores = [s.values[0] for s in ds.samples]
+        ds = labeled_dataset(
+            [(key, 0, i, j, int(sources[key][i] == sources[key][j]), p)
+             for (i, j), p in pairs.items()], sources)
+        scores = ds.X[:, 0]
         rep = metrics_from_scores(ds, np.arange(len(ds)), scores, 0.5)
         return (rep.auroc, rep.tpr, rep.fpr) == (1.0, 1.0, 0.0)
 
@@ -517,12 +508,8 @@ def _identity_battery(four_identity_run):
 
     def leave_one_out_partitions():
         key = (0, 7)
-        samples = tuple(
-            DatasetSample(key, w, "a", "b", w % 2, np.array([0.1]))
-            for w in range(6))
-        ds = LabeledDataset(samples=samples,
-                            sources={key: {"a": "r0", "b": "r0"}},
-                            provenance={"profile_len": 1})
+        ds = labeled_dataset([(key, w, "a", "b", w % 2, 0.1) for w in range(6)],
+                             {key: {"a": "r0", "b": "r0"}})
         folds = kfold_split(ds, k=6, seed=0, by_scenario=False)
         seen = sorted(int(i) for _, test in folds for i in test)
         return (all(test.size == 1 for _, test in folds)

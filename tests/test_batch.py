@@ -255,11 +255,10 @@ class TestWindows:
         expected = oracle.dataset_rows(oracle_streams, run.true_sources, PROFILE_LEN,
                                        metric)
         assert len(ds) == len(expected) > 0
-        for sample, (window, i, j, label, values) in zip(ds.samples, expected):
-            assert (sample.window, sample.from_identity, sample.to_identity,
-                    sample.label) == (window, i, j, label)
-            assert type(sample.window) is int
-            np.testing.assert_array_equal(sample.values, values)
+        for (_, *fields, row), (*expected_fields, values) in zip(ds.rows(), expected):
+            assert fields == expected_fields
+            assert type(fields[0]) is int
+            np.testing.assert_array_equal(row, values)
 
 
 class TestOnline:

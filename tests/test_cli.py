@@ -100,7 +100,7 @@ class TestDataset:
         assert rc == 0
         ds = read_samples_csv(tmp_path / "ds" / "samples.csv")
         assert ds.profile_len == 2
-        assert set(s.from_identity for s in ds.samples) == {"n0", "n1", "n2"}
+        assert {i for _, _, i, *_ in ds.rows()} == {"n0", "n1", "n2"}
 
     def test_single_run_directory_accepted(self, tmp_path, scenario_ini):
         main(["simulate", "--config", scenario_ini, "--seed", "5",

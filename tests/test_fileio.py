@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import labeled_dataset
 
 from sybilscatter import (
     ConfigError,
@@ -37,7 +38,6 @@ from sybilscatter.fileio import (
     write_trace_csv,
     write_verdicts_json,
 )
-from sybilscatter.harness import DatasetSample, LabeledDataset
 
 SCENARIO_INI = """\
 [scenario]
@@ -85,16 +85,15 @@ profile_lens = 2 4
 
 def handmade_dataset():
     key_a, key_b = (0, 7), (1, 8)
-    samples = (
-        DatasetSample(key_a, 2, "n0", "n1", 1, np.array([0.01, 0.02])),
-        DatasetSample(key_a, 2, "n1", "n0", 1, np.array([0.03, 0.015])),
-        DatasetSample(key_a, 2, "n0", "n2", 0, np.array([0.9, 1.1])),
-        DatasetSample(key_b, 3, "n0", "n2", 0, np.array([1.2345678901234567, 0.7])),
-    )
+    rows = [
+        (key_a, 2, "n0", "n1", 1, [0.01, 0.02]),
+        (key_a, 2, "n1", "n0", 1, [0.03, 0.015]),
+        (key_a, 2, "n0", "n2", 0, [0.9, 1.1]),
+        (key_b, 3, "n0", "n2", 0, [1.2345678901234567, 0.7]),
+    ]
     sources = {key_a: {"n0": "robotA", "n1": "robotA", "n2": "robotB"},
                key_b: {"n0": "robotA", "n2": "robotB"}}
-    return LabeledDataset(samples=samples, sources=sources,
-                          provenance={"profile_len": 2})
+    return labeled_dataset(rows, sources)
 
 
 def perfect_report():
@@ -102,13 +101,10 @@ def perfect_report():
     sources = {key: {"a": "r0", "b": "r0", "c": "r1"}}
     pairs = {("a", "b"): 0.9, ("b", "a"): 0.9, ("a", "c"): 0.1,
              ("c", "a"): 0.1, ("b", "c"): 0.1, ("c", "b"): 0.1}
-    samples = tuple(
-        DatasetSample(key, 0, i, j, int(sources[key][i] == sources[key][j]),
-                      np.array([score]))
-        for (i, j), score in pairs.items())
-    ds = LabeledDataset(samples=samples, sources=sources,
-                        provenance={"profile_len": 1})
-    scores = [s.values[0] for s in ds.samples]
+    ds = labeled_dataset(
+        [(key, 0, i, j, int(sources[key][i] == sources[key][j]), score)
+         for (i, j), score in pairs.items()], sources)
+    scores = ds.X[:, 0]
     return metrics_from_scores(ds, np.arange(len(ds)), scores, sigma=0.5)
 
 
@@ -189,13 +185,9 @@ class TestSamplesFiles:
         assert len(back) == len(ds)
         assert back.profile_len == 2
         assert back.sources == ds.sources
-        for orig, loaded in zip(ds.samples, back.samples):
-            assert loaded.scenario_key == orig.scenario_key
-            assert loaded.window == orig.window
-            assert (loaded.from_identity, loaded.to_identity) \
-                == (orig.from_identity, orig.to_identity)
-            assert loaded.label == orig.label
-            np.testing.assert_array_equal(loaded.values, orig.values)
+        for (*fields, values), (*loaded, loaded_values) in zip(ds.rows(), back.rows()):
+            assert loaded == fields
+            assert loaded_values.tobytes() == values.tobytes()
 
     def test_header_names_distance_columns(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -214,6 +206,30 @@ class TestSamplesFiles:
         path.write_text("scenario,seed,window,from_id,to_id,"
                         "from_source,to_source,label\n")
         with pytest.raises(ConfigError):
+            read_samples_csv(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        # header d_1,d_2 but one distance value, then three
+        (lambda p: p[:-1], "expected 10 fields, got 9"),
+        (lambda p: p + ["0.5"], "expected 10 fields, got 11"),
+        # a line cut short inside its identity columns
+        (lambda p: p[:4], "expected 10 fields, got 4"),
+        (lambda p: p[:2] + ["two"] + p[3:], "malformed"),
+        (lambda p: p[:-1] + ["0.1.2"], "malformed"),
+        (lambda p: p[:7] + ["2"] + p[8:], "label 2 contradicts"),
+        # n0 and n1 share robotA, so label 0 contradicts the source columns
+        (lambda p: p[:7] + ["0"] + p[8:], "contradicts"),
+        # n1 appears as robotA on line 2; the same source on both sides
+        # keeps the label consistent
+        (lambda p: p[:5] + ["robotC", "robotC"] + p[7:], "changes source"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, handmade_dataset())
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"samples\.csv:3: .*{message}"):
             read_samples_csv(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

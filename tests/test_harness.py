@@ -1,14 +1,18 @@
 """Evaluation harness: datasets, folds, metrics, experiments."""
 
+from dataclasses import replace
+
 import numpy as np
+import oracle
 import pytest
-from conftest import FOUR_ID_SPECS, make_scenario
+from conftest import labeled_dataset, make_scenario
 
 from sybilscatter import (
     ConfigError,
     CorpusSpec,
     MetricsUndefinedError,
     ParameterError,
+    ShapeError,
     TrainingSet,
     build_corpus,
     build_dataset,
@@ -20,6 +24,7 @@ from sybilscatter import (
     generate_dataset,
     kfold_split,
     metrics_from_scores,
+    predict_scores,
     rank_auroc,
     scenario_verdicts,
     simulate_scenario,
@@ -29,11 +34,8 @@ from sybilscatter import (
 )
 from sybilscatter.corpus import scenario_pattern
 from sybilscatter.harness import (
-    DatasetSample,
-    LabeledDataset,
-    _identity_scores,
-    _pair_mean_scores,
-    _scenario_truth,
+    _robot_level,
+    _scenario_similarities,
     config_digest,
     dataset_digest,
 )
@@ -70,38 +72,25 @@ def walking_dataset():
     return generate_dataset(configs, seeds, n_tags=4, profile_len=3)
 
 
-def tiny_labeled(entries, sources, profile_len=2):
-    samples = tuple(
-        DatasetSample(scenario_key=key, window=w, from_identity=i,
-                      to_identity=j, label=label,
-                      values=np.full(profile_len, value))
-        for (key, w, i, j, label, value) in entries)
-    return LabeledDataset(samples=samples, sources=sources,
-                          provenance={"profile_len": profile_len})
-
-
 class TestDatasetConstruction:
     def test_every_window_emits_all_directed_pairs(self, four_identity_run):
         scenario = extract_signatures(four_identity_run)
         ds = build_dataset([scenario], profile_len=3)
         by_window = {}
-        for s in ds.samples:
-            by_window.setdefault(s.window, []).append(s)
+        for _, window, i, j, label, _ in ds.rows():
+            by_window.setdefault(window, []).append((i, j, label))
         # 10 update periods, full L=3 windows exist from the third onward
         assert sorted(by_window) == list(range(2, 10))
         for window, group in by_window.items():
             assert len(group) == 12  # 4 identities, both directions
-            positives = {(s.from_identity, s.to_identity)
-                         for s in group if s.label == 1}
+            positives = {(i, j) for i, j, label in group if label == 1}
             assert positives == {("n0", "n1"), ("n1", "n0")}
 
     def test_labels_follow_true_sources(self, four_identity_run):
         scenario = extract_signatures(four_identity_run)
         ds = build_dataset([scenario], profile_len=3)
-        for s in ds.samples:
-            same = ds.sources[s.scenario_key][s.from_identity] \
-                == ds.sources[s.scenario_key][s.to_identity]
-            assert s.label == int(same)
+        for key, _, i, j, label, _ in ds.rows():
+            assert label == int(ds.sources[key][i] == ds.sources[key][j])
 
     def test_dataset_shape_and_provenance(self, small_dataset):
         assert small_dataset.profile_len == 3
@@ -153,8 +142,68 @@ class TestDatasetConstruction:
     def test_subset_keeps_alignment(self, small_dataset):
         picked = small_dataset.subset([0, 5, 11])
         assert len(picked) == 3
-        assert picked.samples[1] is small_dataset.samples[5]
-        assert set(picked.sources) == set(s.scenario_key for s in picked.samples)
+        assert list(picked.rows())[1][:5] == list(small_dataset.rows())[5][:5]
+        assert picked.X[1].tobytes() == small_dataset.X[5].tobytes()
+        assert set(picked.sources) == set(picked.scenario_keys())
+
+
+@pytest.fixture
+def tiny_dataset():
+    """Four rows over three scenarios; scenario (1, 8) appears first."""
+    a, b, c = (0, 7), (1, 8), (2, 9)
+    rows = [(b, 0, "n0", "n1", 1, 0.1), (a, 0, "n0", "n2", 0, 0.2),
+            (b, 1, "n1", "n0", 1, 0.3), (c, 0, "n2", "n3", 0, 0.4)]
+    sources = {"n0": "r0", "n1": "r0", "n2": "r1", "n3": "r2"}
+    return labeled_dataset(rows, {a: sources, b: sources, c: sources})
+
+
+class TestLabeledDataset:
+    def test_columns_are_read_only(self, tiny_dataset):
+        for name in ("X", "y", "scenario", "window", "from_id", "to_id"):
+            assert not getattr(tiny_dataset, name).flags.writeable
+        assert tiny_dataset.features() is tiny_dataset.X
+        assert tiny_dataset.labels() is tiny_dataset.y
+
+    def test_label_two_rejected(self, tiny_dataset):
+        with pytest.raises(ParameterError, match="labels"):
+            replace(tiny_dataset, y=[1, 0, 2, 0])
+
+    def test_nan_distance_rejected(self, tiny_dataset):
+        with pytest.raises(ParameterError, match="finite"):
+            replace(tiny_dataset, X=[[0.1], [np.nan], [0.3], [0.4]])
+
+    @pytest.mark.parametrize("column", ["y", "scenario", "window", "from_id", "to_id"])
+    def test_column_length_mismatch_rejected(self, tiny_dataset, column):
+        with pytest.raises(ShapeError):
+            replace(tiny_dataset, **{column: getattr(tiny_dataset, column)[:3]})
+
+    def test_profile_len_mismatch_rejected(self, tiny_dataset):
+        with pytest.raises(ShapeError):
+            replace(tiny_dataset, X=np.tile(tiny_dataset.X, 2))
+
+    @pytest.mark.parametrize("scenario", [[0, 1, 0, 3], [0, 1, 0, -1], [1, 0, 1, 2]])
+    def test_bad_scenario_codes_rejected(self, tiny_dataset, scenario):
+        # out of range twice, then keys not in order of first appearance
+        with pytest.raises(ParameterError, match="scenario codes"):
+            replace(tiny_dataset, scenario=scenario)
+
+    def test_out_of_range_identity_code_rejected(self, tiny_dataset):
+        with pytest.raises(ParameterError, match="identity codes"):
+            replace(tiny_dataset, to_id=[1, 2, 0, 4])
+
+    def test_unsorted_identities_rejected(self, tiny_dataset):
+        with pytest.raises(ParameterError, match="sorted"):
+            replace(tiny_dataset, identities=("n1", "n0", "n2", "n3"))
+
+    def test_subset_keeps_first_appearance_order_and_picked_sources(self, tiny_dataset):
+        assert tiny_dataset.scenario_keys() == ((1, 8), (0, 7), (2, 9))
+        picked = tiny_dataset.subset([3, 2, 1])
+        assert picked.scenario_keys() == ((2, 9), (1, 8), (0, 7))
+        assert picked.scenario.tolist() == [0, 1, 2]
+        assert [row[:5] for row in picked.rows()] == [
+            ((2, 9), 0, "n2", "n3", 0), ((1, 8), 1, "n1", "n0", 1),
+            ((0, 7), 0, "n0", "n2", 0)]
+        assert list(tiny_dataset.subset([2, 3]).sources) == [(1, 8), (2, 9)]
 
 
 class TestKfoldSplit:
@@ -168,11 +217,8 @@ class TestKfoldSplit:
 
     def test_scenarios_never_straddle_folds(self, small_dataset):
         folds = kfold_split(small_dataset, k=3, seed=0)
-        for _, test in folds:
-            keys = {small_dataset.samples[i].scenario_key for i in test}
-            train_keys = {small_dataset.samples[i].scenario_key
-                          for i in np.setdiff1d(np.arange(len(small_dataset)), test)}
-            assert not keys & train_keys
+        for train, test in folds:
+            assert not set(small_dataset.scenario[test]) & set(small_dataset.scenario[train])
 
     def test_more_folds_than_scenarios_rejected(self, small_dataset):
         with pytest.raises(ParameterError):
@@ -256,7 +302,7 @@ class TestRobotLevelMetrics:
     def _dataset(self, pair_values, sources, key=(0, 7)):
         entries = [(key, 0, i, j, int(sources[i] == sources[j]), v)
                    for (i, j), v in pair_values.items()]
-        return tiny_labeled(entries, {key: dict(sources)})
+        return labeled_dataset(entries, {key: dict(sources)})
 
     def test_perfect_scores(self):
         sources = {"a": "r0", "b": "r0", "c": "r1"}
@@ -264,7 +310,7 @@ class TestRobotLevelMetrics:
                  ("a", "c"): 0.1, ("c", "a"): 0.1,
                  ("b", "c"): 0.1, ("c", "b"): 0.1}
         ds = self._dataset(pairs, sources)
-        scores = [s.values[0] for s in ds.samples]
+        scores = ds.X[:, 0]
         report = metrics_from_scores(ds, np.arange(len(ds)), scores, sigma=0.5)
         assert (report.tpr, report.fpr, report.accuracy) == (1.0, 0.0, 1.0)
         assert report.auroc == 1.0
@@ -276,7 +322,7 @@ class TestRobotLevelMetrics:
                  ("a", "c"): 0.8, ("c", "a"): 0.8,
                  ("b", "c"): 0.1, ("c", "b"): 0.1}
         ds = self._dataset(pairs, sources)
-        scores = [s.values[0] for s in ds.samples]
+        scores = ds.X[:, 0]
         report = metrics_from_scores(ds, np.arange(len(ds)), scores, sigma=0.5)
         assert report.tpr == 1.0 and report.fpr == 1.0
         assert report.accuracy == pytest.approx(2.0 / 3.0)
@@ -289,7 +335,7 @@ class TestRobotLevelMetrics:
                  ("b", "x"): 0.1, ("x", "b"): 0.1}
         sources["x"] = "r1"
         ds = self._dataset(pairs, sources)
-        scores = [s.values[0] for s in ds.samples]
+        scores = ds.X[:, 0]
         report = metrics_from_scores(ds, np.arange(len(ds)), scores, sigma=0.5)
         assert report.tpr == 0.0 and report.fpr == 0.0
 
@@ -297,7 +343,7 @@ class TestRobotLevelMetrics:
         sources = {"a": "r0", "c": "r1"}
         pairs = {("a", "c"): 0.1, ("c", "a"): 0.1}
         ds = self._dataset(pairs, sources)
-        scores = [s.values[0] for s in ds.samples]
+        scores = ds.X[:, 0]
         with pytest.raises(MetricsUndefinedError):
             metrics_from_scores(ds, np.arange(len(ds)), scores, sigma=0.5)
 
@@ -310,18 +356,89 @@ class TestRobotLevelMetrics:
         key = (0, 7)
         sources = {key: {"a": "r0", "b": "r0", "c": "r1"}}
         entries = [(key, 0, "a", "c", 0, 0.2), (key, 0, "c", "a", 0, 0.2)]
-        ds = tiny_labeled(entries, sources)
-        pair_scores = _pair_mean_scores(ds, np.arange(2), np.array([0.2, 0.2]))
-        truth = _scenario_truth(ds, pair_scores)
-        assert truth[key] == {"a": True, "c": False}
+        ds = labeled_dataset(entries, sources)
+        fake, _, _ = _robot_level(ds, np.arange(2), np.array([0.2, 0.2]), 0.5)
+        assert fake.tolist() == [True, False]  # a, c
 
     def test_pair_means_average_windows(self):
         key = (0, 7)
         sources = {key: {"a": "r0", "c": "r1"}}
         entries = [(key, 0, "a", "c", 0, 0.2), (key, 1, "a", "c", 0, 0.6)]
-        ds = tiny_labeled(entries, sources)
-        pair_scores = _pair_mean_scores(ds, np.arange(2), np.array([0.2, 0.6]))
-        assert pair_scores[key][("a", "c")] == pytest.approx(0.4)
+        ds = labeled_dataset(entries, sources)
+        sims = _scenario_similarities(ds, np.arange(2), np.array([0.2, 0.6]))
+        assert sims[key].prob("a", "c") == pytest.approx(0.4)
+
+
+def _many_scenarios():
+    """Nine scenarios of uneven size and positive count, to exercise fold balancing."""
+    rng = np.random.default_rng(40)
+    sources = {"a": "r0", "b": "r0", "c": "r1"}
+    rows = []
+    for s in range(9):
+        for w in range(int(rng.integers(1, 12))):
+            rows.append(((s, 100 + s), w, "a", "c", 0, 0.1))
+            if rng.random() < 0.6:
+                rows.append(((s, 100 + s), w, "a", "b", 1, 0.9))
+    return labeled_dataset(rows, {(s, 100 + s): sources for s in range(9)})
+
+
+class TestAggregationOracle:
+    """The columnar aggregation and folds against the per-sample dict walks."""
+
+    @pytest.mark.parametrize("by_scenario", [True, False])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_kfold_split_matches_oracle(self, walking_dataset, k, by_scenario):
+        for ds in (walking_dataset, _many_scenarios()):
+            for seed in (0, 11):
+                if by_scenario and k > len(ds.scenario_keys()):
+                    with pytest.raises(ParameterError):
+                        kfold_split(ds, k, seed, by_scenario)
+                    with pytest.raises(ValueError):
+                        oracle.kfold_split(ds, k, seed, by_scenario)
+                    continue
+                folds = kfold_split(ds, k, seed, by_scenario)
+                expected = oracle.kfold_split(ds, k, seed, by_scenario)
+                assert len(folds) == len(expected) == k
+                for (train, test), (train_o, test_o) in zip(folds, expected):
+                    assert train.dtype == test.dtype == np.int64
+                    np.testing.assert_array_equal(train, train_o)
+                    np.testing.assert_array_equal(test, test_o)
+
+    def test_partial_permuted_metrics_match_oracle(self, walking_dataset):
+        model = train_mwle(walking_dataset.training_samples())
+        rng = np.random.default_rng(8)
+        indices = rng.permutation(len(walking_dataset))[: 2 * len(walking_dataset) // 3]
+        scores = predict_scores(model, walking_dataset, indices)
+        for sigma in (0.3, 0.5, 0.8):
+            report = metrics_from_scores(walking_dataset, indices, scores, sigma)
+            expected = oracle.metrics_from_scores(walking_dataset, indices, scores, sigma)
+            assert report == expected
+            for field in ("tpr", "fpr", "accuracy", "auroc"):
+                assert getattr(report, field).hex() == getattr(expected, field).hex()
+
+    def test_pair_means_and_identity_scores_match_oracle(self, walking_dataset):
+        model = train_mwle(walking_dataset.training_samples())
+        indices = np.random.default_rng(9).permutation(len(walking_dataset))[::2]
+        scores = predict_scores(model, walking_dataset, indices)
+        pairs = oracle._pair_mean_scores(walking_dataset, indices, scores)
+        sims = _scenario_similarities(walking_dataset, indices, scores)
+        assert list(sims) == sorted(pairs, key=walking_dataset.scenario_keys().index)
+        for key, means in pairs.items():
+            for (i, j), mean in means.items():
+                assert sims[key].prob(i, j).hex() == mean.hex()
+        truth = oracle._scenario_truth(walking_dataset, pairs)
+        labels, best = oracle._identity_scores(
+            {key: pairs[key] for key in sims}, truth)
+        fake, _, identity_scores = _robot_level(walking_dataset, indices, scores, 0.5)
+        np.testing.assert_array_equal(fake, labels == 1)
+        assert identity_scores.tobytes() == best.tobytes()
+
+    def test_scenario_verdicts_match_oracle(self, walking_dataset):
+        model = train_mwle(walking_dataset.training_samples())
+        for sigma in (0.3, 0.5, 0.8):
+            verdicts = scenario_verdicts(model, walking_dataset, sigma)
+            expected = oracle.scenario_verdicts(model, walking_dataset, sigma)
+            assert list(verdicts.items()) == list(expected.items())
 
 
 class TestCrossValidation:
@@ -342,12 +459,9 @@ class TestCrossValidation:
         model = train_mwle(walking_dataset.training_samples())
         report = evaluate(model, walking_dataset)
         indices = np.arange(len(walking_dataset))
-        from sybilscatter import predict_scores
         scores = predict_scores(model, walking_dataset)
-        pair_scores = _pair_mean_scores(walking_dataset, indices, scores)
-        truth = _scenario_truth(walking_dataset, pair_scores)
-        labels, identity_scores = _identity_scores(pair_scores, truth)
-        rank = rank_auroc(identity_scores[labels == 1], identity_scores[labels == 0])
+        fake, _, identity_scores = _robot_level(walking_dataset, indices, scores, 0.5)
+        rank = rank_auroc(identity_scores[fake], identity_scores[~fake])
         assert abs(report.auroc - rank) <= 0.01
 
     def test_training_set_holds_the_weighted_samples(self, small_dataset):
