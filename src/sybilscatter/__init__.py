@@ -34,12 +34,9 @@ from .distance import (
     DistanceMatrix,
     DistanceVector,
     adjusted_cosine_distance,
-    adjusted_distance_rows,
     adjusted_distances,
     baseline_distance,
-    baseline_distance_rows,
     baseline_distances,
-    baseline_profile_distance_vector,
     cosine_distance,
     distance_matrix,
     profile_distance_vector,

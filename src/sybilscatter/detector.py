@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import DistanceMatrix, DistanceVector
+from .distance import DistanceMatrix
 from .errors import (
     ParameterError,
     ShapeError,
@@ -242,8 +242,8 @@ def sigmoid(z):
 
 
 def predict_similarity(model: LRModel, d) -> float:
-    """Same-source probability for one distance vector."""
-    values = d.values if isinstance(d, DistanceVector) else np.asarray(d, dtype=np.float64)
+    """Same-source probability for one distance vector, an (L,) array."""
+    values = np.asarray(d, dtype=np.float64)
     if values.shape != model.weights.shape:
         raise ShapeError(
             f"distance vector {values.shape} does not match model weights "

@@ -198,32 +198,12 @@ def adjusted_cosine_distance(f, g, mean_f) -> float:
     return float(values[0, 0])
 
 
-def adjusted_distance_rows(rows_f, rows_g, mean_f) -> np.ndarray:
-    """Adjusted cosine distance per aligned row pair of two (L, K) blocks,
-    centered on mean_f, with the substitutions of adjusted_distances."""
-    rows_f = np.atleast_2d(np.asarray(rows_f, dtype=np.float64))
-    rows_g = np.atleast_2d(np.asarray(rows_g, dtype=np.float64))
-    mean_f = np.asarray(mean_f, dtype=np.float64)
-    return adjusted_distances(rows_f[None], rows_g[None], mean_f[None])[0]
-
-
-def baseline_distance_rows(rows_f, rows_g, metric: str) -> np.ndarray:
-    """Baseline distance per aligned row pair of two (L, K) blocks."""
-    rows_f = np.atleast_2d(np.asarray(rows_f, dtype=np.float64))
-    rows_g = np.atleast_2d(np.asarray(rows_g, dtype=np.float64))
-    return baseline_distances(rows_f[None], rows_g[None], metric)[0]
-
-
-def _check_profiles(profile_f: SignalProfile, profile_g: SignalProfile):
+def profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile) -> DistanceVector:
+    """Row-by-row adjusted cosine distances, centered on profile_f's mean."""
     if profile_f.signatures.shape != profile_g.signatures.shape:
         raise ShapeError(
             f"profiles must agree in (L, K): {profile_f.signatures.shape} "
             f"vs {profile_g.signatures.shape}")
-
-
-def profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile) -> DistanceVector:
-    """Row-by-row adjusted cosine distances, centered on profile_f's mean."""
-    _check_profiles(profile_f, profile_g)
     values = adjusted_distances(profile_f.signatures[None], profile_g.signatures[None],
                                 profile_f.mean_vector[None])[0]
     return DistanceVector(from_identity=profile_f.identity,
@@ -254,13 +234,3 @@ def baseline_distance(f, g, metric: str) -> float:
     """Classical distances used for the metric-comparison experiment."""
     f, g = _vectors(f, g)
     return float(baseline_distances(f[None, None], g[None, None], metric)[0, 0])
-
-
-def baseline_profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile,
-                                     metric: str) -> DistanceVector:
-    """Row-by-row baseline distances between two profiles."""
-    _check_profiles(profile_f, profile_g)
-    values = baseline_distances(profile_f.signatures[None], profile_g.signatures[None],
-                                metric)[0]
-    return DistanceVector(from_identity=profile_f.identity,
-                          to_identity=profile_g.identity, values=values)

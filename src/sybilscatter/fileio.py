@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,8 @@ def read_samples_csv(path) -> LabeledDataset:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed sample line") from None
             i, j, src_i, src_j = parts[3:7]
+            if i == j:
+                raise ConfigError(f"{path}:{lineno}: from_id and to_id are both {i!r}")
             if label != int(src_i == src_j):  # rejects any label but 0 and 1 too
                 raise ConfigError(f"{path}:{lineno}: label {label} contradicts "
                                   f"sources {src_i!r} and {src_j!r}")
@@ -316,44 +319,129 @@ def write_verdicts_json(path, verdicts: dict, sigma: float) -> None:
 
 # ---------------------------------------------------------------- INI configs
 
-def _parser():
-    return configparser.ConfigParser(interpolation=None)
+# horizon_s of a scenario INI that does not set it: a short single run,
+# where ScenarioConfig's own default is the corpus horizon
+INI_HORIZON_S = 6.0
+TRAJECTORY_KEYS = ("waypoints", "path", "position", "speed_mps")
+TAGS_KEYS = ("count", "ring_radius_m", "positions")
+AGENT_KEYS = ("identities", "alphas", "power") + TRAJECTORY_KEYS
+SWEEP_KEYS = ("tag_counts", "profile_lens")
 
 
-def _parse_rows(text, width: int, what: str) -> np.ndarray:
+def _boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _optional_float(text):
+    return None if text.lower() in ("none", "off", "") else float(text)
+
+
+# value parser of each scalar field annotation of the config dataclasses
+FIELD_PARSERS = {"int": int, "float": float, "bool": _boolean, "str": str,
+                 "float | None": _optional_float}
+
+
+def _read(path) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return cp
+
+
+class _Section:
+    """The keys of INI section [name], empty when it is absent.
+
+    A key outside ``known`` raises ConfigError naming the file, section
+    and key; keys of a [DEFAULT] section are keys of every section.
+    """
+
+    def __init__(self, path, cp, name: str, known):
+        self.where = f"{path}: [{name}]"
+        self.keys = cp[name] if name in cp else {}
+        unknown = sorted(set(self.keys) - set(known))
+        if unknown:
+            raise ConfigError(f"{self.where} unknown key {unknown[0]!r}; "
+                              f"expected one of {', '.join(known)}")
+
+    def __contains__(self, key) -> bool:
+        return key in self.keys
+
+    def get(self, key: str, parse, default=None):
+        """parse(value of key), or default when the key is absent."""
+        if key not in self.keys:
+            return default
+        try:
+            return parse(self.keys[key])
+        except ValueError as exc:
+            raise ConfigError(f"{self.where} {key} = {self.keys[key]!r}: {exc}") from None
+
+    def rows(self, key: str, width: int) -> np.ndarray:
+        """The value of key as lines of ``width`` numbers."""
+        return self.get(key, lambda text: _parse_rows(text, width))
+
+
+def _fields(path, cp, name: str, cls) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from section
+    [name]: its keys are the scalar fields of ``cls``, each parsed by its
+    annotation; an absent key keeps the field's default."""
+    parsers = {f.name: FIELD_PARSERS[f.type] for f in fields(cls) if f.type in FIELD_PARSERS}
+    section = _Section(path, cp, name, tuple(parsers))
+    return {key: section.get(key, parsers[key]) for key in section.keys}
+
+
+def _parse_rows(text, width: int) -> np.ndarray:
     rows = []
     for line in text.strip().splitlines():
         parts = line.split()
         if len(parts) != width:
-            raise ConfigError(f"{what} line needs {width} values, got {line!r}")
+            raise ConfigError(f"line needs {width} values, got {line!r}")
         rows.append([float(p) for p in parts])
     if not rows:
-        raise ConfigError(f"empty {what} list")
+        raise ConfigError("no rows")
     return np.array(rows)
 
 
-def _section_trajectory(section, horizon_s: float, default_speed: float,
-                        name: str) -> Trajectory:
+def _ints(text) -> tuple:
+    return tuple(int(t) for t in text.split())
+
+
+def _alphas(text) -> dict:
+    scale = {}
+    for token in text.split():
+        ident, _, value = token.partition(":")
+        if not value:
+            raise ConfigError(f"alpha entry needs 'identity:value', got {token!r}")
+        scale[ident] = float(value)
+    return scale
+
+
+def _section_trajectory(section: _Section, horizon_s: float,
+                        default_speed: float) -> Trajectory:
     """Trajectory from an INI section.
 
     Three equivalent spellings: explicit timed ``waypoints`` (t x y rows),
     a ``path`` of x y rows walked at ``speed_mps`` (padded with a final
     dwell if it ends before the horizon), or a stationary ``position``.
     """
-    speed = float(section.get("speed_mps", default_speed))
+    speed = section.get("speed_mps", float, default_speed)
     given = [k for k in ("waypoints", "path", "position") if k in section]
     if len(given) != 1:
         raise ConfigError(
-            f"section [{name}] needs exactly one of waypoints/path/position, "
+            f"{section.where} needs exactly one of waypoints/path/position, "
             f"got {given or 'none'}")
     if "waypoints" in section:
-        return Trajectory(waypoints=_parse_rows(section["waypoints"], 3, "waypoint"),
-                          speed_mps=speed)
+        return Trajectory(waypoints=section.rows("waypoints", 3), speed_mps=speed)
     if "position" in section:
-        x, y = _parse_rows(section["position"], 2, "position")[0]
+        x, y = section.rows("position", 2)[0]
         waypoints = [(0.0, x, y), (horizon_s + 1.0, x, y)]
         return Trajectory(waypoints=np.array(waypoints), speed_mps=speed)
-    points = _parse_rows(section["path"], 2, "path")
+    points = section.rows("path", 2)
     traj = Trajectory.from_path(points, speed)
     if traj.t_max < horizon_s:
         traj = Trajectory.from_path(points, speed,
@@ -361,137 +449,73 @@ def _section_trajectory(section, horizon_s: float, default_speed: float,
     return traj
 
 
-def _parse_snr(raw):
-    if raw is None:
-        return ScenarioConfig.__dataclass_fields__["snr_db"].default
-    raw = raw.strip().lower()
-    if raw in ("none", "off", ""):
-        return None
-    return float(raw)
-
-
 def read_scenario_config(path) -> ScenarioConfig:
-    """Single-scenario INI: [scenario], [channel], [tags], [receiver], [agent.*]."""
-    cp = _parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    """Single-scenario INI: [scenario], [channel], [tags], [receiver], [agent.*].
+
+    [scenario] and [channel] take the scalar fields of ScenarioConfig and
+    ChannelParams as keys; an unknown key in any section is rejected.
+    """
+    cp = _read(path)
     if "receiver" not in cp:
         raise ConfigError(f"{path}: missing [receiver] section")
+    scalars = _fields(path, cp, "scenario", ScenarioConfig)
+    horizon_s = scalars.setdefault("horizon_s", INI_HORIZON_S)
+    channel = ChannelParams(**_fields(path, cp, "channel", ChannelParams))
 
-    sc = cp["scenario"] if "scenario" in cp else {}
-    horizon_s = float(sc.get("horizon_s", 6.0))
-    ch = cp["channel"] if "channel" in cp else {}
-    channel = ChannelParams(
-        wavelength_m=float(ch.get("wavelength_m", 0.125)),
-        tx_gain=float(ch.get("tx_gain", 1.0)),
-        rx_gain=float(ch.get("rx_gain", 1.0)),
-        tag_gain=float(ch.get("tag_gain", 1.0)),
-        reflection_coeff=float(ch.get("reflection_coeff", 1.0)),
-        tag_transfer=float(ch.get("tag_transfer", 0.05)),
-    )
-
-    tg = cp["tags"] if "tags" in cp else {}
-    ring_radius = float(tg.get("ring_radius_m", 0.12))
+    tg = _Section(path, cp, "tags", TAGS_KEYS)
+    ring_radius = tg.get("ring_radius_m", float, 0.12)
     if "positions" in tg:
-        pos = []
-        for line in tg["positions"].strip().splitlines():
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"tag position line needs 'x y', got {line!r}")
-            pos.append([float(p) for p in parts])
-        layout = TagLayout(tag_positions=np.array(pos), ring_radius_m=ring_radius)
+        layout = TagLayout(tag_positions=tg.rows("positions", 2), ring_radius_m=ring_radius)
     else:
-        layout = TagLayout.regular_ring(int(tg.get("count", 4)), ring_radius)
+        layout = TagLayout.regular_ring(tg.get("count", int, 4), ring_radius)
 
-    receiver = _section_trajectory(cp["receiver"], horizon_s, 0.2, "receiver")
+    receiver = _section_trajectory(_Section(path, cp, "receiver", TRAJECTORY_KEYS),
+                                   horizon_s, 0.2)
 
     agents = []
-    for section in cp.sections():
-        if not section.startswith("agent."):
+    for name in cp.sections():
+        if not name.startswith("agent."):
             continue
-        ag = cp[section]
-        source = section[len("agent."):]
-        identities = tuple(ag["identities"].split())
-        scale = {}
-        if "alphas" in ag:
-            for token in ag["alphas"].split():
-                ident, _, value = token.partition(":")
-                if not value:
-                    raise ConfigError(f"alpha entry needs 'identity:value', got {token!r}")
-                scale[ident] = float(value)
+        ag = _Section(path, cp, name, AGENT_KEYS)
+        identities = ag.get("identities", str.split)
+        if identities is None:
+            raise ConfigError(f"{ag.where} needs identities")
         agents.append(RobotAgent(
-            true_source_id=source,
-            claimed_identities=identities,
-            trajectory=_section_trajectory(ag, horizon_s, 0.2, section),
-            base_tx_power_w=float(ag.get("power", 3.0)),
-            power_scale_per_identity=scale,
+            true_source_id=name[len("agent."):],
+            claimed_identities=tuple(identities),
+            trajectory=_section_trajectory(ag, horizon_s, 0.2),
+            base_tx_power_w=ag.get("power", float, 3.0),
+            power_scale_per_identity=ag.get("alphas", _alphas, {}),
         ))
     if not agents:
         raise ConfigError(f"{path}: no [agent.*] sections")
 
-    return ScenarioConfig(
-        channel=channel,
-        tag_layout=layout,
-        receiver_trajectory=receiver,
-        agents=tuple(agents),
-        horizon_s=horizon_s,
-        period_s=float(sc.get("period_s", 0.6)),
-        code_bits=int(sc.get("code_bits", 64)),
-        samples_per_bit=int(sc.get("samples_per_bit", 8)),
-        sample_rate_hz=float(sc.get("sample_rate_hz", 8000.0)),
-        ambient_w=float(sc.get("ambient_w", 1e-6)),
-        snr_db=_parse_snr(sc.get("snr_db")),
-        slot_spacing_s=float(sc.get("slot_spacing_s", 0.02)),
-    )
+    return ScenarioConfig(channel=channel, tag_layout=layout, receiver_trajectory=receiver,
+                          agents=tuple(agents), **scalars)
 
 
 def read_corpus_spec(path) -> tuple:
     """Corpus INI: [corpus] spec knobs plus an optional [sweep] section.
 
-    Returns (CorpusSpec, sweep options dict or None).
+    [corpus] takes the fields of CorpusSpec as keys; an unknown key in
+    either section is rejected.  Returns (CorpusSpec, sweep options dict
+    or None).
     """
-    cp = _parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    cp = _read(path)
     if "corpus" not in cp:
         raise ConfigError(f"{path}: missing [corpus] section")
-    co = cp["corpus"]
-    kwargs = {}
-    float_keys = ("horizon_s", "period_s", "alpha_low", "alpha_high",
-                  "hard_pair_fraction", "hard_offset_low", "hard_offset_high",
-                  "colocated_half_deg", "speed_mps", "base_tx_power_w",
-                  "ring_radius_m", "tag_transfer", "ambient_w", "sample_rate_hz")
-    int_keys = ("n_scenarios", "n_tags", "code_bits", "samples_per_bit")
-    for key in float_keys:
-        if key in co:
-            kwargs[key] = float(co[key])
-    for key in int_keys:
-        if key in co:
-            kwargs[key] = int(co[key])
-    if "hard_pair_style" in co:
-        kwargs["hard_pair_style"] = co["hard_pair_style"].strip()
-    if "snr_db" in co:
-        kwargs["snr_db"] = _parse_snr(co["snr_db"])
-    if "power_scaling" in co:
-        kwargs["power_scaling"] = co.getboolean("power_scaling")
-    spec = CorpusSpec(**kwargs)
+    spec = CorpusSpec(**_fields(path, cp, "corpus", CorpusSpec))
 
     sweep = None
     if "sweep" in cp:
-        sw = cp["sweep"]
-        sweep = {}
-        if "tag_counts" in sw:
-            sweep["tag_counts"] = tuple(int(t) for t in sw["tag_counts"].split())
-        if "profile_lens" in sw:
-            sweep["profile_lens"] = tuple(int(t) for t in sw["profile_lens"].split())
+        sw = _Section(path, cp, "sweep", SWEEP_KEYS)
+        sweep = {key: sw.get(key, _ints) for key in SWEEP_KEYS if key in sw}
     return spec, sweep
 
 
 def detect_config_kind(path) -> str:
     """'scenario' or 'corpus', by which section the INI declares."""
-    cp = _parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    cp = _read(path)
     has_corpus = "corpus" in cp
     has_scenario = any(s == "receiver" or s.startswith("agent.") for s in cp.sections())
     if has_corpus and has_scenario:

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .pipeline import (
     DEFAULT_PROFILE_LEN,
-    DEFAULT_SMOOTHING_WINDOW,
     full_window_ends,
     signature_rows,
     trace_batches,
@@ -87,11 +86,12 @@ EXPERIMENT_CORPUS_SPEC = CorpusSpec(
 class LabeledDataset:
     """Labeled directed distance samples as columns, plus the ground truth.
 
-    Row n is the distance vector X[n] from identities[from_id[n]] to
-    identities[to_id[n]] over the window ending at update period window[n]
-    of scenario keys[scenario[n]]; y[n] is 1 when both share a source.  Keys
-    come in order of first appearance and identities sorted.  The columns
-    are copied to read-only arrays and validated once, here.
+    Row n is the distance vector X[n] from identities[from_id[n]] to a
+    different identity, identities[to_id[n]], over the window ending at
+    update period window[n] of scenario keys[scenario[n]]; y[n] is 1 when
+    both share a source.  Keys come in order of first appearance and
+    identities sorted.  The columns are copied to read-only arrays and
+    validated once, here.
     """
 
     X: np.ndarray  # (N, L) float64
@@ -123,6 +123,8 @@ class LabeledDataset:
         ids = np.concatenate([columns["from_id"], columns["to_id"]])
         if np.any((ids < 0) | (ids >= len(self.identities))):
             raise ParameterError("identity codes must index identities")
+        if np.any(columns["from_id"] == columns["to_id"]):
+            raise ParameterError("a sample's from and to identities must differ")
         if list(self.identities) != sorted(set(self.identities)):
             raise ParameterError("identities must be sorted and distinct")
         if not set(self.keys) <= set(self.sources):
@@ -177,10 +179,10 @@ class LabeledDataset:
             provenance=dict(self.provenance),
         )
 
-    def training_samples(self, class_weights=None) -> TrainingSet:
-        """The samples as one array training set, class-weighted."""
-        if class_weights is None:
-            class_weights = compute_class_weights(self.y)
+    def training_samples(self) -> TrainingSet:
+        """The samples as one array training set, weighted by
+        compute_class_weights of the labels."""
+        class_weights = compute_class_weights(self.y)
         weights = np.where(self.y == 1, class_weights[1], class_weights[0])
         return TrainingSet(X=self.X, y=self.y, v=weights)
 
@@ -216,8 +218,7 @@ class ScenarioSignatures:
     raw: dict  # identity -> (n, K) raw signatures, aligned
 
 
-def extract_signatures(run, smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
-                       config_index: int = 0) -> ScenarioSignatures:
+def extract_signatures(run, config_index: int = 0) -> ScenarioSignatures:
     """Run every trace of a scenario through the signal pipeline.
 
     Each identity's traces go through signature_rows as one batch (or one
@@ -229,7 +230,7 @@ def extract_signatures(run, smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
     for identity, traces in run.traces.items():
         kept, raw_rows, unit_rows = [], [], []
         for first, batch in trace_batches(traces):
-            rows, batch_raw, batch_unit = signature_rows(batch, smoothing_window)
+            rows, batch_raw, batch_unit = signature_rows(batch)
             kept.append(first + rows)
             raw_rows.append(batch_raw)
             unit_rows.append(batch_unit)
@@ -246,15 +247,14 @@ def extract_signatures(run, smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
     )
 
 
-def corpus_signatures(configs, seeds,
-                      smoothing_window: int = DEFAULT_SMOOTHING_WINDOW) -> list:
+def corpus_signatures(configs, seeds) -> list:
     """Simulate and extract every scenario of a corpus."""
     if len(configs) != len(seeds):
         raise ParameterError("configs and seeds must be aligned")
     out = []
     for idx, (config, seed) in enumerate(zip(configs, seeds)):
         run = simulate_scenario(config, seed)
-        out.append(extract_signatures(run, smoothing_window, config_index=idx))
+        out.append(extract_signatures(run, config_index=idx))
     return out
 
 
@@ -337,7 +337,6 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
 
 
 def generate_dataset(configs, seeds, n_tags: int, profile_len: int,
-                     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
                      normalized: bool = True,
                      metric: str = ADJUSTED_METRIC) -> LabeledDataset:
     """Full dataset pipeline: simulate, extract, window, label."""
@@ -357,12 +356,11 @@ def generate_dataset(configs, seeds, n_tags: int, profile_len: int,
         raise ConfigError(
             "corpus needs at least one scenario with both an attacker and a "
             "legitimate robot")
-    scenarios = corpus_signatures(configs, seeds, smoothing_window)
+    scenarios = corpus_signatures(configs, seeds)
     provenance = {
         "seeds": tuple(seeds),
         "config_digest": config_digest(configs),
         "n_tags": int(n_tags),
-        "smoothing_window": int(smoothing_window),
     }
     return build_dataset(scenarios, profile_len, normalized, metric, provenance)
 

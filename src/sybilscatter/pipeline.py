@@ -27,7 +27,8 @@ from .errors import (
 )
 from .scenario import ReceivedTrace, TraceBatch, prevalidated, tag_block_bit_spans
 
-DEFAULT_SMOOTHING_WINDOW = 9
+# taps of the moving average applied before the code correlation
+SMOOTHING_WINDOW = 9
 DEFAULT_PROFILE_LEN = 10
 
 # A correlation peak below this multiple of the median correlation is
@@ -255,7 +256,7 @@ def _median_rows(c) -> np.ndarray:
     return (part[:, mid - 1] + part[:, mid]) / 2.0
 
 
-def locate_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
+def locate_rows(batch: TraceBatch):
     """Segment every row of a batch: (starts, decodable, peaks, floors).
 
     Each smoothed row is correlated against the sample-domain code; the
@@ -264,26 +265,25 @@ def locate_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
     present, and the row is not decodable.
     """
     template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
-    c = _correlate_rows(_smooth_rows(batch.samples, window), template)
+    c = _correlate_rows(_smooth_rows(batch.samples, SMOOTHING_WINDOW), template)
     starts = np.argmax(c, axis=1)
     peaks = c[np.arange(c.shape[0]), starts]
     floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
 
 
-def segment_backscatter(trace: ReceivedTrace,
-                        window: int = DEFAULT_SMOOTHING_WINDOW) -> SegmentBounds:
+def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
     """Locate the backscattered region of a trace (see locate_rows).
 
     Raises SegmentationError when the trace is not decodable.
     """
-    start = _region_start(TraceBatch.stack([trace]), window)
+    start = _region_start(TraceBatch.stack([trace]))
     return SegmentBounds(t_start=start, t_end=start + trace.code_span)
 
 
-def _region_start(batch: TraceBatch, window: int) -> int:
+def _region_start(batch: TraceBatch) -> int:
     """locate_rows on a one-row batch; raises SegmentationError."""
-    starts, decodable, peaks, floors = locate_rows(batch, window)
+    starts, decodable, peaks, floors = locate_rows(batch)
     if not decodable[0]:
         raise SegmentationError(
             f"correlation peak {peaks[0]:.3e} below decision floor {floors[0]:.3e}")
@@ -381,14 +381,13 @@ def _signature(trace: ReceivedTrace, batch: TraceBatch, start: int) -> Multipath
     return prevalidated(MultipathSignature, raw=raw, normalized=normalized)
 
 
-def signature_from_trace(trace: ReceivedTrace,
-                         window: int = DEFAULT_SMOOTHING_WINDOW) -> MultipathSignature:
+def signature_from_trace(trace: ReceivedTrace) -> MultipathSignature:
     """Segment and extract in one step, on one stack of the trace."""
     batch = TraceBatch.stack([trace])
-    return _signature(trace, batch, _region_start(batch, window))
+    return _signature(trace, batch, _region_start(batch))
 
 
-def signature_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
+def signature_rows(batch: TraceBatch):
     """Segment and extract every row of a batch: (kept, raw, normalized).
 
     ``kept`` indexes the rows that segment and reflect on some tag, in row
@@ -396,7 +395,7 @@ def signature_rows(batch: TraceBatch, window: int = DEFAULT_SMOOTHING_WINDOW):
     other rows are the ones for which signature_from_trace raises
     SegmentationError or DegenerateSignatureError.
     """
-    starts, decodable, _, _ = locate_rows(batch, window)
+    starts, decodable, _, _ = locate_rows(batch)
     found = np.flatnonzero(decodable)
     raw = reflection_rows(batch, found, starts[found])
     norms = row_norms(raw)
@@ -422,37 +421,27 @@ def trace_batches(traces):
     return out
 
 
-def _normalized_rows(signatures):
-    rows = []
-    for sig in signatures:
-        vec = getattr(sig, "normalized", sig)
-        rows.append(np.asarray(vec, dtype=np.float64))
-    return rows
-
-
 def build_profile(identity: str, signatures, profile_len: int = DEFAULT_PROFILE_LEN) -> SignalProfile:
     """Profile from the most recent profile_len signatures of a stream.
 
-    ``signatures`` is an ordered sequence of MultipathSignature (or plain
-    normalized vectors), oldest first.
+    ``signatures`` is an ordered sequence of MultipathSignature, oldest
+    first.
     """
     if profile_len < 1:
         raise ParameterError(f"profile_len must be >= 1, got {profile_len}")
-    rows = _normalized_rows(signatures)
-    if len(rows) < profile_len:
+    signatures = list(signatures)
+    if len(signatures) < profile_len:
         raise InsufficientDataError(
-            f"identity {identity!r}: {len(rows)} valid signatures, need {profile_len}")
-    return SignalProfile.from_rows(identity, np.vstack(rows[-profile_len:]))
+            f"identity {identity!r}: {len(signatures)} valid signatures, need {profile_len}")
+    return SignalProfile.from_rows(
+        identity, np.vstack([sig.normalized for sig in signatures[-profile_len:]]))
 
 
-def max_age_periods_for(profile_len: int, max_age_periods: int | None = None) -> int:
-    """The window's max age in update periods; default 2 L."""
+def max_age_periods_for(profile_len: int) -> int:
+    """The window's max age in update periods: 2 L."""
     if profile_len < 1:
         raise ParameterError(f"profile_len must be >= 1, got {profile_len}")
-    age = 2 * profile_len if max_age_periods is None else max_age_periods
-    if age < profile_len:
-        raise ParameterError("max_age_periods must be >= profile_len")
-    return age
+    return 2 * profile_len
 
 
 def expired(period, newest_period, max_age_periods):
@@ -468,7 +457,7 @@ def full_window_ends(periods, profile_len: int) -> np.ndarray:
     window ending at e holds entries e - L + 1 .. e, and it is full exactly
     when its oldest entry has not expired by period[e]: eviction by age
     runs from the oldest end, so any expired entry would include that one.
-    The max age is ProfileAssembler's default, 2 L.
+    The max age is ProfileAssembler's, 2 L.
     """
     age = max_age_periods_for(profile_len)
     p = np.asarray(periods, dtype=np.int64)
@@ -486,15 +475,14 @@ class ProfileAssembler:
 
     Traces that fail segmentation simply never reach push(), so the
     assembler sees gaps in the period index.  Signatures older than
-    ``max_age_periods`` update periods (default 2 L) are discarded, which
+    ``max_age_periods`` update periods (2 L) are discarded, which
     makes a long outage reset the window instead of gluing stale history
     onto fresh data.  full_window_ends gives the same windows for a whole
     stream at once.
     """
 
-    def __init__(self, identity: str, profile_len: int = DEFAULT_PROFILE_LEN,
-                 max_age_periods: int | None = None):
-        self.max_age_periods = max_age_periods_for(profile_len, max_age_periods)
+    def __init__(self, identity: str, profile_len: int = DEFAULT_PROFILE_LEN):
+        self.max_age_periods = max_age_periods_for(profile_len)
         self.identity = identity
         self.profile_len = profile_len
         self._window = deque()

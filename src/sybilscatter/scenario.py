@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -74,30 +75,24 @@ def prevalidated(cls, **fields):
 class ChannelParams:
     """Propagation constants for the tag reflection budget.
 
-    ``tag_gain`` and ``reflection_coeff`` describe the tag itself; they enter
-    the power budget only through the lumped transfer ``tag_transfer``, which
-    stands in for the full scattering term T(lam, G_tag, Gamma).
+    The tag itself enters the power budget only through the lumped transfer
+    ``tag_transfer``, which stands in for the full scattering term
+    T(lam, G_tag, Gamma).
     """
 
     wavelength_m: float = 0.125
     tx_gain: float = 1.0
     rx_gain: float = 1.0
-    tag_gain: float = 1.0
-    reflection_coeff: float = 1.0
     tag_transfer: float = DEFAULT_TAG_TRANSFER
 
     def __post_init__(self):
-        for name in ("wavelength_m", "tx_gain", "rx_gain", "tag_gain",
-                     "reflection_coeff"):
+        for name in ("wavelength_m", "tx_gain", "rx_gain"):
             _positive(name, getattr(self, name))
         # zero transfer is allowed: it models a disabled tag array and
         # yields ambient-only traces
         if not (self.tag_transfer >= 0) or not math.isfinite(self.tag_transfer):
             raise ParameterError(
                 f"tag_transfer must be >= 0, got {self.tag_transfer!r}")
-        if self.reflection_coeff > 1.0:
-            raise ParameterError(
-                f"reflection_coeff must be <= 1 (passive tag), got {self.reflection_coeff}")
 
 
 @dataclass(frozen=True)
@@ -646,45 +641,20 @@ def synthesize_trace(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
     return synthesize_traces(scenario, agent, identity, [t_s], [rng_seed])[0]
 
 
+def _plain(value):
+    """Dataclasses as dicts of their fields, arrays and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclass_fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 def scenario_to_dict(scenario: ScenarioConfig) -> dict:
     """Plain-data view of a scenario config, canonical for hashing."""
-    return {
-        "channel": {
-            "wavelength_m": scenario.channel.wavelength_m,
-            "tx_gain": scenario.channel.tx_gain,
-            "rx_gain": scenario.channel.rx_gain,
-            "tag_gain": scenario.channel.tag_gain,
-            "reflection_coeff": scenario.channel.reflection_coeff,
-            "tag_transfer": scenario.channel.tag_transfer,
-        },
-        "tags": {
-            "ring_radius_m": scenario.tag_layout.ring_radius_m,
-            "positions": scenario.tag_layout.tag_positions.tolist(),
-        },
-        "receiver": {
-            "speed_mps": scenario.receiver_trajectory.speed_mps,
-            "waypoints": scenario.receiver_trajectory.waypoints.tolist(),
-        },
-        "agents": [
-            {
-                "true_source_id": a.true_source_id,
-                "claimed_identities": list(a.claimed_identities),
-                "base_tx_power_w": a.base_tx_power_w,
-                "power_scale_per_identity": dict(sorted(a.power_scale_per_identity.items())),
-                "speed_mps": a.trajectory.speed_mps,
-                "waypoints": a.trajectory.waypoints.tolist(),
-            }
-            for a in scenario.agents
-        ],
-        "horizon_s": scenario.horizon_s,
-        "period_s": scenario.period_s,
-        "code_bits": scenario.code_bits,
-        "samples_per_bit": scenario.samples_per_bit,
-        "sample_rate_hz": scenario.sample_rate_hz,
-        "ambient_w": scenario.ambient_w,
-        "snr_db": scenario.snr_db,
-        "slot_spacing_s": scenario.slot_spacing_s,
-    }
+    return _plain(scenario)
 
 
 def trace_seeds(master_seed: int, n_identities: int, n_periods: int) -> np.ndarray:

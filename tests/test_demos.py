@@ -1,8 +1,9 @@
 """Smoke test: every demo runs to completion from a source checkout.
 
-Demos 05 and 06 are the only ones that cross-validate, so they are the
-ones that run train_mwle; each pins one printed result line, which makes
-trainer drift that reaches a printed number fail here.
+Each demo pins one printed result line, so drift that reaches a printed
+number fails here: demo 02 pins a build_profile distance, 03 a
+signature_from_trace difference, 04 a model trained on
+training_samples(), and 05 and 06 cross-validated results.
 """
 
 import os
@@ -18,6 +19,9 @@ DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-9]_*.py"))
 # demo number -> a line of its output that pins a computed result
 PINNED_LINES = {
     "01": "segmentation: code region found at [1480, 1992)",
+    "02": "  n0 vs n1: 0.000073   (same transmitter)",
+    "03": "  max |normalized difference|:   5.551e-17",
+    "04": "similarity model: weights [-3.31, -1.30, -1.40, -2.93], bias +7.21",
     "05": "AUROC     0.9923",
     "06": "adjusted    1.000   0.000",
 }

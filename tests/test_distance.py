@@ -11,10 +11,9 @@ from sybilscatter import (
     ShapeError,
     SignalProfile,
     adjusted_cosine_distance,
-    adjusted_distance_rows,
+    adjusted_distances,
     baseline_distance,
-    baseline_distance_rows,
-    baseline_profile_distance_vector,
+    baseline_distances,
     cosine_distance,
     distance_matrix,
     profile_distance_vector,
@@ -107,13 +106,15 @@ class TestAdjustedCosineDistance:
 
 
 class TestAdjustedDistanceRows:
+    """adjusted_distances on one (L, K) block pair."""
+
     def test_matches_scalar_form(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             rows_f = rng.random((6, 4))
             rows_g = rng.random((6, 4))
             mean = rng.random(4) * 0.5
-            bulk = adjusted_distance_rows(rows_f, rows_g, mean)
+            bulk = adjusted_distances(rows_f, rows_g, mean)
             for l in range(6):
                 scalar = adjusted_cosine_distance(rows_f[l], rows_g[l], mean)
                 assert abs(bulk[l] - scalar) <= 1e-12
@@ -122,7 +123,7 @@ class TestAdjustedDistanceRows:
         mean = np.array([0.5, 0.5])
         rows_f = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
         rows_g = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
-        values = adjusted_distance_rows(rows_f, rows_g, mean)
+        values = adjusted_distances(rows_f, rows_g, mean)
         assert values[0] == F_SIDE_DEGENERATE_DISTANCE
         assert values[1] == G_SIDE_DEGENERATE_DISTANCE
         # both degenerate: the first side wins, as in the scalar order
@@ -131,12 +132,12 @@ class TestAdjustedDistanceRows:
     def test_identical_rows_give_exact_zeros(self):
         rng = np.random.default_rng(4)
         rows = unit_rows(rng, 5, 4)
-        values = adjusted_distance_rows(rows, rows, rows.mean(axis=0))
+        values = adjusted_distances(rows, rows, rows.mean(axis=0))
         np.testing.assert_array_equal(values, np.zeros(5))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            adjusted_distance_rows(np.ones((2, 3)), np.ones((2, 4)), np.ones(3))
+            adjusted_distances(np.ones((2, 3)), np.ones((2, 4)), np.ones(3))
 
 
 class TestBaselineDistances:
@@ -166,7 +167,7 @@ class TestBaselineDistances:
         rows_f = rng.random((8, 4))
         rows_g = rng.random((8, 4))
         for metric in ("manhattan", "euclidean", "chebyshev", "cosine"):
-            bulk = baseline_distance_rows(rows_f, rows_g, metric)
+            bulk = baseline_distances(rows_f, rows_g, metric)
             for l in range(8):
                 assert abs(bulk[l] - baseline_distance(rows_f[l], rows_g[l],
                                                        metric)) <= 1e-12
@@ -181,8 +182,7 @@ class TestProfileDistances:
     def test_vector_centers_on_first_profile(self):
         pf, pg, _ = self._profiles()
         vec = profile_distance_vector(pf, pg)
-        expected = adjusted_distance_rows(pf.signatures, pg.signatures,
-                                          pf.mean_vector)
+        expected = adjusted_distances(pf.signatures, pg.signatures, pf.mean_vector)
         np.testing.assert_array_equal(vec.values, expected)
         assert vec.from_identity == "id0" and vec.to_identity == "id1"
 
@@ -194,10 +194,9 @@ class TestProfileDistances:
 
     def test_baseline_vector(self):
         pf, pg, _ = self._profiles()
-        vec = baseline_profile_distance_vector(pf, pg, "euclidean")
+        values = baseline_distances(pf.signatures, pg.signatures, "euclidean")
         for l in range(pf.profile_len):
-            assert vec.values[l] == baseline_distance(pf.row(l), pg.row(l),
-                                                      "euclidean")
+            assert values[l] == baseline_distance(pf.row(l), pg.row(l), "euclidean")
 
     def test_profile_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)

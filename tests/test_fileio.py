@@ -1,6 +1,8 @@
 """Serialization: trace/dataset CSV, model and verdict JSON, INI configs."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +224,8 @@ class TestSamplesFiles:
         # n1 appears as robotA on line 2; the same source on both sides
         # keeps the label consistent
         (lambda p: p[:5] + ["robotC", "robotC"] + p[7:], "changes source"),
+        # n1 to itself: one source on both sides, so the label is consistent
+        (lambda p: p[:4] + ["n1"] + p[5:], "from_id and to_id are both 'n1'"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, edit, message):
         path = tmp_path / "samples.csv"
@@ -465,6 +469,93 @@ class TestCorpusConfigFiles:
         assert spec.n_scenarios == 2
         assert spec.n_tags == 4
         assert spec.snr_db == 20.0
+
+
+# (INI text, section, a key no reader knows inserted there)
+MISSPELT_KEYS = [
+    (SCENARIO_INI, "scenario", "horizon"),
+    (SCENARIO_INI, "channel", "reflection_coeff"),
+    (SCENARIO_INI, "tags", "ring_radius"),
+    (SCENARIO_INI, "receiver", "positon"),
+    (SCENARIO_INI, "agent.robotB", "speed"),
+    (CORPUS_INI, "corpus", "n_scenario"),
+    (CORPUS_INI, "sweep", "tag_count"),
+]
+
+# (INI text, a line of it, the line with a value that does not parse)
+UNPARSABLE_VALUES = [
+    (CORPUS_INI, "horizon_s = 12.0", "n_tags = four"),
+    (CORPUS_INI, "power_scaling = true", "power_scaling = maybe"),
+    (CORPUS_INI, "profile_lens = 2 4", "profile_lens = 2 four"),
+    (SCENARIO_INI, "period_s = 0.6", "period_s = fast"),
+    (SCENARIO_INI, "snr_db = none", "snr_db = loud"),
+    (SCENARIO_INI, "count = 4", "count = four"),
+    (SCENARIO_INI, "position = 1.0 0.3", "position = 1.0 north"),
+    (SCENARIO_INI, "alphas = n0:2.0 n1:0.5", "alphas = n0:2.0 n1:half"),
+]
+
+
+def read_config(path):
+    if "[corpus]" in path.read_text():
+        return read_corpus_spec(path)
+    return read_scenario_config(path)
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("text,section,key", MISSPELT_KEYS,
+                             ids=[section for _, section, _ in MISSPELT_KEYS])
+    def test_unknown_key_names_file_section_and_key(self, tmp_path, text, section, key):
+        path = tmp_path / "config.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        with pytest.raises(ConfigError, match=rf"config\.ini: \[{section}\] unknown key '{key}'"):
+            read_config(path)
+
+    def test_default_section_keys_belong_to_every_section(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text("[DEFAULT]\nhorizon_s = 6.0\n\n" + SCENARIO_INI)
+        with pytest.raises(ConfigError, match=r"\[channel\] unknown key 'horizon_s'"):
+            read_scenario_config(path)
+
+    @pytest.mark.parametrize("text,old,new", UNPARSABLE_VALUES,
+                             ids=[new for *_, new in UNPARSABLE_VALUES])
+    def test_unparsable_value_names_file_and_key(self, tmp_path, text, old, new):
+        path = tmp_path / "config.ini"
+        path.write_text(text.replace(old, new))
+        key = new.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"config\.ini: \[[a-z.A-Z]+\] {key} = "):
+            read_config(path)
+
+    def test_agent_without_identities_rejected(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text(SCENARIO_INI.replace("identities = n2\n", ""))
+        with pytest.raises(ConfigError, match=r"\[agent\.robotB\] needs identities"):
+            read_scenario_config(path)
+
+    @pytest.mark.parametrize("text", ["n_tags = 4\n", "[corpus]\nn_tags = 4\nn_tags = 2\n"])
+    def test_malformed_file_names_file(self, tmp_path, text):
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"config\.ini"):
+            read_corpus_spec(path)
+
+    def test_readme_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        scenario_ini, corpus_ini = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "scenario.ini"
+        path.write_text(scenario_ini)
+        config = read_scenario_config(path)
+        by_source = {a.true_source_id: a for a in config.agents}
+        assert by_source["robotA"].claimed_identities == ("n0", "n1")
+        assert by_source["robotA"].power_scale_per_identity == {"n0": 2.0, "n1": 0.5}
+        assert by_source["robotB"].claimed_identities == ("n2",)
+        assert config.tag_layout.n_tags == 4 and config.tag_layout.ring_radius_m == 0.12
+        assert (config.horizon_s, config.period_s, config.snr_db) == (60.0, 0.6, 20.0)
+        path = tmp_path / "corpus.ini"
+        path.write_text(corpus_ini)
+        spec, sweep = read_corpus_spec(path)
+        assert (spec.n_scenarios, spec.horizon_s, spec.hard_pair_fraction) == (20, 60.0, 0.5)
+        assert spec.hard_pair_style == "parallel" and spec.power_scaling is True
+        assert sweep == {"tag_counts": (2, 4), "profile_lens": (2, 4, 10)}
 
 
 class TestConfigKind:

@@ -375,7 +375,3 @@ class TestProfileWindows:
         assembler.push(3, self._signatures(1)[0])
         with pytest.raises(ParameterError):
             assembler.push(3, self._signatures(1)[0])
-
-    def test_assembler_age_must_cover_window(self):
-        with pytest.raises(ParameterError):
-            ProfileAssembler("a", profile_len=5, max_age_periods=3)

@@ -81,10 +81,6 @@ class TestChannelParams:
         with pytest.raises(ParameterError):
             ChannelParams(tag_transfer=-0.1)
 
-    def test_passive_reflection_bound(self):
-        with pytest.raises(ParameterError):
-            ChannelParams(reflection_coeff=1.5)
-
     def test_other_fields_strictly_positive(self):
         with pytest.raises(ParameterError):
             ChannelParams(wavelength_m=0.0)
