@@ -310,9 +310,10 @@ def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
     gradient ascent from zero-initialized parameters.  The step uses the
     gradient divided by the total sample weight, so the pinned learning rate
     behaves identically at any corpus size; the maximizer is unchanged by
-    the scaling.  Raises TrainingDivergenceError once the scores or the
-    gradient stop being finite.  Deterministic: same samples and config
-    give bit-identical models (for a fixed BLAS thread count).
+    the scaling.  Raises TrainingDataError when the weights' total is not
+    finite, and TrainingDivergenceError once the scores or the gradient
+    stop being finite.  Deterministic: same samples and config give
+    bit-identical models (for a fixed BLAS thread count).
 
     Every vector an iteration needs is allocated once per fit and written
     in place.  The two BLAS products are the dgemv calls X @ w and X.T @ r
@@ -323,7 +324,12 @@ def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
     X, v = data.X, data.v
     XT = X.T
     h = data.y - 0.5
-    total_weight = float(v.sum())
+    with np.errstate(over="ignore"):
+        total_weight = float(v.sum())
+    if not math.isfinite(total_weight):
+        # finite weights can still overflow their total, and every scaled
+        # gradient would then read 0 or NaN
+        raise TrainingDataError("the sample weights' total overflows")
     lr = config.learning_rate
     work = _Workspace(len(data))
     z = np.empty(len(data))

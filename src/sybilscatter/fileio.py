@@ -245,15 +245,40 @@ def write_model_json(path, model: LRModel) -> None:
 
 
 def read_model_json(path) -> LRModel:
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
-    weights = np.array(payload["weights"], dtype=np.float64)
-    if int(payload["L"]) != weights.size:
-        raise ConfigError(f"{path}: L={payload['L']} but {weights.size} weights")
+    """The model of write_model_json; ConfigError names the file when it is
+    not a JSON object with an integer L, a list of L numbers as weights
+    and a number as bias."""
     try:
-        return LRModel(weights=weights, bias=float(payload["bias"]))
+        with open(path, encoding="utf-8") as fp:
+            payload = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object with L, weights and bias")
+    for key in ("L", "weights", "bias"):
+        if key not in payload:
+            raise ConfigError(f"{path}: missing {key!r}")
+    size, weights, bias = payload["L"], payload["weights"], payload["bias"]
+    if not _is_int(size):
+        raise ConfigError(f"{path}: L must be an integer, got {size!r}")
+    if not (isinstance(weights, list) and all(map(_is_number, weights))):
+        raise ConfigError(f"{path}: weights must be a list of numbers")
+    if not _is_number(bias):
+        raise ConfigError(f"{path}: bias must be a number, got {bias!r}")
+    if size != len(weights):
+        raise ConfigError(f"{path}: L={size} but {len(weights)} weights")
+    try:
+        return LRModel(weights=np.array(weights, dtype=np.float64), bias=float(bias))
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:
@@ -326,6 +351,8 @@ TRAJECTORY_KEYS = ("waypoints", "path", "position", "speed_mps")
 TAGS_KEYS = ("count", "ring_radius_m", "positions")
 AGENT_KEYS = ("identities", "alphas", "power") + TRAJECTORY_KEYS
 SWEEP_KEYS = ("tag_counts", "profile_lens")
+SCENARIO_SECTIONS = ("scenario", "channel", "tags", "receiver")
+CORPUS_SECTIONS = ("corpus", "sweep")
 
 
 def _boolean(text):
@@ -384,6 +411,24 @@ class _Section:
     def rows(self, key: str, width: int) -> np.ndarray:
         """The value of key as lines of ``width`` numbers."""
         return self.get(key, lambda text: _parse_rows(text, width))
+
+
+def _check_sections(path, cp, known, agents: bool = False) -> None:
+    """ConfigError naming the file and the first section outside
+    ``known`` (nor an [agent.*] section, when ``agents``)."""
+    for name in cp.sections():
+        if name not in known and not (agents and name.startswith("agent.")):
+            expected = ", ".join(f"[{k}]" for k in known) + (", [agent.*]" if agents else "")
+            raise ConfigError(f"{path}: unknown section [{name}]; expected {expected}")
+
+
+def _construct(path, name: str, cls, **kwargs):
+    """cls(**kwargs), its ParameterError raised as ConfigError naming the
+    file and section [name]."""
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: [{name}] {exc}") from None
 
 
 def _fields(path, cp, name: str, cls) -> dict:
@@ -453,14 +498,17 @@ def read_scenario_config(path) -> ScenarioConfig:
     """Single-scenario INI: [scenario], [channel], [tags], [receiver], [agent.*].
 
     [scenario] and [channel] take the scalar fields of ScenarioConfig and
-    ChannelParams as keys; an unknown key in any section is rejected.
+    ChannelParams as keys; an unknown section, or an unknown key in any
+    section, is rejected, and so is a value those classes reject.
     """
     cp = _read(path)
+    _check_sections(path, cp, SCENARIO_SECTIONS, agents=True)
     if "receiver" not in cp:
         raise ConfigError(f"{path}: missing [receiver] section")
     scalars = _fields(path, cp, "scenario", ScenarioConfig)
     horizon_s = scalars.setdefault("horizon_s", INI_HORIZON_S)
-    channel = ChannelParams(**_fields(path, cp, "channel", ChannelParams))
+    channel = _construct(path, "channel", ChannelParams,
+                         **_fields(path, cp, "channel", ChannelParams))
 
     tg = _Section(path, cp, "tags", TAGS_KEYS)
     ring_radius = tg.get("ring_radius_m", float, 0.12)
@@ -490,21 +538,22 @@ def read_scenario_config(path) -> ScenarioConfig:
     if not agents:
         raise ConfigError(f"{path}: no [agent.*] sections")
 
-    return ScenarioConfig(channel=channel, tag_layout=layout, receiver_trajectory=receiver,
-                          agents=tuple(agents), **scalars)
+    return _construct(path, "scenario", ScenarioConfig, channel=channel, tag_layout=layout,
+                      receiver_trajectory=receiver, agents=tuple(agents), **scalars)
 
 
 def read_corpus_spec(path) -> tuple:
     """Corpus INI: [corpus] spec knobs plus an optional [sweep] section.
 
-    [corpus] takes the fields of CorpusSpec as keys; an unknown key in
-    either section is rejected.  Returns (CorpusSpec, sweep options dict
-    or None).
+    [corpus] takes the fields of CorpusSpec as keys; an unknown section,
+    an unknown key in either section and a value CorpusSpec rejects are
+    rejected.  Returns (CorpusSpec, sweep options dict or None).
     """
     cp = _read(path)
+    _check_sections(path, cp, CORPUS_SECTIONS)
     if "corpus" not in cp:
         raise ConfigError(f"{path}: missing [corpus] section")
-    spec = CorpusSpec(**_fields(path, cp, "corpus", CorpusSpec))
+    spec = _construct(path, "corpus", CorpusSpec, **_fields(path, cp, "corpus", CorpusSpec))
 
     sweep = None
     if "sweep" in cp:

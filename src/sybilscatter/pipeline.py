@@ -199,10 +199,10 @@ def moving_average(samples, window: int) -> np.ndarray:
 def _correlate_rows(x, template) -> np.ndarray:
     """correlate over each row of an (R, N) array: (R, N - M + 1) lags.
 
-    np.correlate per row.  Each lag is one BLAS dot product, and its
-    summation order is what pins the peak and floor decisions.  A matmul
-    over a sliding-window view makes the same dot calls without the loop,
-    but it is no faster on a batch and slower on a single row.
+    np.correlate per row: the exact kernel, whose decisions locate_rows
+    reproduces.  Each lag is one BLAS dot product, and its summation
+    order is what pins ties at the peak and floor.  locate_rows runs it
+    only on the rows its prefix-sum kernel cannot certify.
     """
     out = np.empty((x.shape[0], x.shape[1] - template.size + 1))
     for row, lags in zip(x, out):
@@ -256,20 +256,213 @@ def _median_rows(c) -> np.ndarray:
     return (part[:, mid - 1] + part[:, mid]) / 2.0
 
 
-def locate_rows(batch: TraceBatch):
-    """Segment every row of a batch: (starts, decodable, peaks, floors).
+def _segmentation(c):
+    """(starts, decodable, peaks, floors) of (R, lags) correlations.
 
-    Each smoothed row is correlated against the sample-domain code; the
-    peak lag is the region start.  A peak below its floor, PEAK_FLOOR_RATIO
-    times the row's median correlation, means no code is convincingly
-    present, and the row is not decodable.
+    The peak lag is the region start.  A peak not above zero or below its
+    floor, PEAK_FLOOR_RATIO times the row's median correlation, means no
+    code is convincingly present, and the row is not decodable.
     """
-    template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
-    c = _correlate_rows(_smooth_rows(batch.samples, SMOOTHING_WINDOW), template)
     starts = np.argmax(c, axis=1)
     peaks = c[np.arange(c.shape[0]), starts]
     floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
+
+
+def _exact_segmentation(batch: TraceBatch, rows=slice(None)):
+    """_segmentation of np.correlate's lags on the given rows of a batch:
+    the reference decisions."""
+    smoothed = _smooth_rows(batch.samples[rows], SMOOTHING_WINDOW)
+    template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
+    return _segmentation(_correlate_rows(smoothed, template))
+
+
+# float64 unit roundoff
+_U = 2.0 ** -53
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): a sum of n + 1 terms, added in
+    any order, errs by at most gamma_n times the sum of their magnitudes."""
+    return n * _U / (1.0 - n * _U)
+
+
+@functools.lru_cache(maxsize=64)
+def _alternating_runs(code_bytes: bytes) -> int:
+    """The number of 1-bits of an alternating code (1, 0, 1, 0, ...), or 0
+    for any other code."""
+    code = np.frombuffer(code_bytes, dtype=np.uint8)
+    if not np.array_equal(code, 1 - np.arange(code.size) % 2):
+        return 0
+    return (code.size + 1) // 2
+
+
+def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
+    """(c, A): the lags of each nonnegative row of x, smoothed, against an
+    alternating template, (R, n_lags), and each row's sum, from prefix
+    sums in O(N) per row.
+
+    The smoothed row is _smooth_rows' window sums over the same widths,
+    but of the unanchored prefix sum C of x.  With s = samples_per_bit
+    and P = 2 s, the template is n_runs runs of s ones, P apart, so lag n
+    sums the blocks B[n + j P], j < n_runs, where B[k] = Y[k + s] - Y[k]
+    and Y is the prefix sum of the smoothed row.  T, the cumulative sum
+    of B along stride P, turns that into one difference,
+    T[n + (n_runs - 1) P] - T[n - P].
+    """
+    rows, n = x.shape
+    window = SMOOTHING_WINDOW
+    back, fwd = window // 2, (window - 1) // 2
+    lo, hi, width = _smoothing_bounds(n, window)
+    period = 2 * samples_per_bit
+    n_blocks = n_lags + (n_runs - 1) * period
+    # two buffers serve every step, since fresh pages cost as much as a
+    # pass: prefix holds C, then Y, then the lags; work holds the smoothed
+    # row, then T (it is wider than a row, see _chain_len)
+    prefix = np.empty((rows, n + 1))
+    work = np.empty((rows, _chain_len(n_lags, samples_per_bit, n_runs) * period))
+    prefix[:, 0] = 0.0
+    np.cumsum(x, axis=1, out=prefix[:, 1:])
+    total = prefix[:, -1].copy()
+    smoothed = work[:, :n]
+    inner = smoothed[:, back:n - fwd]
+    np.subtract(prefix[:, window:], prefix[:, :n + 1 - window], out=inner)
+    np.divide(inner, width[back], out=inner)
+    edges = np.r_[:back, n - fwd:n]
+    smoothed[:, edges] = (prefix[:, hi[edges]] - prefix[:, lo[edges]]) / width[edges]
+    np.cumsum(smoothed, axis=1, out=prefix[:, 1:])
+    # T shifted by one period, so that T[k - P] reads 0 for k < P
+    work[:, :period] = 0.0
+    work[:, period + n_blocks:] = 0.0
+    np.subtract(prefix[:, samples_per_bit:samples_per_bit + n_blocks],
+                prefix[:, :n_blocks], out=work[:, period:period + n_blocks])
+    chains = work.reshape(rows, -1, period)
+    np.cumsum(chains, axis=1, out=chains)
+    lags = n_runs * period
+    c = np.subtract(work[:, lags:lags + n_lags], work[:, :n_lags], out=prefix[:, :n_lags])
+    return c, total
+
+
+def _chain_len(n_lags: int, samples_per_bit: int, n_runs: int) -> int:
+    """Terms of each stride sum of _alternating_lags.
+
+    Times 2 s, it exceeds the row length n = n_lags + code_len - 1, since
+    the code spans n_runs 2 s samples, or s fewer for an odd bit count.
+    """
+    return -(-(n_lags + n_runs * samples_per_bit * 2) // (2 * samples_per_bit))
+
+
+@functools.lru_cache(maxsize=64)
+def _error_bound(n: int, samples_per_bit: int, n_runs: int, code_len: int):
+    """(k_sum, k_first, k_abs): on a nonnegative n-sample row x with sum
+    A, the lags of _alternating_lags(x) and those of np.correlate on
+    _smooth_rows(x) differ by at most E = k_sum A + k_first x[0] + k_abs.
+
+    Both estimate the lags c of the exact moving average y.  With u the
+    unit roundoff, eta = 2^-1074 a bound on the absolute error of a
+    division whose result underflows, w the window, w_min = w // 2 + 1
+    its narrowest truncation, rho = max over samples j of the sum of
+    1 / w_i over the windows i holding j (so sum y <= rho A), Q the chain
+    length, ones = n_runs s and M = code_len:
+    - fast path.  Each prefix sum of x adds at most n terms in order and
+      errs by e = gamma_n A.  The smoothed prefix sums then err by
+      e_Y = 2 e (1 + (w - 1) / w_min) + gamma_2 S
+      + gamma_n (1 + gamma_2) S + n eta, S = rho A + 2 e n / w_min: the
+      interior window sums telescope, so the prefix errors enter only at
+      the two ends and the w - 1 truncated windows.  A block B errs by
+      2 (1 + u) e_Y + u b, b the sum of y over it.  A stride sum adds at
+      most Q blocks, P apart, so disjoint: it errs by
+      e_T = Q 2 (1 + u) e_Y + u rho A
+      + gamma_Q (rho A + Q 2 (1 + u) e_Y + u rho A), and a lag, the
+      difference of two, by F = 2 (1 + u) e_T + u rho A;
+    - reference.  _smooth_rows' anchored prefix sums of x - x[0] err by
+      e_s = gamma_(n+1) (A + n x[0]), so a smoothed sample errs by
+      (1 + gamma_3) 2 e_s / w_min + gamma_3 x[0] + gamma_4 y_i + eta and
+      a lag, over its ones samples, by R = ones ((1 + gamma_3) 2 e_s /
+      w_min + gamma_3 x[0] + eta) + gamma_4 rho A.  np.correlate's dot
+      product, in whatever order its BLAS sums, adds gamma_M (rho A + R);
+      the template is 0/1, so every product is exact.
+    E is twice F + R + gamma_M (rho A + R) + 16 u rho A.  The doubling
+    and the last term absorb every rounding after the lags, none above
+    a few u times 3 rho A: in A itself, the median's midpoint, the
+    floor's x 3 and the comparisons.
+    """
+    lo, hi, width = _smoothing_bounds(n, SMOOTHING_WINDOW)
+    cover = np.zeros(n + 1)
+    np.add.at(cover, lo, 1.0 / width)
+    np.add.at(cover, hi, -1.0 / width)
+    rho = float(np.cumsum(cover).max())
+    w_min = SMOOTHING_WINDOW // 2 + 1
+    chain = _chain_len(n - code_len + 1, samples_per_bit, n_runs)
+    ones = n_runs * samples_per_bit
+    g = _gamma
+
+    def bound(total, first, eta):
+        e = g(n) * total
+        spread = rho * total + 2.0 * e * n / w_min
+        e_y = (2.0 * e * (1.0 + (SMOOTHING_WINDOW - 1) / w_min)
+               + g(2) * spread + g(n) * (1.0 + g(2)) * spread + n * eta)
+        blocks = chain * 2.0 * (1.0 + _U) * e_y
+        e_t = blocks + _U * rho * total + g(chain) * (rho * total + blocks + _U * rho * total)
+        fast = 2.0 * (1.0 + _U) * e_t + _U * rho * total
+        e_s = g(n + 1) * (total + n * first)
+        ref = (ones * ((1.0 + g(3)) * 2.0 * e_s / w_min + g(3) * first + eta)
+               + g(4) * rho * total)
+        return 2.0 * (fast + ref + g(code_len) * (rho * total + ref)
+                      + 16.0 * _U * rho * total)
+
+    return bound(1.0, 0.0, 0.0), bound(0.0, 1.0, 0.0), bound(0.0, 0.0, 2.0 ** -1074)
+
+
+def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
+    """(starts, decodable, certified) of every nonnegative row of x, from
+    prefix sums.
+
+    A row is certified when its decisions are np.correlate's by
+    construction.  With E its error bound (see _error_bound), it needs:
+    - a top-two lag margin above 2 E: the exact argmax is the same lag,
+      and the exact peak within E;
+    - a peak above E: the exact peak is positive;
+    - |peak - floor| above 4 E: the median moves by at most E, the floor
+      by 3 E, the peak by E.
+    NaN or infinite lags or bounds certify nothing.
+    """
+    n = x.shape[1]
+    k_sum, k_first, k_abs = _error_bound(n, samples_per_bit, n_runs, code_len)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, total = _alternating_lags(x, samples_per_bit, n_runs, n - code_len + 1)
+        bound = k_sum * total + k_first * x[:, 0] + k_abs
+        starts, decodable, peaks, floors = _segmentation(c)
+        c[np.arange(c.shape[0]), starts] = -np.inf
+        runner_up = np.maximum.reduce(c, axis=1)
+        certified = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
+                     & (np.absolute(peaks - floors) > 4.0 * bound))
+    return starts, decodable, certified
+
+
+def locate_rows(batch: TraceBatch):
+    """Segment every row of a batch: (starts, decodable).
+
+    Each row is smoothed and correlated against the sample-domain code,
+    and _segmentation reads the region start and whether the row is
+    decodable from the lags.  The decisions are np.correlate's on
+    _smooth_rows' output.  For the alternating code the lags come from
+    prefix sums of the raw row, O(N) per row, and only the rows whose
+    decisions their error bound cannot certify (see _fast_segmentation)
+    are smoothed and re-run through np.correlate, as are all rows of any
+    other code.
+    """
+    samples = batch.samples
+    code_len = batch.tag_code.size * batch.samples_per_bit
+    n_runs = _alternating_runs(batch.tag_code.tobytes())
+    if not n_runs or samples.shape[1] < SMOOTHING_WINDOW:
+        return _exact_segmentation(batch)[:2]
+    starts, decodable, certified = _fast_segmentation(
+        samples, batch.samples_per_bit, n_runs, code_len)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        starts[redo], decodable[redo], _, _ = _exact_segmentation(batch, redo)
+    return starts, decodable
 
 
 def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
@@ -282,9 +475,11 @@ def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
 
 
 def _region_start(batch: TraceBatch) -> int:
-    """locate_rows on a one-row batch; raises SegmentationError."""
-    starts, decodable, peaks, floors = locate_rows(batch)
+    """locate_rows on a one-row batch; raises SegmentationError, with the
+    exact peak and floor."""
+    starts, decodable = locate_rows(batch)
     if not decodable[0]:
+        _, _, peaks, floors = _exact_segmentation(batch)
         raise SegmentationError(
             f"correlation peak {peaks[0]:.3e} below decision floor {floors[0]:.3e}")
     return int(starts[0])
@@ -395,7 +590,7 @@ def signature_rows(batch: TraceBatch):
     other rows are the ones for which signature_from_trace raises
     SegmentationError or DegenerateSignatureError.
     """
-    starts, decodable, _, _ = locate_rows(batch)
+    starts, decodable = locate_rows(batch)
     found = np.flatnonzero(decodable)
     raw = reflection_rows(batch, found, starts[found])
     norms = row_norms(raw)

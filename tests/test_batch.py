@@ -38,7 +38,12 @@ from sybilscatter import (
     trace_seeds,
 )
 from sybilscatter.harness import DEFAULT_CORPUS_SPEC, DEFAULT_SEED, dataset_digest
-from sybilscatter.pipeline import full_window_ends, signature_rows
+from sybilscatter.pipeline import (
+    _fast_segmentation,
+    full_window_ends,
+    locate_rows,
+    signature_rows,
+)
 from sybilscatter.scenario import TraceBatch, reflected_powers
 
 PROFILE_LEN = 5  # max age 10 periods
@@ -207,6 +212,28 @@ class TestExtract:
                     assert sig.normalized.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
                     assert not (sig.raw.flags.writeable or sig.normalized.flags.writeable)
         assert outcomes == {"rejected", "degenerate", "kept"}
+
+    def test_locate_rows_matches_np_correlate(self, degraded_run):
+        # the flat plateaus tie many lags, so some rows need np.correlate
+        _, streams = degraded_run
+        redone = 0
+        for traces in streams.values():
+            batch = _batch(traces)
+            starts, decodable = locate_rows(batch)
+            redone += (~_fast_segmentation(batch.samples, 8, 32, 512)[2]).sum()
+            template = np.repeat(traces[0].tag_code, 8).astype(np.float64)
+            for k, trace in enumerate(traces):
+                start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+                lags = np.correlate(oracle.moving_average(trace.samples, 9), template,
+                                    mode="valid")
+                assert starts[k] == np.argmax(lags)
+                assert decodable[k] == (start is not None)
+                if start is None:
+                    with pytest.raises(SegmentationError) as err:
+                        segment_backscatter(trace)
+                    assert str(err.value) == (
+                        f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
+        assert redone > 0
 
     def test_scalar_calls_are_rows_of_the_batch(self, degraded_run):
         _, streams = degraded_run

@@ -202,6 +202,15 @@ class TestErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_evaluate_rejects_model_without_bias(self, tmp_path, samples_dir, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"L": 2, "weights": [1.0, 2.0]}))
+        rc = main(["evaluate", "--dataset", str(samples_dir / "samples.csv"),
+                   "--model", str(model), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.json: missing 'bias'" in err
+
     def test_experiment_rejects_scenario_config(self, tmp_path, scenario_ini,
                                                 capsys):
         rc = main(["sweep", "--config", scenario_ini, "--out", str(tmp_path)])

@@ -303,18 +303,25 @@ class TestTrainMWLE:
         assert a.bias == b.bias
 
     def test_nan_in_a_later_gradient_component_diverges(self):
-        # the weights sum to inf; column 1's single 1e308 product with its
-        # residual (+5e307) overflows to inf, so the scaled gradient is
-        # [0, inf / inf] = [0, NaN]: a max that skips NaN would read 0 and
-        # stop as if converged
-        X = np.array([[1.0, 1e308], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
-        data = TrainingSet(X=X, y=[1, 0, 1, 0], v=[1e308] * 4)
+        # the weights sum to a finite 16; column 1's products with the
+        # residuals (+2, +2, -2, -2) each overflow, to +inf and -inf, so
+        # the gradient is [0, inf - inf] = [0, NaN] and the bias gradient
+        # 0: a max that skips NaN would read 0 and stop as if converged
+        X = np.array([[1.0, 1e308], [0.0, 1e308], [1.0, 1e308], [0.0, 1e308]])
+        data = TrainingSet(X=X, y=[1, 1, 0, 0], v=[4.0] * 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            grad_w, _ = weighted_gradient(np.zeros(2), 0.0, X, data.y, data.v)
-            scaled = grad_w / data.v.sum()
-            assert scaled[0] == 0.0 and np.isnan(scaled[1])
+            grad_w, grad_b = weighted_gradient(np.zeros(2), 0.0, X, data.y, data.v)
+            assert grad_w[0] == 0.0 and np.isnan(grad_w[1]) and grad_b == 0.0
             with pytest.raises(TrainingDivergenceError, match="gradient"):
                 train_mwle(data)
+
+    def test_overflowing_weight_total_rejected(self):
+        # four finite weights of 1e308 sum to inf: the data is at fault,
+        # not the optimizer
+        X = np.array([[1.0, 0.5], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        data = TrainingSet(X=X, y=[1, 0, 1, 0], v=[1e308] * 4)
+        with pytest.raises(TrainingDataError, match="total"):
+            train_mwle(data)
 
     def test_huge_learning_rate_diverges(self):
         # the first step (gradient about -250 per weight) overflows the weights

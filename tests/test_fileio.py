@@ -276,6 +276,30 @@ class TestModelFiles:
         with pytest.raises(ConfigError, match="model.json: .*finite"):
             read_model_json(path)
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"L": 2, "weights": [1.0, 2.0]}, "missing 'bias'"),
+        ({"weights": [1.0, 2.0], "bias": 0.0}, "missing 'L'"),
+        ({"L": 2, "bias": 0.0}, "missing 'weights'"),
+        ({"L": "2", "weights": [1.0, 2.0], "bias": 0.0}, "L must be an integer"),
+        ({"L": 2.0, "weights": [1.0, 2.0], "bias": 0.0}, "L must be an integer"),
+        ({"L": 2, "weights": [1.0, "2"], "bias": 0.0}, "weights must be a list"),
+        ({"L": 1, "weights": 1.0, "bias": 0.0}, "weights must be a list"),
+        ({"L": 2, "weights": [1.0, 2.0], "bias": None}, "bias must be a number"),
+        ({"L": 2, "weights": [1.0, 2.0], "bias": True}, "bias must be a number"),
+        ([1.0, 2.0], "expected a JSON object"),
+    ])
+    def test_missing_or_ill_typed_field_names_file(self, tmp_path, payload, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=rf"model\.json: {message}"):
+            read_model_json(path)
+
+    def test_malformed_json_names_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"L": 2, "weights": [1.0,')
+        with pytest.raises(ConfigError, match=r"model\.json: "):
+            read_model_json(path)
+
 
 class TestReportFiles:
     def test_metrics_field_set(self, tmp_path):
@@ -524,6 +548,36 @@ class TestConfigBoundary:
         key = new.split(" = ")[0]
         with pytest.raises(ConfigError, match=rf"config\.ini: \[[a-z.A-Z]+\] {key} = "):
             read_config(path)
+
+    @pytest.mark.parametrize("text,header", [
+        (CORPUS_INI, "[sweeep]"), (CORPUS_INI, "[scenario]"),
+        (SCENARIO_INI, "[chanel]"), (SCENARIO_INI, "[agents.robotC]"),
+        (SCENARIO_INI, "[corpus]"),
+    ])
+    def test_unknown_section_names_file_and_section(self, tmp_path, text, header):
+        path = tmp_path / "config.ini"
+        path.write_text(text + f"\n{header}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"config\.ini: unknown section \{header[:-1]}\]"):
+            read_scenario_config(path) if "[receiver]" in text else read_corpus_spec(path)
+
+    def test_corpus_value_out_of_domain_names_file_and_section(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text(CORPUS_INI.replace("n_scenarios = 3", "n_tags = 1"))
+        with pytest.raises(ConfigError, match=r"config\.ini: \[corpus\] n_tags must be >= 2"):
+            read_corpus_spec(path)
+
+    def test_scenario_value_out_of_domain_names_file_and_section(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text(SCENARIO_INI.replace("period_s = 0.6", "period_s = -0.6"))
+        with pytest.raises(ConfigError, match=r"config\.ini: \[scenario\] period_s"):
+            read_scenario_config(path)
+
+    def test_channel_value_out_of_domain_names_file_and_section(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text(SCENARIO_INI.replace("tag_transfer = 0.05", "tag_transfer = -0.05"))
+        with pytest.raises(ConfigError, match=r"config\.ini: \[channel\] tag_transfer"):
+            read_scenario_config(path)
 
     def test_agent_without_identities_rejected(self, tmp_path):
         path = tmp_path / "config.ini"

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracle
 from sybilscatter import (
     DegenerateSignatureError,
     InsufficientDataError,
@@ -30,12 +34,19 @@ from sybilscatter import (
 
 from conftest import make_scenario
 from sybilscatter.pipeline import (
+    _alternating_lags,
+    _alternating_runs,
+    _error_bound,
+    _fast_segmentation,
     _median_rows,
+    _smooth_rows,
     _smoothing_bounds,
     _tag_gathers,
     _template,
     expand_code,
+    locate_rows,
 )
+from sybilscatter.scenario import TraceBatch
 
 
 def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
@@ -55,7 +66,70 @@ def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
                          samples_per_bit=spb, n_tags=n_tags)
 
 
+def code_trace(samples, code, spb=8):
+    """A one-tag trace of the given samples and code."""
+    samples = np.asarray(samples, dtype=np.float64)
+    return ReceivedTrace(identity="x", true_source_id="sx", t_s=0.0,
+                         sample_rate_hz=8000.0, samples=samples,
+                         tag_schedule=np.zeros(samples.size, dtype=np.int16),
+                         tag_code=np.asarray(code, dtype=np.uint8),
+                         samples_per_bit=spb, n_tags=1)
+
+
+def copies_trace(starts, background, powers, bits=64, spb=8, spans=5):
+    """background plus powers[i] times the expanded alternating code at
+    each of starts.  With integer background and powers that are
+    multiples of 9 every smoothed sample and every lag is an exact
+    integer, so ties are exact in every summation order."""
+    expanded = np.repeat(alternating_code(bits), spb)
+    samples = np.full(spans * expanded.size, float(background))
+    for start, power in zip(starts, powers):
+        samples[start:start + expanded.size] += power * expanded
+    return code_trace(samples, alternating_code(bits), spb)
+
+
+def exact_decisions(trace):
+    """(argmax, decodable, peak, floor) of np.correlate on the oracle's
+    smoothing, the reference every locate_rows decision must match."""
+    start, peak, floor = oracle.segment(trace.samples, trace.tag_code,
+                                        trace.samples_per_bit, 9)
+    lags = np.correlate(oracle.moving_average(trace.samples, 9),
+                        expand_code(trace.tag_code, trace.samples_per_bit), mode="valid")
+    return int(np.argmax(lags)), start is not None, peak, floor
+
+
+def certified(trace):
+    runs = _alternating_runs(trace.tag_code.tobytes())
+    return bool(_fast_segmentation(trace.samples[None], trace.samples_per_bit, runs,
+                                   trace.code_span)[2][0])
+
+
+def assert_exact_decisions(traces):
+    """locate_rows on the batch and on each row, and segment_backscatter,
+    against exact_decisions, down to the SegmentationError message."""
+    starts, decodable = locate_rows(TraceBatch.stack(traces))
+    for k, trace in enumerate(traces):
+        start, ok, peak, floor = exact_decisions(trace)
+        one_starts, one_ok = locate_rows(TraceBatch.stack([trace]))
+        assert (starts[k], decodable[k]) == (one_starts[0], one_ok[0]) == (start, ok)
+        if ok:
+            assert segment_backscatter(trace).t_start == start
+        else:
+            with pytest.raises(SegmentationError) as err:
+                segment_backscatter(trace)
+            assert str(err.value) == (
+                f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
+
+
 class TestMovingAverage:
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.floats(-1e300, 1e300, allow_subnormal=True), n=st.integers(1, 60),
+           data=st.data())
+    def test_constants_pass_through(self, value, n, data):
+        window = data.draw(st.integers(1, n))
+        np.testing.assert_array_equal(moving_average(np.full(n, value), window),
+                                      np.full(n, value))
+
     def test_constant_unchanged(self):
         x = np.full(40, 3.7)
         np.testing.assert_array_equal(moving_average(x, 9), x)
@@ -186,11 +260,110 @@ class TestSegmentation:
         with pytest.raises(SegmentationError):
             segment_backscatter(trace)
 
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.integers(8, 64), spb=st.integers(5, 10), data=st.data())
+    def test_start_follows_a_shifted_prefix(self, bits, spb, data):
+        # runs of at least 5 samples, so the 9-tap smoothing keeps the
+        # modulation; the region starts wherever the prefix ends
+        span = bits * spb
+        n = 5 * span
+        start = data.draw(st.integers(0, n - span))
+        ambient = data.draw(st.floats(1e-9, 1.0))
+        power = ambient * data.draw(st.floats(20.0, 1e4))
+        samples = np.full(n, ambient)
+        samples[start:start + span] += power * np.repeat(alternating_code(bits), spb)
+        trace = code_trace(samples, alternating_code(bits), spb)
+        assert segment_backscatter(trace).t_start == start
+        assert exact_decisions(trace)[:2] == (start, True)
+
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):
             SegmentBounds(t_start=-1, t_end=5)
         with pytest.raises(ParameterError):
             SegmentBounds(t_start=5, t_end=5)
+
+
+class TestCertifiedSegmentation:
+    """locate_rows reads lags from prefix sums and re-runs np.correlate on
+    every row whose decisions its error bound cannot certify."""
+
+    def test_exact_tie_takes_the_first_copy(self):
+        # 1,024 samples apart keeps both copies equally aligned for BLAS
+        trace = copies_trace([512, 1536], 0, [9.0, 9.0])
+        lags = np.correlate(_smooth_rows(trace.samples[None], 9)[0],
+                            expand_code(trace.tag_code, 8), mode="valid")
+        assert lags[512] == lags[1536] == lags.max()
+        assert not certified(trace)
+        assert_exact_decisions([trace])
+        assert segment_backscatter(trace).t_start == 512
+
+    def test_peak_equal_to_floor_is_decodable(self):
+        # peak 256 (837 + 1674) equals 3 x the background lags' 256 x 837
+        trace = copies_trace([0], 837, [2304.0])
+        start, ok, peak, floor = exact_decisions(trace)
+        assert peak == floor and (start, ok) == (0, True)
+        assert not certified(trace)
+        assert_exact_decisions([trace])
+
+    def test_noise_only_row_is_a_certified_reject(self):
+        rng = np.random.default_rng(6)
+        trace = code_trace(np.abs(rng.normal(1e-6, 1e-7, 5 * 512)), alternating_code(64))
+        assert certified(trace) and not exact_decisions(trace)[1]
+        assert_exact_decisions([trace])
+
+    @pytest.mark.parametrize("code", [np.tile([1, 1, 0, 0], 16), np.tile([0, 1], 32),
+                                      np.random.default_rng(3).integers(0, 2, 64)])
+    def test_other_codes_run_np_correlate(self, code):
+        assert _alternating_runs(np.asarray(code, dtype=np.uint8).tobytes()) == 0
+        rng = np.random.default_rng(8)
+        samples = np.abs(rng.normal(1e-6, 1e-7, 5 * 512))
+        samples[700:1212] += 5e-5 * np.repeat(code, 8)
+        noise = np.abs(rng.normal(1e-6, 1e-7, 5 * 512))
+        assert_exact_decisions([code_trace(samples, code), code_trace(noise, code)])
+
+    def test_alternating_runs(self):
+        for bits in (1, 2, 7, 64):
+            code = alternating_code(bits) if bits > 1 else np.ones(1, dtype=np.uint8)
+            assert _alternating_runs(code.tobytes()) == (bits + 1) // 2
+
+    def test_near_ties_reproduce_np_correlate(self):
+        # second copies within a few ulps to 1e-6 of the first, and
+        # backgrounds within as little of the floor, noisy and not
+        rng = np.random.default_rng(12)
+        traces = []
+        for delta in (0.0, 2.0 ** -52, 1e-15, 1e-13, 1e-11, 1e-9, 1e-6):
+            for noise in (0.0, 1e-12):
+                for sign in (1.0, -1.0):
+                    tie = copies_trace([512, 1536], 1.0, [9.0, 9.0 * (1 + sign * delta)])
+                    floor = copies_trace([0], 837.0 * (1 + sign * delta), [2304.0])
+                    for trace in (tie, floor):
+                        samples = trace.samples + noise * rng.random(trace.samples.size)
+                        traces.append(code_trace(samples, trace.tag_code))
+        flags = [certified(t) for t in traces]
+        assert any(flags) and not all(flags)
+        # the prefix-sum lags alone decide some of these rows differently,
+        # and the bound flags every one of them
+        fast_starts, fast_ok, _ = _fast_segmentation(
+            np.stack([t.samples for t in traces]), 8, 32, 512)
+        wrong = [k for k, t in enumerate(traces)
+                 if (fast_starts[k], fast_ok[k]) != exact_decisions(t)[:2]]
+        assert wrong and not any(flags[k] for k in wrong)
+        assert_exact_decisions(traces)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.integers(1, 12), spb=st.integers(1, 8), extra=st.integers(0, 80),
+           data=st.data())
+    def test_fast_lags_within_the_bound(self, bits, spb, extra, data):
+        n = max(bits * spb + extra, 9)
+        scale = data.draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e200]))
+        x = scale * data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+        code = alternating_code(bits) if bits > 1 else np.ones(1, dtype=np.uint8)
+        runs = (bits + 1) // 2
+        lags, total = _alternating_lags(x[None], spb, runs, n - bits * spb + 1)
+        exact = np.correlate(_smooth_rows(x[None], 9)[0], expand_code(code, spb), mode="valid")
+        k_sum, k_first, k_abs = _error_bound(n, spb, runs, bits * spb)
+        bound = k_sum * total[0] + k_first * x[0] + k_abs
+        assert np.all(np.abs(lags[0] - exact) <= bound)
 
 
 class TestExtractReflection:
