@@ -18,12 +18,10 @@ from .detector import (
     LRModel,
     SimilarityMatrix,
     TrainingConfig,
-    TrainingSample,
     TrainingSet,
     Verdict,
     compute_class_weights,
     detect_sybil,
-    predict_similarity,
     sigmoid,
     similarity_matrix,
     train_mwle,
@@ -32,18 +30,14 @@ from .detector import (
 )
 from .distance import (
     DistanceMatrix,
-    DistanceVector,
-    adjusted_cosine_distance,
     adjusted_distances,
     baseline_distance,
     baseline_distances,
     cosine_distance,
     distance_matrix,
-    profile_distance_vector,
 )
 from .errors import (
     ConfigError,
-    DegenerateCenteringError,
     DegenerateSignatureError,
     GeometryError,
     IdentityError,

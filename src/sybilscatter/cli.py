@@ -35,11 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="INI file describing a scenario or a corpus")
     common.add_argument("--out", default="out",
                         help="output directory (default %(default)s)")
-    common.add_argument("--k-folds", type=int, default=harness.DEFAULT_K_FOLDS,
-                        dest="k_folds",
-                        help="cross-validation folds (default %(default)s)")
-    common.add_argument("--sigma", type=float, default=0.5,
-                        help="similarity threshold (default %(default)s)")
+    # only the commands that score a model take these
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--k-folds", type=int, default=harness.DEFAULT_K_FOLDS,
+                         dest="k_folds",
+                         help="cross-validation folds (default %(default)s)")
+    scoring.add_argument("--sigma", type=float, default=0.5,
+                         help="similarity threshold (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="sybilscatter",
@@ -67,25 +69,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="samples.csv to train on")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, scoring],
                        help="evaluate detection (metrics.json, roc.csv)")
     p.add_argument("--dataset", default=None, help="samples.csv to evaluate")
     p.add_argument("--model", default=None,
                    help="model.json; without it, run cross-validation")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, scoring],
                        help="tag count x profile length AUROC sweep (sweep.csv)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate-norm", parents=[common],
+    p = sub.add_parser("ablate-norm", parents=[common, scoring],
                        help="normalization ablation under power scaling "
                             "(ablation.csv)")
     p.add_argument("--profile-len", type=int, default=harness.DEFAULT_PROFILE_LEN,
                    dest="profile_len")
     p.set_defaults(func=cmd_ablate_norm)
 
-    p = sub.add_parser("compare-metrics", parents=[common],
+    p = sub.add_parser("compare-metrics", parents=[common, scoring],
                        help="false-positive comparison of distance metrics "
                             "(compare.csv)")
     p.add_argument("--profile-len", type=int, default=harness.DEFAULT_PROFILE_LEN,

@@ -37,6 +37,16 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .scenario import (
+    DEFAULT_AMBIENT_W,
+    DEFAULT_CODE_BITS,
+    DEFAULT_PERIOD_S,
+    DEFAULT_RING_RADIUS_M,
+    DEFAULT_SAMPLE_RATE_HZ,
+    DEFAULT_SAMPLES_PER_BIT,
+    DEFAULT_SNR_DB,
+    DEFAULT_SPEED_MPS,
+    DEFAULT_TAG_TRANSFER,
+    DEFAULT_TX_POWER_W,
     ChannelParams,
     RobotAgent,
     ScenarioConfig,
@@ -73,8 +83,8 @@ class CorpusSpec:
     n_scenarios: int = 20
     n_tags: int = 4
     horizon_s: float = 60.0
-    period_s: float = 0.6
-    snr_db: float | None = 20.0
+    period_s: float = DEFAULT_PERIOD_S
+    snr_db: float | None = DEFAULT_SNR_DB
     power_scaling: bool = True
     alpha_low: float = 0.25
     alpha_high: float = 4.0
@@ -83,14 +93,14 @@ class CorpusSpec:
     hard_offset_low: float = 0.25
     hard_offset_high: float = 0.5
     colocated_half_deg: float = 8.0
-    speed_mps: float = 0.2
-    base_tx_power_w: float = 3.0
-    ring_radius_m: float = 0.12
-    tag_transfer: float = 0.05
-    ambient_w: float = 1e-6
-    code_bits: int = 64
-    samples_per_bit: int = 8
-    sample_rate_hz: float = 8000.0
+    speed_mps: float = DEFAULT_SPEED_MPS
+    base_tx_power_w: float = DEFAULT_TX_POWER_W
+    ring_radius_m: float = DEFAULT_RING_RADIUS_M
+    tag_transfer: float = DEFAULT_TAG_TRANSFER
+    ambient_w: float = DEFAULT_AMBIENT_W
+    code_bits: int = DEFAULT_CODE_BITS
+    samples_per_bit: int = DEFAULT_SAMPLES_PER_BIT
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
 
     def __post_init__(self):
         if self.n_scenarios < 1:

@@ -52,37 +52,13 @@ class LRModel:
 
 
 @dataclass(frozen=True)
-class TrainingSample:
-    """One labeled distance vector with its class weight."""
-
-    distance: np.ndarray
-    label: int
-    weight: float = 1.0
-
-    def __post_init__(self):
-        d = np.asarray(self.distance, dtype=np.float64)
-        if d.ndim != 1 or d.size == 0:
-            raise ShapeError(f"distance must be a nonempty 1-D vector, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ParameterError("training distances must be finite")
-        if self.label not in (0, 1):
-            raise ParameterError(f"label must be 0 or 1, got {self.label!r}")
-        if not (0 < self.weight < math.inf):  # NaN fails both comparisons
-            raise ParameterError(f"weight must be finite and > 0, got {self.weight}")
-        d.flags.writeable = False
-        object.__setattr__(self, "distance", d)
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "weight", float(self.weight))
-
-
-@dataclass(frozen=True)
 class TrainingSet:
     """Labeled distance vectors as arrays, the form train_mwle reads.
 
     ``X`` is the (N, L) design, one distance vector per row, ``y`` the 0/1
     labels and ``v`` the per-sample class weights.  All three are copied
     to read-only float64 arrays (``X`` C-contiguous) and validated once,
-    here, with the checks a TrainingSample makes per sample.
+    here: distances finite, labels 0 or 1, weights finite and positive.
     """
 
     X: np.ndarray
@@ -241,16 +217,6 @@ def sigmoid(z):
     return float(g) if z.ndim == 0 else g
 
 
-def predict_similarity(model: LRModel, d) -> float:
-    """Same-source probability for one distance vector, an (L,) array."""
-    values = np.asarray(d, dtype=np.float64)
-    if values.shape != model.weights.shape:
-        raise ShapeError(
-            f"distance vector {values.shape} does not match model weights "
-            f"{model.weights.shape}")
-    return sigmoid(float(np.dot(model.weights, values)) + model.bias)
-
-
 def compute_class_weights(labels) -> dict:
     """Per-class weights inversely proportional to class frequency.
 
@@ -267,21 +233,13 @@ def compute_class_weights(labels) -> dict:
     return {0: n / (2.0 * n_neg), 1: n / (2.0 * n_pos)}
 
 
-def _design(samples) -> TrainingSet:
-    """The training set of train_mwle; a TrainingSample sequence is stacked."""
-    if len(samples) < 2:
-        raise TrainingDataError(f"need at least 2 training samples, got {len(samples)}")
-    if not isinstance(samples, TrainingSet):
-        dim = samples[0].distance.size
-        for s in samples:
-            if s.distance.size != dim:
-                raise ShapeError("all training distances must have the same length")
-        samples = TrainingSet(X=np.vstack([s.distance for s in samples]),
-                              y=[s.label for s in samples],
-                              v=[s.weight for s in samples])
-    if samples.y.min() == samples.y.max():
+def _design(data: TrainingSet) -> TrainingSet:
+    """``data``, once it holds at least 2 samples of both classes."""
+    if len(data) < 2:
+        raise TrainingDataError(f"need at least 2 training samples, got {len(data)}")
+    if data.y.min() == data.y.max():
         raise TrainingDataError("training set contains a single class")
-    return samples
+    return data
 
 
 def weighted_log_likelihood(weights, bias, X, y, v) -> float:
@@ -303,17 +261,18 @@ def weighted_gradient(weights, bias, X, y, v):
     return grad_w, float(grad_b)
 
 
-def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
+def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) -> LRModel:
     """Fit the similarity model by maximum weighted likelihood.
 
-    ``samples`` is a TrainingSet or a sequence of TrainingSample.  Full-batch
-    gradient ascent from zero-initialized parameters.  The step uses the
-    gradient divided by the total sample weight, so the pinned learning rate
-    behaves identically at any corpus size; the maximizer is unchanged by
-    the scaling.  Raises TrainingDataError when the weights' total is not
-    finite, and TrainingDivergenceError once the scores or the gradient
-    stop being finite.  Deterministic: same samples and config give
-    bit-identical models (for a fixed BLAS thread count).
+    ``samples`` is a TrainingSet, such as LabeledDataset.training_samples().
+    Full-batch gradient ascent from zero-initialized parameters.  The step
+    uses the gradient divided by the total sample weight, so the pinned
+    learning rate behaves identically at any corpus size; the maximizer is
+    unchanged by the scaling.  Raises TrainingDataError for fewer than 2
+    samples, a single class or a weight total that is not finite, and
+    TrainingDivergenceError once the scores or the gradient stop being
+    finite.  Deterministic: same samples and config give bit-identical
+    models (for a fixed BLAS thread count).
 
     Every vector an iteration needs is allocated once per fit and written
     in place.  The two BLAS products are the dgemv calls X @ w and X.T @ r
@@ -362,8 +321,8 @@ def train_mwle(samples, config: TrainingConfig = TrainingConfig()) -> LRModel:
 def similarity_matrix(model: LRModel, distances: DistanceMatrix) -> SimilarityMatrix:
     """Apply the model to every off-diagonal distance vector.
 
-    Each score is one BLAS dot product, as predict_similarity takes it, so
-    the matrix matches pair-by-pair prediction bit for bit.
+    Each score is one BLAS dot product, so the matrix has the bits of the
+    pair-by-pair form that tests/oracle.py keeps (similarity_probs).
     """
     if model.profile_len != distances.profile_len:
         raise ShapeError(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCenteringError, ParameterError, ShapeError
-from .pipeline import SignalProfile
+from .errors import ParameterError, ShapeError
 
 DEGENERATE_NORM_TOL = 1e-12
 
@@ -28,28 +27,6 @@ F_SIDE_DEGENERATE_DISTANCE = 0.0
 G_SIDE_DEGENERATE_DISTANCE = 1.0
 
 BASELINE_METRICS = ("manhattan", "euclidean", "chebyshev", "cosine")
-
-
-@dataclass(frozen=True)
-class DistanceVector:
-    """L per-row distances from one identity's profile to another's."""
-
-    from_identity: str
-    to_identity: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ShapeError(f"values must be a nonempty 1-D vector, got {vals.shape}")
-        if np.any(vals < 0):
-            raise ParameterError("distance values must be nonnegative")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def profile_len(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -74,21 +51,8 @@ class DistanceMatrix:
         object.__setattr__(self, "values", vals)
 
     @property
-    def n_identities(self) -> int:
-        return len(self.identities)
-
-    @property
     def profile_len(self) -> int:
         return int(self.values.shape[2])
-
-    def index_of(self, identity: str) -> int:
-        return self.identities.index(identity)
-
-    def vector(self, from_identity: str, to_identity: str) -> DistanceVector:
-        i = self.index_of(from_identity)
-        j = self.index_of(to_identity)
-        return DistanceVector(from_identity=from_identity, to_identity=to_identity,
-                              values=self.values[i, j])
 
 
 def _windows(windows_f, windows_g, means_f=None):
@@ -166,48 +130,9 @@ def baseline_distances(windows_f, windows_g, metric: str) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _vectors(*vectors):
-    out = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if out[0].ndim != 1 or any(v.shape != out[0].shape for v in out):
-        raise ShapeError(
-            f"vectors must be equal-length 1-D, got {[v.shape for v in out]}")
-    return out
-
-
 def cosine_distance(f, g) -> float:
     """1 - cos(angle between f and g); in [0, 1] for nonnegative vectors."""
     return baseline_distance(f, g, "cosine")
-
-
-def adjusted_cosine_distance(f, g, mean_f) -> float:
-    """Cosine distance after centering BOTH vectors on mean_f.
-
-    mean_f is the mean vector of the first argument's profile; centering by
-    it (and never by g's) is what makes the pairwise distances asymmetric.
-    Raises DegenerateCenteringError when either centered vector has norm
-    below DEGENERATE_NORM_TOL; callers substitute a fixed distance per side.
-    """
-    f, g, mean_f = _vectors(f, g, mean_f)
-    values, nf, ng = _adjusted(f[None, None], g[None, None], mean_f[None])
-    if nf[0, 0] < DEGENERATE_NORM_TOL:
-        raise DegenerateCenteringError(
-            f"centered first vector has norm {nf[0, 0]:.3e}", side="first")
-    if ng[0, 0] < DEGENERATE_NORM_TOL:
-        raise DegenerateCenteringError(
-            f"centered second vector has norm {ng[0, 0]:.3e}", side="second")
-    return float(values[0, 0])
-
-
-def profile_distance_vector(profile_f: SignalProfile, profile_g: SignalProfile) -> DistanceVector:
-    """Row-by-row adjusted cosine distances, centered on profile_f's mean."""
-    if profile_f.signatures.shape != profile_g.signatures.shape:
-        raise ShapeError(
-            f"profiles must agree in (L, K): {profile_f.signatures.shape} "
-            f"vs {profile_g.signatures.shape}")
-    values = adjusted_distances(profile_f.signatures[None], profile_g.signatures[None],
-                                profile_f.mean_vector[None])[0]
-    return DistanceVector(from_identity=profile_f.identity,
-                          to_identity=profile_g.identity, values=values)
 
 
 def distance_matrix(profiles) -> DistanceMatrix:
@@ -232,5 +157,8 @@ def distance_matrix(profiles) -> DistanceMatrix:
 
 def baseline_distance(f, g, metric: str) -> float:
     """Classical distances used for the metric-comparison experiment."""
-    f, g = _vectors(f, g)
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if f.ndim != 1 or f.shape != g.shape:
+        raise ShapeError(f"vectors must be equal-length 1-D, got {f.shape} vs {g.shape}")
     return float(baseline_distances(f[None, None], g[None, None], metric)[0, 0])

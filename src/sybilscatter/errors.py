@@ -58,18 +58,6 @@ class InsufficientDataError(RuntimeError):
     """
 
 
-class DegenerateCenteringError(ValueError):
-    """A centered vector has (numerically) zero norm.
-
-    ``side`` records which argument collapsed: "first" for the vector whose
-    profile supplied the center, "second" for the other one.
-    """
-
-    def __init__(self, message, side):
-        super().__init__(message)
-        self.side = side
-
-
 class TrainingDataError(ValueError):
     """Training set is empty or contains only one class."""
 

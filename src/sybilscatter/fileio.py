@@ -20,6 +20,9 @@ from .detector import LRModel
 from .errors import ConfigError, ParameterError
 from .harness import LabeledDataset, MetricsReport
 from .scenario import (
+    DEFAULT_RING_RADIUS_M,
+    DEFAULT_SPEED_MPS,
+    DEFAULT_TX_POWER_W,
     ChannelParams,
     ReceivedTrace,
     RobotAgent,
@@ -422,13 +425,13 @@ def _check_sections(path, cp, known, agents: bool = False) -> None:
             raise ConfigError(f"{path}: unknown section [{name}]; expected {expected}")
 
 
-def _construct(path, name: str, cls, **kwargs):
-    """cls(**kwargs), its ParameterError raised as ConfigError naming the
-    file and section [name]."""
+def _construct(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), any input error it raises (a ValueError)
+    re-raised as ConfigError prefixed with ``where``, the file and section."""
     try:
-        return cls(**kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: [{name}] {exc}") from None
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def _fields(path, cp, name: str, cls) -> dict:
@@ -480,17 +483,19 @@ def _section_trajectory(section: _Section, horizon_s: float,
         raise ConfigError(
             f"{section.where} needs exactly one of waypoints/path/position, "
             f"got {given or 'none'}")
+    where = section.where
     if "waypoints" in section:
-        return Trajectory(waypoints=section.rows("waypoints", 3), speed_mps=speed)
+        return _construct(where, Trajectory, waypoints=section.rows("waypoints", 3),
+                          speed_mps=speed)
     if "position" in section:
         x, y = section.rows("position", 2)[0]
         waypoints = [(0.0, x, y), (horizon_s + 1.0, x, y)]
-        return Trajectory(waypoints=np.array(waypoints), speed_mps=speed)
+        return _construct(where, Trajectory, waypoints=np.array(waypoints), speed_mps=speed)
     points = section.rows("path", 2)
-    traj = Trajectory.from_path(points, speed)
+    traj = _construct(where, Trajectory.from_path, points, speed)
     if traj.t_max < horizon_s:
-        traj = Trajectory.from_path(points, speed,
-                                    dwell_s=horizon_s + 1.0 - traj.t_max)
+        traj = _construct(where, Trajectory.from_path, points, speed,
+                          dwell_s=horizon_s + 1.0 - traj.t_max)
     return traj
 
 
@@ -507,18 +512,20 @@ def read_scenario_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: missing [receiver] section")
     scalars = _fields(path, cp, "scenario", ScenarioConfig)
     horizon_s = scalars.setdefault("horizon_s", INI_HORIZON_S)
-    channel = _construct(path, "channel", ChannelParams,
+    channel = _construct(f"{path}: [channel]", ChannelParams,
                          **_fields(path, cp, "channel", ChannelParams))
 
     tg = _Section(path, cp, "tags", TAGS_KEYS)
-    ring_radius = tg.get("ring_radius_m", float, 0.12)
+    ring_radius = tg.get("ring_radius_m", float, DEFAULT_RING_RADIUS_M)
     if "positions" in tg:
-        layout = TagLayout(tag_positions=tg.rows("positions", 2), ring_radius_m=ring_radius)
+        layout = _construct(tg.where, TagLayout, tag_positions=tg.rows("positions", 2),
+                            ring_radius_m=ring_radius)
     else:
-        layout = TagLayout.regular_ring(tg.get("count", int, 4), ring_radius)
+        layout = _construct(tg.where, TagLayout.regular_ring, tg.get("count", int, 4),
+                            ring_radius)
 
     receiver = _section_trajectory(_Section(path, cp, "receiver", TRAJECTORY_KEYS),
-                                   horizon_s, 0.2)
+                                   horizon_s, DEFAULT_SPEED_MPS)
 
     agents = []
     for name in cp.sections():
@@ -528,18 +535,20 @@ def read_scenario_config(path) -> ScenarioConfig:
         identities = ag.get("identities", str.split)
         if identities is None:
             raise ConfigError(f"{ag.where} needs identities")
-        agents.append(RobotAgent(
+        agents.append(_construct(
+            ag.where, RobotAgent,
             true_source_id=name[len("agent."):],
             claimed_identities=tuple(identities),
-            trajectory=_section_trajectory(ag, horizon_s, 0.2),
-            base_tx_power_w=ag.get("power", float, 3.0),
+            trajectory=_section_trajectory(ag, horizon_s, DEFAULT_SPEED_MPS),
+            base_tx_power_w=ag.get("power", float, DEFAULT_TX_POWER_W),
             power_scale_per_identity=ag.get("alphas", _alphas, {}),
         ))
     if not agents:
         raise ConfigError(f"{path}: no [agent.*] sections")
 
-    return _construct(path, "scenario", ScenarioConfig, channel=channel, tag_layout=layout,
-                      receiver_trajectory=receiver, agents=tuple(agents), **scalars)
+    return _construct(f"{path}: [scenario]", ScenarioConfig, channel=channel,
+                      tag_layout=layout, receiver_trajectory=receiver,
+                      agents=tuple(agents), **scalars)
 
 
 def read_corpus_spec(path) -> tuple:
@@ -553,7 +562,8 @@ def read_corpus_spec(path) -> tuple:
     _check_sections(path, cp, CORPUS_SECTIONS)
     if "corpus" not in cp:
         raise ConfigError(f"{path}: missing [corpus] section")
-    spec = _construct(path, "corpus", CorpusSpec, **_fields(path, cp, "corpus", CorpusSpec))
+    spec = _construct(f"{path}: [corpus]", CorpusSpec,
+                      **_fields(path, cp, "corpus", CorpusSpec))
 
     sweep = None
     if "sweep" in cp:

@@ -258,6 +258,14 @@ def corpus_signatures(configs, seeds) -> list:
     return out
 
 
+def _signatures_with_provenance(configs, seeds, n_tags: int) -> tuple:
+    """(corpus_signatures of the scenarios, the dataset provenance naming
+    their seeds, config digest and tag count)."""
+    scenarios = corpus_signatures(configs, seeds)
+    return scenarios, {"seeds": tuple(seeds), "config_digest": config_digest(configs),
+                       "n_tags": int(n_tags)}
+
+
 def _window_tables(scenario: ScenarioSignatures, profile_len: int, normalized: bool):
     """identity -> (window periods, (W, L, K) windows, (W, K) window means).
 
@@ -356,12 +364,7 @@ def generate_dataset(configs, seeds, n_tags: int, profile_len: int,
         raise ConfigError(
             "corpus needs at least one scenario with both an attacker and a "
             "legitimate robot")
-    scenarios = corpus_signatures(configs, seeds)
-    provenance = {
-        "seeds": tuple(seeds),
-        "config_digest": config_digest(configs),
-        "n_tags": int(n_tags),
-    }
+    scenarios, provenance = _signatures_with_provenance(configs, seeds, n_tags)
     return build_dataset(scenarios, profile_len, normalized, metric, provenance)
 
 
@@ -593,9 +596,7 @@ def cross_validate(dataset: LabeledDataset, k: int = DEFAULT_K_FOLDS,
 def _corpus_scenarios(spec: CorpusSpec, master_seed: int) -> tuple:
     """Simulated and extracted scenarios of a corpus, and their provenance."""
     configs, seeds = build_corpus(spec, master_seed)
-    provenance = {"seeds": tuple(seeds), "config_digest": config_digest(configs),
-                  "n_tags": spec.n_tags}
-    return corpus_signatures(configs, seeds), provenance
+    return _signatures_with_provenance(configs, seeds, spec.n_tags)
 
 
 def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,

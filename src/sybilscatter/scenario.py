@@ -42,6 +42,9 @@ DEFAULT_SAMPLES_PER_BIT = 8
 DEFAULT_SAMPLE_RATE_HZ = 8000.0
 DEFAULT_PERIOD_S = 0.6
 DEFAULT_SLOT_SPACING_S = 0.02
+DEFAULT_RING_RADIUS_M = 0.12
+DEFAULT_SPEED_MPS = 0.2
+DEFAULT_TX_POWER_W = 3.0
 
 # Guard lengths are drawn in units of one full code span; a trace is always
 # five spans long so file sizes stay uniform while the code position varies.
@@ -127,7 +130,8 @@ class TagLayout:
         return np.hypot(self.tag_positions[:, 0], self.tag_positions[:, 1])
 
     @classmethod
-    def regular_ring(cls, n_tags: int, ring_radius_m: float = 0.12) -> "TagLayout":
+    def regular_ring(cls, n_tags: int,
+                     ring_radius_m: float = DEFAULT_RING_RADIUS_M) -> "TagLayout":
         """Evenly spaced tags on a circle, first tag on the +x axis."""
         if n_tags < 2:
             raise GeometryError(f"need at least 2 tags, got {n_tags}")

@@ -13,14 +13,15 @@ from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
 
 from sybilscatter import (
     CorpusSpec,
+    DistanceMatrix,
     MultipathSignature,
     ReceivedTrace,
     SegmentBounds,
     SegmentationError,
     SignalProfile,
-    TrainingSample,
+    TrainingSet,
     ablation_normalization,
-    adjusted_cosine_distance,
+    adjusted_distances,
     alternating_code,
     baseline_distance,
     build_corpus,
@@ -40,13 +41,12 @@ from sybilscatter import (
     moving_average,
     position_at,
     predict_scores,
-    predict_similarity,
-    profile_distance_vector,
     rank_auroc,
     reflected_power,
     segment_backscatter,
     sigmoid,
     signature_from_trace,
+    similarity_matrix,
     simulate_scenario,
     sweep_profile_size,
     synthesize_trace,
@@ -374,16 +374,17 @@ def _identity_battery(four_identity_run):
     check("cosine orthogonal distance is one",
           lambda: cosine_distance(g, orth) == 1.0)
     check("zero mean reduces adjusted to plain cosine",
-          lambda: adjusted_cosine_distance(f, g, np.zeros(2))
+          lambda: adjusted_distances(f[None], g[None], np.zeros(2))[0]
           == cosine_distance(f, g))
     check("identical vectors center to zero distance",
-          lambda: adjusted_cosine_distance(f, f, np.array([0.2, 0.1])) == 0.0)
+          lambda: adjusted_distances(f[None], f[None], np.array([0.2, 0.1]))[0] == 0.0)
 
     trio = np.array([[0.6, 0.8]] * 3)
     profile_a = SignalProfile.from_rows("a", trio)
     profile_b = SignalProfile.from_rows("b", trio)
     check("equal profiles are zero at every lag",
-          lambda: profile_distance_vector(profile_a, profile_b).values.tolist()
+          lambda: adjusted_distances(profile_a.signatures, profile_b.signatures,
+                                     profile_a.mean_vector).tolist()
           == [0.0, 0.0, 0.0])
 
     def ring_profiles(n):
@@ -400,8 +401,8 @@ def _identity_battery(four_identity_run):
 
     def five_profiles_twenty_vectors():
         m = distance_matrix(ring_profiles(5))
-        off = [m.vector(a, b) for a in m.identities for b in m.identities if a != b]
-        return len(off) == 20 and all(v.values.shape == (3,) for v in off)
+        off = [m.values[i, j] for i in range(5) for j in range(5) if i != j]
+        return len(off) == 20 and all(v.shape == (3,) for v in off)
 
     check("five profiles make twenty off-diagonal vectors",
           five_profiles_twenty_vectors)
@@ -410,8 +411,8 @@ def _identity_battery(four_identity_run):
         profiles = ring_profiles(3)
         twin = SignalProfile.from_rows("twin", profiles[0].signatures)
         m = distance_matrix(profiles + [twin])
-        return (np.all(m.vector("id0", "twin").values == 0.0)
-                and np.all(m.vector("twin", "id0").values == 0.0))
+        i, j = m.identities.index("id0"), m.identities.index("twin")
+        return np.all(m.values[i, j] == 0.0) and np.all(m.values[j, i] == 0.0)
 
     check("duplicated profile has exactly-zero mutual entries",
           duplicate_profile_zeroed)
@@ -436,13 +437,21 @@ def _identity_battery(four_identity_run):
             return sigmoid(50.0) == 1.0 and sigmoid(-1000.0) == 0.0
 
     check("sigmoid saturation without overflow", sigmoid_saturates)
+    def pair_probs(model, d_ab, d_ba):
+        values = np.zeros((2, 2, 3))
+        values[0, 1], values[1, 0] = d_ab, d_ba
+        return similarity_matrix(model, DistanceMatrix(("a", "b"), values)).probs
+
     null_model = LRModel(weights=np.zeros(3), bias=0.0)
     check("null model predicts one half",
-          lambda: predict_similarity(null_model, np.array([0.3, 0.7, 0.1])) == 0.5)
+          lambda: pair_probs(null_model, [0.3, 0.7, 0.1], [0.0, 0.0, 0.0])[0, 1] == 0.5)
     negative = LRModel(weights=np.full(3, -2.0), bias=0.0)
+    def negative_weights():
+        probs = pair_probs(negative, np.zeros(3), np.full(3, 30.0))
+        return probs[0, 1] == 0.5 and probs[1, 0] < 1e-6
+
     check("negative weights: zero distance is ambivalent, far is dissimilar",
-          lambda: predict_similarity(negative, np.zeros(3)) == 0.5
-          and predict_similarity(negative, np.full(3, 30.0)) < 1e-6)
+          negative_weights)
     check("balanced classes weigh one",
           lambda: compute_class_weights([0, 1] * 25) == {0: 1.0, 1: 1.0})
     check("imbalanced class weights",
@@ -451,12 +460,12 @@ def _identity_battery(four_identity_run):
 
     def unit_weight_noop():
         rng = np.random.default_rng(15)
-        plain, tagged = [], []
-        for i in range(20):
-            d = rng.random(2) * (0.2 if i % 2 else 1.0)
-            plain.append(TrainingSample(d, i % 2))
-            tagged.append(TrainingSample(d, i % 2, 1.0))
-        a, b = train_mwle(plain), train_mwle(tagged)
+        y = np.arange(20) % 2
+        X = np.array([rng.random(2) * (0.2 if label else 1.0) for label in y])
+        balanced = compute_class_weights(y)
+        plain = TrainingSet(X=X, y=y, v=np.ones(20))
+        weighted = TrainingSet(X=X, y=y, v=[balanced[label] for label in y])
+        a, b = train_mwle(plain), train_mwle(weighted)
         return np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     check("explicit unit weights train identically", unit_weight_noop)

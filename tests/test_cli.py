@@ -216,3 +216,14 @@ class TestErrors:
         rc = main(["sweep", "--config", scenario_ini, "--out", str(tmp_path)])
         assert rc == 2
         assert "needs a [corpus] config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "dataset", "train"])
+    @pytest.mark.parametrize("flag", [["--sigma", "0.3"], ["--k-folds", "3"]],
+                             ids=["sigma", "k-folds"])
+    def test_commands_without_scoring_reject_scoring_flags(self, tmp_path, command,
+                                                           flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, *flag, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

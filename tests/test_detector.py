@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import labeled_dataset
 from sybilscatter import (
     DistanceMatrix,
     LRModel,
@@ -13,12 +14,11 @@ from sybilscatter import (
     TrainingConfig,
     TrainingDataError,
     TrainingDivergenceError,
-    TrainingSample,
     TrainingSet,
     Verdict,
     compute_class_weights,
     detect_sybil,
-    predict_similarity,
+    predict_scores,
     sigmoid,
     similarity_matrix,
     train_mwle,
@@ -27,24 +27,27 @@ from sybilscatter import (
 )
 
 
-def toy_samples(rng, n=40, dim=3, weight=None):
+def toy_set(rng, n=40, dim=3, weight=1.0):
     # label 1 = same source = small distances, by construction
-    samples = []
+    y = np.arange(n) % 2
+    X = np.empty((n, dim))
     for i in range(n):
-        label = i % 2
-        if label == 1:
-            d = rng.random(dim) * 0.2
-        else:
-            d = 0.8 + rng.random(dim) * 0.5
-        kwargs = {} if weight is None else {"weight": weight}
-        samples.append(TrainingSample(distance=d, label=label, **kwargs))
-    return samples
+        X[i] = rng.random(dim) * 0.2 if y[i] == 1 else 0.8 + rng.random(dim) * 0.5
+    return TrainingSet(X=X, y=y, v=np.full(n, weight))
 
 
-def toy_set(rng, n=40, dim=3):
-    samples = toy_samples(rng, n, dim)
-    return TrainingSet(X=np.vstack([s.distance for s in samples]),
-                       y=[s.label for s in samples], v=np.ones(n))
+def scores(model, X):
+    """Same-source probabilities of the rows of X, as predict_scores takes them."""
+    return sigmoid(np.asarray(X) @ model.weights + model.bias)
+
+
+def pair_matrix(values):
+    """DistanceMatrix over identities 0..N-1 with the given off-diagonal
+    (N, N, L) values."""
+    values = np.array(values, dtype=np.float64)
+    n = values.shape[0]
+    values[np.arange(n), np.arange(n)] = 0.0
+    return DistanceMatrix(identities=tuple(str(i) for i in range(n)), values=values)
 
 
 class TestSigmoid:
@@ -103,22 +106,37 @@ class TestLRModel:
 
 
 class TestPredictSimilarity:
+    """Directed same-source probabilities from similarity_matrix and
+    predict_scores."""
+
     def test_null_model_gives_half(self):
         model = LRModel(weights=np.zeros(3), bias=0.0)
-        assert predict_similarity(model, np.array([0.4, 0.1, 0.9])) == 0.5
+        values = np.zeros((2, 2, 3))
+        values[0, 1] = [0.4, 0.1, 0.9]
+        values[1, 0] = [0.2, 0.8, 0.3]
+        probs = similarity_matrix(model, pair_matrix(values)).probs
+        assert probs[0, 1] == 0.5 and probs[1, 0] == 0.5
 
     def test_matches_dot_product(self):
         rng = np.random.default_rng(11)
         model = LRModel(weights=rng.normal(size=4), bias=0.7)
-        for _ in range(50):
-            d = rng.random(4)
-            expected = sigmoid(float(np.dot(model.weights, d)) + model.bias)
-            assert predict_similarity(model, d) == expected
+        values = rng.random((8, 8, 4))
+        probs = similarity_matrix(model, pair_matrix(values)).probs
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    d = values[i, j]
+                    assert probs[i, j] == sigmoid(float(np.dot(model.weights, d))
+                                                  + model.bias)
 
     def test_length_mismatch_rejected(self):
         model = LRModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ShapeError):
-            predict_similarity(model, np.zeros(4))
+            similarity_matrix(model, pair_matrix(np.ones((2, 2, 4))))
+        dataset = labeled_dataset([((0, 1), 0, "a", "b", 1, np.zeros(4))],
+                                  {(0, 1): {"a": "r0", "b": "r0"}})
+        with pytest.raises(ShapeError):
+            predict_scores(model, dataset)
 
 
 class TestClassWeights:
@@ -152,9 +170,8 @@ class TestClassWeights:
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        samples = toy_samples(rng, n=30, dim=3)
-        X = np.vstack([s.distance for s in samples])
-        y = np.array([s.label for s in samples], dtype=np.float64)
+        data = toy_set(rng, n=30, dim=3)
+        X, y = data.X, data.y
         v = rng.random(30) + 0.5
         w = rng.normal(size=3)
         b = 0.4
@@ -191,16 +208,19 @@ class TestGradient:
 
 class TestTrainMWLE:
     def test_deterministic(self):
-        samples = toy_samples(np.random.default_rng(14))
-        a = train_mwle(samples)
-        b = train_mwle(samples)
+        data = toy_set(np.random.default_rng(14))
+        a = train_mwle(data)
+        b = train_mwle(data)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
     def test_explicit_unit_weight_is_noop(self):
+        # balanced classes weigh 1, so their class weights are unit weights
         rng = np.random.default_rng(15)
-        plain = toy_samples(rng)
-        weighted = [TrainingSample(s.distance, s.label, 1.0) for s in plain]
+        plain = toy_set(rng)
+        class_weights = compute_class_weights(plain.y)
+        weighted = TrainingSet(X=plain.X, y=plain.y,
+                               v=[class_weights[c] for c in plain.y])
         a = train_mwle(plain)
         b = train_mwle(weighted)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -210,8 +230,8 @@ class TestTrainMWLE:
         # the per-step gradient is normalized by total weight, so a shared
         # constant c drops out up to rounding
         rng = np.random.default_rng(16)
-        plain = toy_samples(rng)
-        scaled = [TrainingSample(s.distance, s.label, 3.7) for s in plain]
+        plain = toy_set(rng)
+        scaled = TrainingSet(X=plain.X, y=plain.y, v=np.full(len(plain), 3.7))
         a = train_mwle(plain)
         b = train_mwle(scaled)
         np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-12)
@@ -219,9 +239,9 @@ class TestTrainMWLE:
 
     def test_duplicates_with_halved_weights_cancel(self):
         rng = np.random.default_rng(17)
-        plain = toy_samples(rng, n=20)
-        doubled = [TrainingSample(s.distance, s.label, 0.5) for s in plain
-                   for _ in range(2)]
+        plain = toy_set(rng, n=20)
+        doubled = TrainingSet(X=np.repeat(plain.X, 2, axis=0), y=np.repeat(plain.y, 2),
+                              v=np.full(40, 0.5))
         a = train_mwle(plain)
         b = train_mwle(doubled)
         np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-12)
@@ -229,26 +249,21 @@ class TestTrainMWLE:
 
     def test_separable_toy_classified_perfectly(self):
         rng = np.random.default_rng(18)
-        samples = toy_samples(rng, n=60)
-        model = train_mwle(samples)
-        for s in samples:
-            p = predict_similarity(model, s.distance)
-            assert (p >= 0.5) == (s.label == 1)
+        data = toy_set(rng, n=60)
+        model = train_mwle(data)
+        np.testing.assert_array_equal(scores(model, data.X) >= 0.5, data.y == 1)
 
     def test_small_distance_means_similar(self):
         rng = np.random.default_rng(19)
-        model = train_mwle(toy_samples(rng))
-        near = predict_similarity(model, np.full(3, 0.05))
-        far = predict_similarity(model, np.full(3, 1.2))
+        model = train_mwle(toy_set(rng))
+        near, far = scores(model, [np.full(3, 0.05), np.full(3, 1.2)])
         assert near > 0.5 > far
 
     def test_matches_objective_checked_ascent(self):
-        samples = toy_samples(np.random.default_rng(20), n=50, dim=4)
+        data = toy_set(np.random.default_rng(20), n=50, dim=4)
         config = TrainingConfig(max_iters=300)
-        model = train_mwle(samples, config)
-        X = np.vstack([s.distance for s in samples])
-        y = np.array([s.label for s in samples], dtype=np.float64)
-        w, b = oracle.train_mwle(X, y, np.ones(len(samples)), config)
+        model = train_mwle(data, config)
+        w, b = oracle.train_mwle(data.X, data.y, np.ones(len(data)), config)
         np.testing.assert_array_equal(model.weights, w)
         assert model.bias == b
 
@@ -293,10 +308,10 @@ class TestTrainMWLE:
         self._assert_matches_oracle(data, TrainingConfig(max_iters=150))
 
     def test_array_set_and_sample_list_give_identical_models(self):
-        samples = toy_samples(np.random.default_rng(28), n=60, dim=5, weight=1.5)
-        data = TrainingSet(X=np.vstack([s.distance for s in samples]),
-                           y=[s.label for s in samples],
-                           v=[s.weight for s in samples])
+        # a set built from per-sample Python lists holds the same arrays
+        data = toy_set(np.random.default_rng(28), n=60, dim=5, weight=1.5)
+        samples = TrainingSet(X=[list(row) for row in data.X],
+                              y=[int(label) for label in data.y], v=[1.5] * 60)
         a = train_mwle(samples, TrainingConfig(max_iters=700))
         b = train_mwle(data, TrainingConfig(max_iters=700))
         assert a.weights.tobytes() == b.weights.tobytes()
@@ -325,44 +340,36 @@ class TestTrainMWLE:
 
     def test_huge_learning_rate_diverges(self):
         # the first step (gradient about -250 per weight) overflows the weights
-        samples = [TrainingSample(1e3 * s.distance, s.label)
-                   for s in toy_samples(np.random.default_rng(21))]
+        data = toy_set(np.random.default_rng(21))
+        samples = TrainingSet(X=1e3 * data.X, y=data.y, v=data.v)
         with pytest.raises(TrainingDivergenceError):
             train_mwle(samples, TrainingConfig(learning_rate=1e306, max_iters=100))
 
     def test_single_class_rejected(self):
-        samples = [TrainingSample(np.array([0.1]), 1),
-                   TrainingSample(np.array([0.2]), 1)]
-        with pytest.raises(TrainingDataError):
-            train_mwle(samples)
+        with pytest.raises(TrainingDataError, match="single class"):
+            train_mwle(TrainingSet(X=[[0.1], [0.2]], y=[1, 1], v=[1.0, 1.0]))
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(TrainingDataError):
-            train_mwle([TrainingSample(np.array([0.1]), 1)])
-
-    def test_mixed_lengths_rejected(self):
-        samples = [TrainingSample(np.array([0.1]), 1),
-                   TrainingSample(np.array([0.2, 0.3]), 0)]
-        with pytest.raises(ShapeError):
-            train_mwle(samples)
+        with pytest.raises(TrainingDataError, match="at least 2"):
+            train_mwle(TrainingSet(X=[[0.1]], y=[1], v=[1.0]))
 
     def test_training_sample_validation(self):
         with pytest.raises(ParameterError):
-            TrainingSample(np.array([0.1]), 2)
+            TrainingSet(X=[[0.1]], y=[2], v=[1.0])
         with pytest.raises(ParameterError):
-            TrainingSample(np.array([0.1]), 1, weight=0.0)
+            TrainingSet(X=[[0.1]], y=[1], v=[0.0])
         with pytest.raises(ParameterError):
             TrainingConfig(learning_rate=-0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_training_sample_rejects_non_finite_distance(self, bad):
         with pytest.raises(ParameterError, match="finite"):
-            TrainingSample(np.array([0.1, bad]), 1)
+            TrainingSet(X=[[0.1, bad]], y=[1], v=[1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_training_sample_rejects_bad_weight(self, bad):
         with pytest.raises(ParameterError, match="weight"):
-            TrainingSample(np.array([0.1]), 1, weight=bad)
+            TrainingSet(X=[[0.1]], y=[1], v=[bad])
 
 
 class TestTrainingSet:
@@ -426,9 +433,11 @@ class TestSimilarityMatrix:
 
     def test_applies_model_per_pair(self):
         model = LRModel(weights=np.array([-2.0, -1.0, -3.0]), bias=1.5)
-        sims = similarity_matrix(model, self._distances())
-        assert sims.prob("a", "b") == predict_similarity(model, np.array([0.1, 0.2, 0.3]))
-        assert sims.prob("b", "a") == predict_similarity(model, np.array([0.3, 0.1, 0.2]))
+        distances = self._distances()
+        sims = similarity_matrix(model, distances)
+        want = oracle.similarity_probs(model, distances.values)
+        assert sims.probs.tobytes() == want.tobytes()
+        assert sims.prob("a", "b") == want[0, 1] and sims.prob("b", "a") == want[1, 0]
         assert sims.probs[0, 0] == 0.0 and sims.probs[1, 1] == 0.0
 
     def test_profile_len_mismatch_rejected(self):

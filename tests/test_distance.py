@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
+import oracle
 from sybilscatter import (
-    DegenerateCenteringError,
     DistanceMatrix,
-    DistanceVector,
     ParameterError,
     ShapeError,
     SignalProfile,
-    adjusted_cosine_distance,
     adjusted_distances,
     baseline_distance,
     baseline_distances,
     cosine_distance,
     distance_matrix,
-    profile_distance_vector,
 )
 from sybilscatter.distance import (
     F_SIDE_DEGENERATE_DISTANCE,
@@ -30,6 +27,11 @@ COSINE_FIXTURE = 0.2928932188134524
 def unit_rows(rng, n, k):
     rows = rng.random((n, k)) + 0.05
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def adjusted(f, g, mean_f):
+    """The adjusted cosine distance of one row pair: a one-row block."""
+    return adjusted_distances(f[None], g[None], mean_f)[0]
 
 
 class TestCosineDistance:
@@ -59,18 +61,17 @@ class TestAdjustedCosineDistance:
     def test_zero_mean_reduces_to_cosine(self):
         f = np.array([0.3, 0.9, 0.1])
         g = np.array([0.5, 0.2, 0.7])
-        assert adjusted_cosine_distance(f, g, np.zeros(3)) == cosine_distance(f, g)
+        assert adjusted(f, g, np.zeros(3)) == cosine_distance(f, g)
 
     def test_identical_vectors_give_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             f = rng.random(4)
             mean = rng.random(4) * 0.3
-            assert adjusted_cosine_distance(f, f, mean) == 0.0
+            assert adjusted(f, f, mean) == 0.0
 
     def test_antiparallel_centered_vectors(self):
-        d = adjusted_cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                                     np.array([0.5, 0.5]))
+        d = adjusted(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         assert abs(d - 2.0) <= 1e-15
 
     def test_asymmetric_by_construction(self):
@@ -78,31 +79,14 @@ class TestAdjustedCosineDistance:
         g = np.array([0.2, 0.8, 0.4])
         mean_f = np.array([0.5, 0.2, 0.2])
         mean_g = np.array([0.3, 0.6, 0.3])
-        assert adjusted_cosine_distance(f, g, mean_f) \
-            != adjusted_cosine_distance(g, f, mean_g)
-
-    def test_degenerate_first_side(self):
-        mean = np.array([0.5, 0.5])
-        with pytest.raises(DegenerateCenteringError) as info:
-            adjusted_cosine_distance(np.array([0.5, 0.5]), np.array([1.0, 0.0]), mean)
-        assert info.value.side == "first"
-
-    def test_degenerate_second_side(self):
-        mean = np.array([0.5, 0.5])
-        with pytest.raises(DegenerateCenteringError) as info:
-            adjusted_cosine_distance(np.array([1.0, 0.0]), np.array([0.5, 0.5]), mean)
-        assert info.value.side == "second"
+        assert adjusted(f, g, mean_f) != adjusted(g, f, mean_g)
 
     def test_range_clipped(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             f, g = rng.random(4), rng.random(4)
             mean = rng.random(4)
-            try:
-                d = adjusted_cosine_distance(f, g, mean)
-            except DegenerateCenteringError:
-                continue
-            assert 0.0 <= d <= 2.0
+            assert 0.0 <= adjusted(f, g, mean) <= 2.0
 
 
 class TestAdjustedDistanceRows:
@@ -115,9 +99,10 @@ class TestAdjustedDistanceRows:
             rows_g = rng.random((6, 4))
             mean = rng.random(4) * 0.5
             bulk = adjusted_distances(rows_f, rows_g, mean)
+            want = oracle.adjusted_distance_rows(rows_f, rows_g, mean)
+            assert bulk.tobytes() == want.tobytes()
             for l in range(6):
-                scalar = adjusted_cosine_distance(rows_f[l], rows_g[l], mean)
-                assert abs(bulk[l] - scalar) <= 1e-12
+                assert adjusted(rows_f[l], rows_g[l], mean) == bulk[l]
 
     def test_substitutes_degenerate_sides(self):
         mean = np.array([0.5, 0.5])
@@ -126,7 +111,7 @@ class TestAdjustedDistanceRows:
         values = adjusted_distances(rows_f, rows_g, mean)
         assert values[0] == F_SIDE_DEGENERATE_DISTANCE
         assert values[1] == G_SIDE_DEGENERATE_DISTANCE
-        # both degenerate: the first side wins, as in the scalar order
+        # both degenerate: the first side wins
         assert values[2] == F_SIDE_DEGENERATE_DISTANCE
 
     def test_identical_rows_give_exact_zeros(self):
@@ -181,16 +166,18 @@ class TestProfileDistances:
 
     def test_vector_centers_on_first_profile(self):
         pf, pg, _ = self._profiles()
-        vec = profile_distance_vector(pf, pg)
-        expected = adjusted_distances(pf.signatures, pg.signatures, pf.mean_vector)
-        np.testing.assert_array_equal(vec.values, expected)
-        assert vec.from_identity == "id0" and vec.to_identity == "id1"
+        matrix = distance_matrix([pf, pg])
+        for (i, j), (a, b) in {(0, 1): (pf, pg), (1, 0): (pg, pf)}.items():
+            expected = adjusted_distances(a.signatures, b.signatures, a.mean_vector)
+            np.testing.assert_array_equal(matrix.values[i, j], expected)
+        assert matrix.identities == ("id0", "id1")
 
     def test_self_distance_vector_is_zero(self):
         pf = self._profiles()[0]
         other = SignalProfile.from_rows("twin", pf.signatures)
-        np.testing.assert_array_equal(profile_distance_vector(pf, other).values,
-                                      np.zeros(pf.profile_len))
+        np.testing.assert_array_equal(
+            adjusted_distances(pf.signatures, other.signatures, pf.mean_vector),
+            np.zeros(pf.profile_len))
 
     def test_baseline_vector(self):
         pf, pg, _ = self._profiles()
@@ -203,7 +190,9 @@ class TestProfileDistances:
         pf = SignalProfile.from_rows("a", unit_rows(rng, 3, 4))
         pg = SignalProfile.from_rows("b", unit_rows(rng, 4, 4))
         with pytest.raises(ShapeError):
-            profile_distance_vector(pf, pg)
+            adjusted_distances(pf.signatures, pg.signatures, pf.mean_vector)
+        with pytest.raises(ShapeError):
+            distance_matrix([pf, pg])
 
 
 class TestDistanceMatrix:
@@ -215,8 +204,8 @@ class TestDistanceMatrix:
     def test_two_profiles_two_vectors(self):
         matrix = distance_matrix(self._profiles(2))
         assert matrix.values.shape == (2, 2, 3)
-        assert matrix.vector("id0", "id1").values.any()
-        assert matrix.vector("id1", "id0").values.any()
+        assert matrix.values[0, 1].any()
+        assert matrix.values[1, 0].any()
 
     def test_five_profiles_twenty_entries(self):
         matrix = distance_matrix(self._profiles(5))
@@ -233,18 +222,13 @@ class TestDistanceMatrix:
         profiles = self._profiles(3)
         twin = SignalProfile.from_rows("twin", profiles[0].signatures)
         matrix = distance_matrix(profiles + [twin])
-        np.testing.assert_array_equal(matrix.vector("id0", "twin").values, 0.0)
-        np.testing.assert_array_equal(matrix.vector("twin", "id0").values, 0.0)
+        i, j = matrix.identities.index("id0"), matrix.identities.index("twin")
+        np.testing.assert_array_equal(matrix.values[i, j], 0.0)
+        np.testing.assert_array_equal(matrix.values[j, i], 0.0)
 
     def test_needs_two_profiles(self):
         with pytest.raises(ParameterError):
             distance_matrix(self._profiles(1))
-
-    def test_vector_validation(self):
-        with pytest.raises(ParameterError):
-            DistanceVector("a", "b", np.array([0.1, -0.2]))
-        with pytest.raises(ShapeError):
-            DistanceVector("a", "b", np.empty(0))
 
     def test_matrix_validation(self):
         values = np.ones((2, 2, 3))  # nonzero diagonal

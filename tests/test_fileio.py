@@ -579,6 +579,28 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError, match=r"config\.ini: \[channel\] tag_transfer"):
             read_scenario_config(path)
 
+    @pytest.mark.parametrize("old,new,section,message", [
+        ("count = 4", "count = 1", "tags", "need at least 2 tags, got 1"),
+        ("count = 4", "positions = 0.12 0.0\n  0.0 0.5", "tags", "must sit on the ring"),
+        ("position = 0.05 0.0", "waypoints = 0 0.05 0.0\n  10 5.0 0.0", "receiver",
+         "deviate more than 1%"),
+        ("position = 1.0 0.3", "waypoints = 0 1.0 0.3\n  10 5.0 0.3", "agent.robotA",
+         "deviate more than 1%"),
+        ("speed_mps = 0.2", "speed_mps = 0", "agent.robotB", "speed_mps"),
+        ("identities = n0 n1", "identities = n0 n0", "agent.robotA",
+         "repeats an identity"),
+        ("identities = n2", "identities = n1", "scenario",
+         "identity 'n1' claimed by more than one agent"),
+    ], ids=["ring-count", "ring-positions", "receiver-speed", "agent-speed",
+            "agent-path-speed", "agent-identities", "scenario-claims"])
+    def test_constructor_error_names_file_and_section(self, tmp_path, old, new,
+                                                       section, message):
+        path = tmp_path / "config.ini"
+        path.write_text(SCENARIO_INI.replace(old, new, 1))
+        with pytest.raises(ConfigError,
+                           match=rf"config\.ini: \[{re.escape(section)}\] .*{re.escape(message)}"):
+            read_scenario_config(path)
+
     def test_agent_without_identities_rejected(self, tmp_path):
         path = tmp_path / "config.ini"
         path.write_text(SCENARIO_INI.replace("identities = n2\n", ""))
