@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fileio, harness
 from .corpus import CorpusSpec, build_corpus
-from .detector import TrainingConfig, train_mwle
+from .detector import DEFAULT_THRESHOLD, TrainingConfig, train_mwle
 from .errors import ConfigError
 from .scenario import ScenarioRun, simulate_scenario
 
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--k-folds", type=int, default=harness.DEFAULT_K_FOLDS,
                          dest="k_folds",
                          help="cross-validation folds (default %(default)s)")
-    scoring.add_argument("--sigma", type=float, default=0.5,
+    scoring.add_argument("--sigma", type=float, default=DEFAULT_THRESHOLD,
                          help="similarity threshold (default %(default)s)")
 
     parser = argparse.ArgumentParser(

@@ -11,6 +11,7 @@ follow by pair membership.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .errors import (
     TrainingDataError,
     TrainingDivergenceError,
 )
+from .scenario import prevalidated
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -318,20 +320,40 @@ def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) 
     return LRModel(weights=w, bias=b)
 
 
+def similarity_scores(model: LRModel, X) -> np.ndarray:
+    """Same-source probabilities g(weights . d + bias) of (..., L) distance
+    vectors, one per vector.
+
+    The one scoring kernel: similarity_matrix applies it to a distance
+    matrix and harness.predict_scores to a dataset.  Each score is one
+    BLAS dot product (a stacked matmul), so a vector scores the same bits
+    alone, in a matrix or in a dataset, as the pair-by-pair form that
+    tests/oracle.py keeps (similarity_probs) does.  Finite weights can
+    still overflow a score to inf - inf; such a NaN raises ParameterError,
+    as SimilarityMatrix rejects it.
+    """
+    z = np.matmul(X[..., None, :], model.weights[:, None])[..., 0, 0] + model.bias
+    work = _Workspace(z.shape)
+    if math.isnan(work.logistic(z)):
+        raise ParameterError("similarities must lie in [0, 1]")
+    return np.add(work.c, 0.5, out=work.c)
+
+
 def similarity_matrix(model: LRModel, distances: DistanceMatrix) -> SimilarityMatrix:
     """Apply the model to every off-diagonal distance vector.
 
-    Each score is one BLAS dot product, so the matrix has the bits of the
-    pair-by-pair form that tests/oracle.py keeps (similarity_probs).
+    The matrix is built without SimilarityMatrix's checks, which hold by
+    construction: the identities are the distance matrix's, the scores
+    are probabilities (similarity_scores rejects NaN) and the diagonal is
+    set to zero.
     """
     if model.profile_len != distances.profile_len:
         raise ShapeError(
             f"model expects L={model.profile_len} but matrix has L={distances.profile_len}")
-    values = distances.values
-    z = np.matmul(values[:, :, None, :], model.weights[:, None])[:, :, 0, 0]
-    probs = sigmoid(z + model.bias)
+    probs = similarity_scores(model, distances.values)
     np.fill_diagonal(probs, 0.0)
-    return SimilarityMatrix(identities=distances.identities, probs=probs)
+    probs.setflags(write=False)
+    return prevalidated(SimilarityMatrix, identities=distances.identities, probs=probs)
 
 
 def detect_sybil(similarities: SimilarityMatrix, sigma: float = DEFAULT_THRESHOLD) -> Verdict:
@@ -339,18 +361,26 @@ def detect_sybil(similarities: SimilarityMatrix, sigma: float = DEFAULT_THRESHOL
 
     Every member of at least one flagged pair is ruled fake; the rest are
     legitimate.  Components are deliberately not merged: verdicts are per
-    identity, not per inferred attacker.
+    identity, not per inferred attacker.  The Verdict is built without its
+    checks: each pair is stored sorted, the fake identities are exactly the
+    pair members and the legitimate ones the rest.
     """
     if not (0.0 < sigma < 1.0):
         raise ParameterError(f"sigma must lie in (0, 1), got {sigma}")
     ids = similarities.identities
-    p = similarities.probs
-    pairs = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if p[i, j] >= sigma and p[j, i] >= sigma:
-                pairs.add((ids[i], ids[j]))
-    fake = {i for pair in pairs for i in pair}
-    legit = set(ids) - fake
-    return Verdict(threshold=float(sigma), sybil_pairs=frozenset(pairs),
-                   fake_identities=frozenset(fake), legit_identities=frozenset(legit))
+    hit = similarities.probs >= sigma  # NaN clears no threshold
+    # both directions, each unordered pair once
+    first, second = np.nonzero(hit & hit.T & _upper_triangle(len(ids)))
+    pairs = frozenset(tuple(sorted((ids[i], ids[j])))
+                      for i, j in zip(first.tolist(), second.tolist()))
+    fake = frozenset(i for pair in pairs for i in pair)
+    return prevalidated(Verdict, threshold=float(sigma), sybil_pairs=pairs,
+                        fake_identities=fake, legit_identities=frozenset(ids) - fake)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n: int) -> np.ndarray:
+    """(N, N) mask of the entries above the diagonal: each unordered pair once."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask

@@ -11,11 +11,13 @@ must agree before a pair is flagged downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .scenario import prevalidated
 
 DEGENERATE_NORM_TOL = 1e-12
 
@@ -69,6 +71,11 @@ def _windows(windows_f, windows_g, means_f=None):
     return F, G, M
 
 
+def _norms(rows) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1), which is this, plus its wrappers."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def _adjusted(F, G, M):
     """(distances before substitution, |f - mean|, |g - mean|) per row.
 
@@ -78,14 +85,17 @@ def _adjusted(F, G, M):
     k = F.shape[-1]
     fc = (F - M[..., None, :]).reshape(-1, k)
     gc = (G - M[..., None, :]).reshape(-1, k)
-    nf = np.linalg.norm(fc, axis=1)
-    ng = np.linalg.norm(gc, axis=1)
+    nf = _norms(fc)
+    ng = _norms(gc)
     bad = (nf < DEGENERATE_NORM_TOL) | (ng < DEGENERATE_NORM_TOL)
     safe = np.where(bad, 1.0, nf * ng)
-    values = np.clip(1.0 - np.einsum("ij,ij->i", fc, gc) / safe, 0.0, 2.0)
+    values = 1.0 - np.einsum("ij,ij->i", fc, gc) / safe
+    # np.clip(values, 0, 2) without its wrapper: maximum with 0 first
+    # keeps a -0.0 as clip does
+    np.minimum(np.maximum(0.0, values, out=values), 2.0, out=values)
     # bitwise-equal centered vectors are zero by definition; the float
     # formula can leave a +-1 ulp residue
-    values[np.all(fc == gc, axis=1)] = 0.0
+    values[np.logical_and.reduce(fc == gc, axis=1)] = 0.0
     shape = F.shape[:-1]
     return values.reshape(shape), nf.reshape(shape), ng.reshape(shape)
 
@@ -118,12 +128,12 @@ def baseline_distances(windows_f, windows_g, metric: str) -> np.ndarray:
     if metric == "manhattan":
         values = np.abs(diff).sum(axis=1)
     elif metric == "euclidean":
-        values = np.linalg.norm(diff, axis=1)
+        values = _norms(diff)
     elif metric == "chebyshev":
         values = np.abs(diff).max(axis=1)
     else:
-        nf = np.linalg.norm(rows_f, axis=1)
-        ng = np.linalg.norm(rows_g, axis=1)
+        nf = _norms(rows_f)
+        ng = _norms(rows_g)
         if np.any(nf == 0.0) or np.any(ng == 0.0):
             raise ParameterError("cosine distance undefined for a zero row")
         values = np.maximum(0.0, 1.0 - np.einsum("ij,ij->i", rows_f, rows_g) / (nf * ng))
@@ -146,13 +156,29 @@ def distance_matrix(profiles) -> DistanceMatrix:
         if p.signatures.shape != shape:
             raise ShapeError(
                 f"profile {p.identity!r} has shape {p.signatures.shape}, expected {shape}")
-    windows = np.stack([p.signatures for p in profiles])
-    means = np.stack([p.mean_vector for p in profiles])
-    f_idx, g_idx = np.nonzero(~np.eye(n, dtype=bool))
+    identities = tuple(str(p.identity) for p in profiles)
+    if len(set(identities)) != n:
+        raise ParameterError("identities must be unique")
+    # np.array stacks the equal-shape arrays as np.stack does
+    windows = np.array([p.signatures for p in profiles])
+    means = np.array([p.mean_vector for p in profiles])
+    f_idx, g_idx = _directed_pairs(n)
     values = np.zeros((n, n, shape[0]), dtype=np.float64)
     values[f_idx, g_idx] = adjusted_distances(windows[f_idx], windows[g_idx],
                                               means[f_idx])
-    return DistanceMatrix(identities=tuple(p.identity for p in profiles), values=values)
+    # (N, N, L) float64 with a zero diagonal, over unique identities: what
+    # DistanceMatrix would check
+    values.setflags(write=False)
+    return prevalidated(DistanceMatrix, identities=identities, values=values)
+
+
+@functools.lru_cache(maxsize=64)
+def _directed_pairs(n: int):
+    """(from, to) indices of the N(N-1) off-diagonal entries, row-major."""
+    f_idx, g_idx = np.nonzero(~np.eye(n, dtype=bool))
+    f_idx.setflags(write=False)
+    g_idx.setflags(write=False)
+    return f_idx, g_idx
 
 
 def baseline_distance(f, g, metric: str) -> float:

@@ -24,13 +24,14 @@ import numpy as np
 
 from .corpus import CorpusSpec, build_corpus, with_power_scaling
 from .detector import (
+    DEFAULT_THRESHOLD,
     LRModel,
     SimilarityMatrix,
     TrainingConfig,
     TrainingSet,
     compute_class_weights,
     detect_sybil,
-    sigmoid,
+    similarity_scores,
     train_mwle,
 )
 from .distance import BASELINE_METRICS, adjusted_distances, baseline_distances
@@ -464,12 +465,16 @@ def rank_auroc(pos_scores, neg_scores) -> float:
 
 def predict_scores(model: LRModel, dataset: LabeledDataset,
                    indices=None) -> np.ndarray:
-    """Directed similarity score for each (selected) sample."""
+    """Directed similarity score for each (selected) sample.
+
+    Scored by similarity_scores, the kernel similarity_matrix uses, so a
+    distance vector gets the same bits offline and online.
+    """
     X = dataset.X if indices is None else dataset.X[np.asarray(indices, dtype=np.int64)]
     if X.shape[1] != model.profile_len:
         raise ShapeError(
             f"dataset has L={X.shape[1]} but model expects L={model.profile_len}")
-    return sigmoid(X @ model.weights + model.bias)
+    return similarity_scores(model, X)
 
 
 def _scenario_similarities(dataset, indices, scores) -> dict:
@@ -551,7 +556,8 @@ def metrics_from_scores(dataset: LabeledDataset, indices, scores,
     )
 
 
-def evaluate(model: LRModel, test: LabeledDataset, sigma: float = 0.5) -> MetricsReport:
+def evaluate(model: LRModel, test: LabeledDataset,
+             sigma: float = DEFAULT_THRESHOLD) -> MetricsReport:
     """Score a dataset with one model and report robot-level metrics."""
     if not len(test):
         raise MetricsUndefinedError("test set is empty")
@@ -561,7 +567,7 @@ def evaluate(model: LRModel, test: LabeledDataset, sigma: float = 0.5) -> Metric
 
 
 def scenario_verdicts(model: LRModel, dataset: LabeledDataset,
-                      sigma: float = 0.5) -> dict:
+                      sigma: float = DEFAULT_THRESHOLD) -> dict:
     """Per-scenario Sybil verdicts: scenario_key -> Verdict."""
     if not len(dataset):
         raise MetricsUndefinedError("dataset is empty")
@@ -571,7 +577,7 @@ def scenario_verdicts(model: LRModel, dataset: LabeledDataset,
 
 
 def cross_validate(dataset: LabeledDataset, k: int = DEFAULT_K_FOLDS,
-                   seed: int = DEFAULT_SEED, sigma: float = 0.5,
+                   seed: int = DEFAULT_SEED, sigma: float = DEFAULT_THRESHOLD,
                    training: TrainingConfig = TrainingConfig(),
                    by_scenario: bool = True) -> MetricsReport:
     """k-fold cross-validation with pooled out-of-fold scoring.
@@ -600,7 +606,7 @@ def _corpus_scenarios(spec: CorpusSpec, master_seed: int) -> tuple:
 
 
 def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
-                       master_seed: int, k_folds: int = 5, sigma: float = 0.5,
+                       master_seed: int, k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
                        training: TrainingConfig = TrainingConfig()) -> list:
     """AUROC grid over tag count and profile length.
 
@@ -629,7 +635,7 @@ def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
 
 def ablation_normalization(spec: CorpusSpec, master_seed: int,
                            profile_len: int = DEFAULT_PROFILE_LEN,
-                           k_folds: int = 5, sigma: float = 0.5,
+                           k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
                            training: TrainingConfig = TrainingConfig()) -> list:
     """Four-arm experiment: {normalized, raw} x {power scaling, none}.
 
@@ -660,7 +666,7 @@ def ablation_normalization(spec: CorpusSpec, master_seed: int,
 
 def compare_distance_metrics(spec: CorpusSpec, master_seed: int,
                              profile_len: int = DEFAULT_PROFILE_LEN,
-                             k_folds: int = 5, sigma: float = 0.5,
+                             k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
                              training: TrainingConfig = TrainingConfig(),
                              metrics=DATASET_METRICS) -> list:
     """TPR/FPR of the detector under each distance metric, same corpus."""

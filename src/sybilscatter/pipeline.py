@@ -48,7 +48,7 @@ def row_norms(rows) -> np.ndarray:
 
 def _readonly_arrays(*arrays):
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return arrays
 
 
@@ -313,7 +313,7 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     rows, n = x.shape
     window = SMOOTHING_WINDOW
     back, fwd = window // 2, (window - 1) // 2
-    lo, hi, width = _smoothing_bounds(n, window)
+    width = _smoothing_bounds(n, window)[2]
     period = 2 * samples_per_bit
     n_blocks = n_lags + (n_runs - 1) * period
     # two buffers serve every step, since fresh pages cost as much as a
@@ -321,23 +321,29 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     # row, then T (it is wider than a row, see _chain_len)
     prefix = np.empty((rows, n + 1))
     work = np.empty((rows, _chain_len(n_lags, samples_per_bit, n_runs) * period))
+    # add.accumulate is the ufunc loop cumsum calls, without its wrappers
+    accumulate = np.add.accumulate
     prefix[:, 0] = 0.0
-    np.cumsum(x, axis=1, out=prefix[:, 1:])
+    accumulate(x, axis=1, out=prefix[:, 1:])
     total = prefix[:, -1].copy()
     smoothed = work[:, :n]
     inner = smoothed[:, back:n - fwd]
     np.subtract(prefix[:, window:], prefix[:, :n + 1 - window], out=inner)
     np.divide(inner, width[back], out=inner)
-    edges = np.r_[:back, n - fwd:n]
-    smoothed[:, edges] = (prefix[:, hi[edges]] - prefix[:, lo[edges]]) / width[edges]
-    np.cumsum(smoothed, axis=1, out=prefix[:, 1:])
+    # the truncated windows: the first back start at C[0] = 0, which a
+    # subtraction would return unchanged, and the last fwd end at C[n]
+    np.divide(prefix[:, fwd + 1:window], width[:back], out=smoothed[:, :back])
+    right = smoothed[:, n - fwd:]
+    np.subtract(prefix[:, n:], prefix[:, n + 1 - window:n - back], out=right)
+    np.divide(right, width[n - fwd:], out=right)
+    accumulate(smoothed, axis=1, out=prefix[:, 1:])
     # T shifted by one period, so that T[k - P] reads 0 for k < P
     work[:, :period] = 0.0
     work[:, period + n_blocks:] = 0.0
     np.subtract(prefix[:, samples_per_bit:samples_per_bit + n_blocks],
                 prefix[:, :n_blocks], out=work[:, period:period + n_blocks])
     chains = work.reshape(rows, -1, period)
-    np.cumsum(chains, axis=1, out=chains)
+    accumulate(chains, axis=1, out=chains)
     lags = n_runs * period
     c = np.subtract(work[:, lags:lags + n_lags], work[:, :n_lags], out=prefix[:, :n_lags])
     return c, total
@@ -459,8 +465,8 @@ def locate_rows(batch: TraceBatch):
         return _exact_segmentation(batch)[:2]
     starts, decodable, certified = _fast_segmentation(
         samples, batch.samples_per_bit, n_runs, code_len)
-    redo = np.flatnonzero(~certified)
-    if redo.size:
+    if not certified.all():
+        redo = np.flatnonzero(~certified)
         starts[redo], decodable[redo], _, _ = _exact_segmentation(batch, redo)
     return starts, decodable
 
@@ -487,12 +493,14 @@ def _region_start(batch: TraceBatch) -> int:
 
 def _reflections(on, off) -> np.ndarray:
     """Mean of the reflecting minus mean of the absorbing samples, clamped
-    at zero, over the last axis of contiguous gathers.
+    at zero, over the last axis of gathers whose last axis is contiguous.
 
     A contiguous last axis is summed in the same order as a 1-D mean, so a
-    block gives the same bits alone or in a batch.
+    block gives the same bits alone or in a batch.  Each mean is the sum
+    divided by the count, as ndarray.mean computes it, without its wrappers.
     """
-    return np.maximum(on.mean(axis=-1) - off.mean(axis=-1), 0.0)
+    return np.maximum(np.add.reduce(on, axis=-1) / on.shape[-1]
+                      - np.add.reduce(off, axis=-1) / off.shape[-1], 0.0)
 
 
 def extract_reflection(block, reflect_mask) -> float:
@@ -515,8 +523,10 @@ def extract_reflection(block, reflect_mask) -> float:
 def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
     """Offsets into the code span of each tag's reflecting and absorbing samples.
 
-    Returns [(tags, on, off)], one entry per group of tags with equal
-    sample counts: the tag indices, and (T, n_on) and (T, n_off) offsets.
+    Returns [(tags, offsets, n_on)], one entry per group of tags with equal
+    sample counts: the tag indices, and (T, n_on + n_off) offsets, each
+    row the tag's n_on reflecting samples followed by its absorbing ones,
+    so that one gather serves both means.
     """
     code = np.frombuffer(code_bytes, dtype=np.uint8)
     groups = {}
@@ -526,11 +536,10 @@ def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
             raise MaskError(f"tag {tag_idx + 1}'s code bits must both reflect and absorb")
         offsets = b0 * samples_per_bit + np.arange(mask.size)
         groups.setdefault((int(mask.sum()), mask.size), []).append(
-            (tag_idx, offsets[mask], offsets[~mask]))
-    return [_readonly_arrays(np.array([m[0] for m in members]),
-                             np.stack([m[1] for m in members]),
-                             np.stack([m[2] for m in members]))
-            for members in groups.values()]
+            (tag_idx, np.concatenate([offsets[mask], offsets[~mask]])))
+    return [(*_readonly_arrays(np.array([m[0] for m in members]),
+                               np.stack([m[1] for m in members])), n_on)
+            for (n_on, _), members in groups.items()]
 
 
 def reflection_rows(batch: TraceBatch, rows, starts) -> np.ndarray:
@@ -542,10 +551,10 @@ def reflection_rows(batch: TraceBatch, rows, starts) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.intp)[:, None, None]
     starts = np.asarray(starts, dtype=np.intp)[:, None, None]
     raw = np.empty((rows.shape[0], batch.n_tags), dtype=np.float64)
-    for tags, on, off in _tag_gathers(batch.tag_code.tobytes(), batch.samples_per_bit,
-                                      batch.n_tags):
-        raw[:, tags] = _reflections(batch.samples[rows, starts + on],
-                                    batch.samples[rows, starts + off])
+    for tags, offsets, n_on in _tag_gathers(batch.tag_code.tobytes(),
+                                            batch.samples_per_bit, batch.n_tags):
+        block = batch.samples[rows, starts + offsets]
+        raw[:, tags] = _reflections(block[..., :n_on], block[..., n_on:])
     return raw
 
 
@@ -566,11 +575,12 @@ def _signature(trace: ReceivedTrace, batch: TraceBatch, start: int) -> Multipath
     signature_rows does it.  The powers of a validated trace need no
     further checks; raises DegenerateSignatureError."""
     raw = reflection_rows(batch, [0], [start])
-    if not raw.any():
-        raise DegenerateSignatureError(
-            f"identity {trace.identity!r} at t={trace.t_s}: zero reflection on every tag")
     norm = row_norms(raw)[0]
-    if norm == 0.0:  # every power underflows when squared
+    if norm == 0.0:
+        if not raw.any():
+            raise DegenerateSignatureError(
+                f"identity {trace.identity!r} at t={trace.t_s}: zero reflection on every tag")
+        # every power underflows when squared
         raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
     raw, normalized = _readonly_arrays(raw[0], raw[0] / norm)
     return prevalidated(MultipathSignature, raw=raw, normalized=normalized)
@@ -702,9 +712,12 @@ class ProfileAssembler:
             self._window.popleft()
         if len(self._window) == self.profile_len:
             # rows of validated signatures: unit norm, and their mean by
-            # construction, so SignalProfile's checks would add nothing
-            rows = np.vstack([sig.normalized for _, sig in self._window])
-            rows, mean = _readonly_arrays(rows, rows.mean(axis=0))
+            # construction, so SignalProfile's checks would add nothing.
+            # np.array stacks as np.vstack does, and the mean is its sum
+            # over axis 0 divided by L, as ndarray.mean computes it
+            rows = np.array([sig.normalized for _, sig in self._window])
+            mean = np.add.reduce(rows, axis=0) / self.profile_len
+            rows, mean = _readonly_arrays(rows, mean)
             return prevalidated(SignalProfile, identity=self.identity,
                                 signatures=rows, mean_vector=mean)
         return None

@@ -625,9 +625,12 @@ def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str
     schedule[rows, cols] = tag_of
     if scenario.snr_db is not None:
         sigma = powers.max(axis=1) * 10.0 ** (-scenario.snr_db / 20.0)
+        # the draws of rng.normal(0.0, row_sigma, total), which adds 0.0 to
+        # each, changing at most the sign of a zero, and the sum below
+        # drops that sign since every sample is positive
         for row, rng, row_sigma in zip(samples, rngs, sigma):
             if row_sigma > 0:
-                row += rng.normal(0.0, row_sigma, total)
+                row += rng.standard_normal(total) * row_sigma
     np.maximum(samples, 0.0, out=samples)
     for arr in (samples, schedule, t_s):
         arr.flags.writeable = False

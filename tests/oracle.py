@@ -440,6 +440,17 @@ def similarity_probs(model, values):
     return probs
 
 
+def pair_rule(ids, probs, sigma):
+    """(pairs, fake, legit) of the pair rule, one identity pair at a time."""
+    pairs = set()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if probs[i, j] >= sigma and probs[j, i] >= sigma:
+                pairs.add(tuple(sorted((ids[i], ids[j]))))
+    fake = {i for pair in pairs for i in pair}
+    return pairs, fake, set(ids) - fake
+
+
 # ---------------------------------------------------------------- train
 
 def sigmoid(z):

@@ -14,23 +14,29 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import make_scenario
+from conftest import labeled_dataset, make_scenario
 from sybilscatter import (
     ChannelParams,
     DegenerateSignatureError,
+    DistanceMatrix,
     LRModel,
     MultipathSignature,
+    ParameterError,
     ProfileAssembler,
     ReceivedTrace,
     ScenarioRun,
     SegmentationError,
     SignalProfile,
+    SimilarityMatrix,
+    Verdict,
     build_corpus,
     build_dataset,
     build_signature,
+    detect_sybil,
     distance_matrix,
     extract_signatures,
     generate_dataset,
+    predict_scores,
     segment_backscatter,
     signature_from_trace,
     similarity_matrix,
@@ -313,6 +319,128 @@ class TestOnline:
         np.testing.assert_array_equal(sims.probs,
                                       oracle.similarity_probs(model, distances.values))
         assert not np.diag(sims.probs).any()
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.3, 0.9])
+    def test_pair_rule_matches_the_double_loop(self, sigma):
+        rng = np.random.default_rng(21)
+        near = [np.nextafter(sigma, 0.0), sigma, np.nextafter(sigma, 1.0)]
+        for n in range(2, 13):
+            for _ in range(20):
+                # most entries sit exactly at sigma or one ulp off it, so
+                # one-sided and two-sided pairs both occur
+                probs = np.where(rng.random((n, n)) < 0.7,
+                                 rng.choice(near, (n, n)), rng.random((n, n)))
+                np.fill_diagonal(probs, 0.0)
+                ids = tuple(rng.permutation([f"id{k:02d}" for k in range(n)]).tolist())
+                verdict = detect_sybil(SimilarityMatrix(identities=ids, probs=probs), sigma)
+                pairs, fake, legit = oracle.pair_rule(ids, probs, sigma)
+                assert verdict.sybil_pairs == pairs
+                assert verdict.fake_identities == fake
+                assert verdict.legit_identities == legit
+                assert verdict.threshold == sigma
+
+    def test_loop_objects_match_the_validating_constructors(self, degraded_run):
+        """The online loop on the degraded fixture builds its distance and
+        similarity matrices and its verdicts without their constructors'
+        checks; each equals, byte for byte, what the checking constructor
+        makes of the oracle's values."""
+        _, streams = degraded_run
+        model = LRModel(weights=np.full(PROFILE_LEN, -1.0), bias=3.0)
+        assemblers = {ident: ProfileAssembler(ident, PROFILE_LEN) for ident in streams}
+        checked = flagged = 0
+        for period in range(len(next(iter(streams.values())))):
+            profiles = []
+            for ident, traces in streams.items():
+                try:
+                    signature = signature_from_trace(traces[period])
+                except (SegmentationError, DegenerateSignatureError):
+                    continue
+                profile = assemblers[ident].push(period, signature)
+                if profile is not None:
+                    profiles.append(profile)
+            if len(profiles) < 2:
+                continue
+            distances = distance_matrix(profiles)
+            want = DistanceMatrix(identities=[p.identity for p in profiles],
+                                  values=oracle.distance_matrix(profiles))
+            assert distances.identities == want.identities
+            assert distances.values.dtype == want.values.dtype
+            assert distances.values.tobytes() == want.values.tobytes()
+            assert not distances.values.flags.writeable
+            sims = similarity_matrix(model, distances)
+            want_sims = SimilarityMatrix(
+                identities=want.identities,
+                probs=oracle.similarity_probs(model, want.values))
+            assert sims.identities == want_sims.identities
+            assert sims.probs.tobytes() == want_sims.probs.tobytes()
+            assert not sims.probs.flags.writeable
+            verdict = detect_sybil(sims)
+            pairs, fake, legit = oracle.pair_rule(want_sims.identities,
+                                                  want_sims.probs, 0.5)
+            want_verdict = Verdict(threshold=0.5, sybil_pairs=frozenset(pairs),
+                                   fake_identities=frozenset(fake),
+                                   legit_identities=frozenset(legit))
+            assert verdict == want_verdict
+            checked += 1
+            flagged += bool(verdict.sybil_pairs)
+        # the fixture reaches both outcomes of the pair rule
+        assert checked > 10 and 0 < flagged < checked
+
+    def test_public_constructors_still_validate(self):
+        values = np.zeros((2, 2, 3))
+        values[0, 0] = 0.1
+        with pytest.raises(ParameterError, match="diagonal"):
+            DistanceMatrix(identities=("a", "b"), values=values)
+        with pytest.raises(ParameterError, match="unique"):
+            DistanceMatrix(identities=("a", "a"), values=np.zeros((2, 2, 3)))
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            SimilarityMatrix(identities=("a", "b"),
+                             probs=np.array([[0.0, np.nan], [0.2, 0.0]]))
+        with pytest.raises(ParameterError, match="diagonal"):
+            SimilarityMatrix(identities=("a", "b"),
+                             probs=np.array([[0.3, 0.1], [0.2, 0.0]]))
+        with pytest.raises(ParameterError, match="both fake and legit"):
+            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
+                    fake_identities=frozenset({"a", "b"}),
+                    legit_identities=frozenset({"b"}))
+        with pytest.raises(ParameterError, match="flagged-pair members"):
+            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
+                    fake_identities=frozenset({"a"}), legit_identities=frozenset())
+
+    def test_distance_matrix_rejects_repeated_identities(self):
+        profiles = self._profiles(2)
+        with pytest.raises(ParameterError, match="unique"):
+            distance_matrix([profiles[0], profiles[1], profiles[0]])
+
+    def test_nan_score_is_rejected(self):
+        # a score of inf - inf is NaN in any summation order; finite weights
+        # reach it by overflow, here infinite distances do
+        values = np.zeros((2, 2, 2))
+        values[0, 1] = [np.inf, np.inf]
+        distances = DistanceMatrix(identities=("a", "b"), values=values)
+        model = LRModel(weights=np.array([1.0, -1.0]), bias=0.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+                similarity_matrix(model, distances)
+
+    @pytest.mark.parametrize("profile_len", [3, 10])
+    def test_offline_and_online_scores_agree(self, profile_len):
+        """predict_scores and similarity_matrix give one vector the same bits."""
+        rng = np.random.default_rng(profile_len)
+        n = 30  # 870 directed pairs per matrix, 6 matrices
+        model = LRModel(weights=rng.normal(0.0, 3.0, profile_len), bias=0.3)
+        ids = [f"id{k:02d}" for k in range(n)]
+        off = ~np.eye(n, dtype=bool)
+        rows, online = [], []
+        for scenario in range(6):
+            values = rng.random((n, n, profile_len)) * 2.0
+            values[~off] = 0.0
+            sims = similarity_matrix(model, DistanceMatrix(identities=ids, values=values))
+            for i, j in zip(*np.nonzero(off)):
+                rows.append(((scenario,), 0, ids[i], ids[j], 0, values[i, j]))
+                online.append(sims.probs[i, j])
+        dataset = labeled_dataset(rows, {(s,): {i: i for i in ids} for s in range(6)})
+        assert predict_scores(model, dataset).tobytes() == np.array(online).tobytes()
 
 
 class TestDigests:

@@ -25,6 +25,7 @@ from sybilscatter import (
     weighted_gradient,
     weighted_log_likelihood,
 )
+from sybilscatter.detector import similarity_scores
 
 
 def toy_set(rng, n=40, dim=3, weight=1.0):
@@ -38,7 +39,7 @@ def toy_set(rng, n=40, dim=3, weight=1.0):
 
 def scores(model, X):
     """Same-source probabilities of the rows of X, as predict_scores takes them."""
-    return sigmoid(np.asarray(X) @ model.weights + model.bias)
+    return similarity_scores(model, np.asarray(X, dtype=np.float64))
 
 
 def pair_matrix(values):

@@ -182,9 +182,9 @@ class TestOnlineSetUp:
         segment_backscatter(trace)
         lo, hi, width = _smoothing_bounds(trace.samples.size, 9)
         template = _template(trace.tag_code.tobytes(), trace.samples_per_bit)
-        gathers = [arr for group in _tag_gathers(trace.tag_code.tobytes(),
-                                                 trace.samples_per_bit, 3)
-                   for arr in group]
+        gathers = [arr for tags, offsets, _ in _tag_gathers(trace.tag_code.tobytes(),
+                                                            trace.samples_per_bit, 3)
+                   for arr in (tags, offsets)]
         for arr in [lo, hi, width, template] + gathers:
             assert not arr.flags.writeable
         np.testing.assert_array_equal(template, expand_code(trace.tag_code, 8))
