@@ -13,7 +13,7 @@ Typical flow:
     report = cross_validate(dataset, k=10, seed=1234)
 """
 
-from .corpus import CorpusSpec, build_corpus, build_scenario, with_power_scaling
+from .corpus import CorpusSpec, build_corpus, build_scenario
 from .detector import (
     LRModel,
     SimilarityMatrix,

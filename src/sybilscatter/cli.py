@@ -231,7 +231,7 @@ def cmd_sweep(args) -> int:
                                       args.seed, k_folds=k, sigma=args.sigma)
     out = Path(args.out)
     path = out / "sweep.csv"
-    fileio.write_sweep_csv(path, rows)
+    fileio.write_rows_csv(path, fileio.SWEEP_HEADER, rows)
     for row in rows:
         print(f"K={row['K']} L={row['L']}: auroc={row['auroc']:.3f}")
     print(f"-> {path}")
@@ -246,7 +246,7 @@ def cmd_ablate_norm(args) -> int:
                                           k_folds=k, sigma=args.sigma)
     out = Path(args.out)
     path = out / "ablation.csv"
-    fileio.write_ablation_csv(path, rows)
+    fileio.write_rows_csv(path, fileio.ABLATION_HEADER, rows)
     for row in rows:
         kind = "normalized" if row["normalized"] else "raw"
         scale = "scaled" if row["power_scaling"] else "unscaled"
@@ -264,7 +264,7 @@ def cmd_compare_metrics(args) -> int:
                                             k_folds=k, sigma=args.sigma)
     out = Path(args.out)
     path = out / "compare.csv"
-    fileio.write_compare_csv(path, rows)
+    fileio.write_rows_csv(path, fileio.COMPARE_HEADER, rows)
     for row in rows:
         print(f"{row['metric']}: tpr={row['tpr']:.3f} fpr={row['fpr']:.3f}")
     print(f"-> {path}")

@@ -31,7 +31,7 @@ segmentation floor even at the lowest power scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,8 +316,3 @@ def build_corpus(spec: CorpusSpec, master_seed: int):
         configs.append(build_scenario(spec, index, geom_ss, alpha_ss))
         seeds.append(int(sim_ss.generate_state(1, np.uint64)[0]))
     return configs, seeds
-
-
-def with_power_scaling(spec: CorpusSpec, enabled: bool) -> CorpusSpec:
-    """Same corpus spec with attacker power scaling switched on or off."""
-    return replace(spec, power_scaling=enabled)

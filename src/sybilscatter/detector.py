@@ -37,7 +37,7 @@ class LRModel:
     bias: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         bias = float(self.bias)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError(f"weights must be a nonempty 1-D vector, got {w.shape}")
@@ -115,7 +115,7 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.identities)
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64)
         n = len(ids)
         if len(set(ids)) != n:
             raise ParameterError("identities must be unique")

@@ -40,7 +40,7 @@ class DistanceMatrix:
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.identities)
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         n = len(ids)
         if len(set(ids)) != n:
             raise ParameterError("identities must be unique")

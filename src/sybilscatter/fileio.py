@@ -232,8 +232,7 @@ def read_samples_csv(path) -> LabeledDataset:
         X=np.array(values, dtype=np.float64).reshape(-1, profile_len),
         y=labels, scenario=scenario, window=windows,
         from_id=[index[i] for i in froms], to_id=[index[j] for j in tos],
-        keys=tuple(codes), identities=tuple(index), sources=sources,
-        provenance={"profile_len": profile_len, "path": str(path)})
+        keys=tuple(codes), identities=tuple(index), sources=sources)
 
 
 # ---------------------------------------------------------------- model & metrics
@@ -303,28 +302,19 @@ def write_roc_csv(path, report: MetricsReport) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_sweep_csv(path, rows) -> None:
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(f"{int(row['K'])},{int(row['L'])},{_fmt(row['auroc'])}")
-    _write_text(path, "\n".join(lines) + "\n")
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def write_compare_csv(path, rows) -> None:
-    lines = [COMPARE_HEADER]
-    for row in rows:
-        lines.append(f"{row['metric']},{_fmt(row['tpr'])},{_fmt(row['fpr'])}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_ablation_csv(path, rows) -> None:
-    lines = [ABLATION_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            str(int(row["normalized"])), str(int(row["power_scaling"])),
-            _fmt(row["tpr"]), _fmt(row["fpr"]),
-            _fmt(row["accuracy"]), _fmt(row["auroc"]),
-        ]))
+def write_rows_csv(path, header: str, rows) -> None:
+    """One line per row dict, its values in the order of the header's columns
+    (SWEEP_HEADER, COMPARE_HEADER or ABLATION_HEADER for the experiments):
+    booleans as 0/1, floats by repr, anything else by str."""
+    columns = header.split(",")
+    lines = [header]
+    lines += [",".join(_cell(row[name]) for name in columns) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -15,14 +15,13 @@ flags the identity at threshold sigma exactly when the pair rule does.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import CorpusSpec, build_corpus, with_power_scaling
+from .corpus import CorpusSpec, build_corpus
 from .detector import (
     DEFAULT_THRESHOLD,
     LRModel,
@@ -48,7 +47,7 @@ from .pipeline import (
     trace_batches,
     window_rows,
 )
-from .scenario import scenario_to_dict, simulate_scenario
+from .scenario import simulate_scenario
 
 ADJUSTED_METRIC = "adjusted"
 DATASET_METRICS = (ADJUSTED_METRIC,) + BASELINE_METRICS
@@ -104,12 +103,11 @@ class LabeledDataset:
     keys: tuple
     identities: tuple
     sources: dict  # scenario_key -> {identity: true_source_id}
-    provenance: dict
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.profile_len:
-            raise ShapeError(f"X must be (N, {self.profile_len}), got {X.shape}")
+        if X.ndim != 2 or X.shape[1] < 1:
+            raise ShapeError(f"X must be an (N, L) array with L >= 1, got {X.shape}")
         columns = {name: np.array(getattr(self, name), dtype=np.int64)
                    for name in ("y", "scenario", "window", "from_id", "to_id")}
         if any(column.shape != X.shape[:1] for column in columns.values()):
@@ -141,7 +139,7 @@ class LabeledDataset:
 
     @property
     def profile_len(self) -> int:
-        return int(self.provenance["profile_len"])
+        return self.X.shape[1]
 
     def labels(self) -> np.ndarray:
         return self.y
@@ -177,7 +175,6 @@ class LabeledDataset:
             window=self.window[idx], from_id=self.from_id[idx], to_id=self.to_id[idx],
             keys=keys, identities=self.identities,
             sources={k: v for k, v in self.sources.items() if k in picked},
-            provenance=dict(self.provenance),
         )
 
     def training_samples(self) -> TrainingSet:
@@ -186,12 +183,6 @@ class LabeledDataset:
         class_weights = compute_class_weights(self.y)
         weights = np.where(self.y == 1, class_weights[1], class_weights[0])
         return TrainingSet(X=self.X, y=self.y, v=weights)
-
-
-def config_digest(configs) -> str:
-    """Stable hash of a scenario list, for dataset provenance."""
-    payload = json.dumps([scenario_to_dict(c) for c in configs], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def dataset_digest(dataset: LabeledDataset) -> str:
@@ -259,14 +250,6 @@ def corpus_signatures(configs, seeds) -> list:
     return out
 
 
-def _signatures_with_provenance(configs, seeds, n_tags: int) -> tuple:
-    """(corpus_signatures of the scenarios, the dataset provenance naming
-    their seeds, config digest and tag count)."""
-    scenarios = corpus_signatures(configs, seeds)
-    return scenarios, {"seeds": tuple(seeds), "config_digest": config_digest(configs),
-                       "n_tags": int(n_tags)}
-
-
 def _window_tables(scenario: ScenarioSignatures, profile_len: int, normalized: bool):
     """identity -> (window periods, (W, L, K) windows, (W, K) window means).
 
@@ -283,8 +266,7 @@ def _window_tables(scenario: ScenarioSignatures, profile_len: int, normalized: b
 
 
 def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
-                  normalized: bool = True, metric: str = ADJUSTED_METRIC,
-                  provenance: dict | None = None) -> LabeledDataset:
+                  normalized: bool = True, metric: str = ADJUSTED_METRIC) -> LabeledDataset:
     """Labeled directed distance samples from extracted signature streams.
 
     For every update period where two identities of a scenario both have a
@@ -327,13 +309,6 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
     scenario_codes, froms, tos, labels, windows, values = zip(*blocks) if blocks else [()] * 6
     index = {name: n for n, name in enumerate(sorted(set(froms) | set(tos)))}
     sizes = [w.size for w in windows]
-    info = {
-        "profile_len": int(profile_len),
-        "normalized": bool(normalized),
-        "metric": metric,
-    }
-    if provenance:
-        info.update(provenance)
     return LabeledDataset(
         X=np.concatenate([np.empty((0, profile_len)), *values]),
         y=np.repeat(labels, sizes),
@@ -341,7 +316,7 @@ def build_dataset(scenarios, profile_len: int = DEFAULT_PROFILE_LEN,
         window=np.concatenate([np.empty(0, np.int64), *windows]),
         from_id=np.repeat([index[i] for i in froms], sizes),
         to_id=np.repeat([index[j] for j in tos], sizes),
-        keys=tuple(codes), identities=tuple(index), sources=sources, provenance=info,
+        keys=tuple(codes), identities=tuple(index), sources=sources,
     )
 
 
@@ -365,8 +340,7 @@ def generate_dataset(configs, seeds, n_tags: int, profile_len: int,
         raise ConfigError(
             "corpus needs at least one scenario with both an attacker and a "
             "legitimate robot")
-    scenarios, provenance = _signatures_with_provenance(configs, seeds, n_tags)
-    return build_dataset(scenarios, profile_len, normalized, metric, provenance)
+    return build_dataset(corpus_signatures(configs, seeds), profile_len, normalized, metric)
 
 
 def kfold_split(dataset: LabeledDataset, k: int, seed: int,
@@ -599,20 +573,21 @@ def cross_validate(dataset: LabeledDataset, k: int = DEFAULT_K_FOLDS,
     return metrics_from_scores(dataset, np.arange(len(dataset)), scores, sigma)
 
 
-def _corpus_scenarios(spec: CorpusSpec, master_seed: int) -> tuple:
-    """Simulated and extracted scenarios of a corpus, and their provenance."""
-    configs, seeds = build_corpus(spec, master_seed)
-    return _signatures_with_provenance(configs, seeds, spec.n_tags)
+def _corpus_scenarios(spec: CorpusSpec, master_seed: int) -> list:
+    """Simulated and extracted scenarios of a corpus."""
+    return corpus_signatures(*build_corpus(spec, master_seed))
 
 
 def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
-                       master_seed: int, k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
-                       training: TrainingConfig = TrainingConfig()) -> list:
+                       master_seed: int, k_folds: int = 5,
+                       sigma: float = DEFAULT_THRESHOLD) -> list:
     """AUROC grid over tag count and profile length.
 
     Scenario simulation and signature extraction are shared across profile
     lengths within one tag count; rows come back as dicts with keys K, L,
-    auroc.  A failing cell is skipped with a warning.
+    auroc.  A cell that fails with an input or data error (ValueError or
+    RuntimeError, the bases of errors.py) is skipped with a warning; any
+    other exception is a bug and propagates.
     """
     tag_counts = list(tag_counts)
     profile_lens = list(profile_lens)
@@ -620,23 +595,21 @@ def sweep_profile_size(tag_counts, profile_lens, spec: CorpusSpec,
         raise ParameterError("tag_counts and profile_lens must be nonempty")
     rows = []
     for n_tags in tag_counts:
-        scenarios, provenance = _corpus_scenarios(replace(spec, n_tags=int(n_tags)),
-                                                  master_seed)
+        scenarios = _corpus_scenarios(replace(spec, n_tags=int(n_tags)), master_seed)
         for profile_len in profile_lens:
             try:
-                ds = build_dataset(scenarios, int(profile_len), provenance=provenance)
-                report = cross_validate(ds, k_folds, master_seed, sigma, training)
+                ds = build_dataset(scenarios, int(profile_len))
+                report = cross_validate(ds, k_folds, master_seed, sigma)
                 rows.append({"K": int(n_tags), "L": int(profile_len),
                              "auroc": report.auroc})
-            except Exception as exc:  # missing cell, not a fatal sweep
+            except (ValueError, RuntimeError) as exc:  # missing cell, not a fatal sweep
                 warnings.warn(f"sweep cell K={n_tags} L={profile_len} failed: {exc}")
     return rows
 
 
 def ablation_normalization(spec: CorpusSpec, master_seed: int,
                            profile_len: int = DEFAULT_PROFILE_LEN,
-                           k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
-                           training: TrainingConfig = TrainingConfig()) -> list:
+                           k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD) -> list:
     """Four-arm experiment: {normalized, raw} x {power scaling, none}.
 
     The two corpora share trajectories exactly (power scales come from a
@@ -647,12 +620,10 @@ def ablation_normalization(spec: CorpusSpec, master_seed: int,
         raise ConfigError("ablation needs a corpus spec with power_scaling enabled")
     rows = []
     for scaling in (True, False):
-        scenarios, provenance = _corpus_scenarios(with_power_scaling(spec, scaling),
-                                                  master_seed)
+        scenarios = _corpus_scenarios(replace(spec, power_scaling=scaling), master_seed)
         for normalized in (True, False):
-            ds = build_dataset(scenarios, profile_len, normalized=normalized,
-                               provenance=provenance)
-            report = cross_validate(ds, k_folds, master_seed, sigma, training)
+            ds = build_dataset(scenarios, profile_len, normalized=normalized)
+            report = cross_validate(ds, k_folds, master_seed, sigma)
             rows.append({
                 "normalized": normalized,
                 "power_scaling": scaling,
@@ -667,14 +638,12 @@ def ablation_normalization(spec: CorpusSpec, master_seed: int,
 def compare_distance_metrics(spec: CorpusSpec, master_seed: int,
                              profile_len: int = DEFAULT_PROFILE_LEN,
                              k_folds: int = 5, sigma: float = DEFAULT_THRESHOLD,
-                             training: TrainingConfig = TrainingConfig(),
                              metrics=DATASET_METRICS) -> list:
     """TPR/FPR of the detector under each distance metric, same corpus."""
-    scenarios, provenance = _corpus_scenarios(spec, master_seed)
+    scenarios = _corpus_scenarios(spec, master_seed)
     rows = []
     for metric in metrics:
-        ds = build_dataset(scenarios, profile_len, metric=metric,
-                           provenance=provenance)
-        report = cross_validate(ds, k_folds, master_seed, sigma, training)
+        ds = build_dataset(scenarios, profile_len, metric=metric)
+        report = cross_validate(ds, k_folds, master_seed, sigma)
         rows.append({"metric": metric, "tpr": report.tpr, "fpr": report.fpr})
     return rows

@@ -64,8 +64,8 @@ class MultipathSignature:
     normalized: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64)
-        normed = np.asarray(self.normalized, dtype=np.float64)
+        raw = np.array(self.raw, dtype=np.float64)
+        normed = np.array(self.normalized, dtype=np.float64)
         if raw.ndim != 1 or normed.shape != raw.shape:
             raise ShapeError(f"raw {raw.shape} and normalized {normed.shape} must match")
         if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(normed))):
@@ -104,8 +104,8 @@ class SignalProfile:
     mean_vector: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.signatures, dtype=np.float64)
-        mean = np.asarray(self.mean_vector, dtype=np.float64)
+        rows = np.array(self.signatures, dtype=np.float64)
+        mean = np.array(self.mean_vector, dtype=np.float64)
         if rows.ndim != 2:
             raise ShapeError(f"signatures must be (L, K), got {rows.shape}")
         if mean.shape != (rows.shape[1],):

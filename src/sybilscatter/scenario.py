@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, is_dataclass
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,7 +105,7 @@ class TagLayout:
     ring_radius_m: float
 
     def __post_init__(self):
-        pos = np.asarray(self.tag_positions, dtype=np.float64)
+        pos = np.array(self.tag_positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise GeometryError(f"tag_positions must be (K, 2), got {pos.shape}")
         if pos.shape[0] < 2:
@@ -154,7 +153,7 @@ class Trajectory:
     speed_mps: float
 
     def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=np.float64)
+        wp = np.array(self.waypoints, dtype=np.float64)
         if wp.ndim != 2 or wp.shape[1] != 3:
             raise TrajectoryError(f"waypoints must be (n, 3) rows of (t, x, y), got {wp.shape}")
         if wp.shape[0] < 2:
@@ -248,12 +247,13 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
                   sample_rate_hz, ndim):
     """Validate the arrays of one trace (ndim 1) or of a row batch (ndim 2).
 
-    Returns samples, schedule and code as read-only arrays of the stored
-    dtypes.  Rows are traces of equal length sharing one code.
+    Returns samples, schedule and code as read-only copies in the stored
+    dtypes, so the caller's arrays stay writeable.  Rows are traces of
+    equal length sharing one code.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    schedule = np.asarray(tag_schedule, dtype=np.int16)
-    code = np.asarray(tag_code, dtype=np.uint8)
+    samples = np.array(samples, dtype=np.float64)
+    schedule = np.array(tag_schedule, dtype=np.int16)
+    code = np.array(tag_code, dtype=np.uint8)
     _positive("sample_rate_hz", sample_rate_hz)
     if code.ndim != 1 or code.size == 0:
         raise ParameterError("tag_code must be a nonempty 1-D binary array")
@@ -342,7 +342,7 @@ class TraceBatch(Sequence):
         samples, schedule, code = _trace_arrays(
             self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
             self.n_tags, self.sample_rate_hz, ndim=2)
-        t_s = np.asarray(self.t_s, dtype=np.float64)
+        t_s = np.array(self.t_s, dtype=np.float64)
         if t_s.shape != samples.shape[:1]:
             raise ShapeError(f"t_s {t_s.shape} must hold one time per row of "
                              f"samples {samples.shape}")
@@ -646,22 +646,6 @@ def synthesize_trace(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
                      t_s: float, rng_seed: int) -> ReceivedTrace:
     """Synthesize the received trace for one identity announcement."""
     return synthesize_traces(scenario, agent, identity, [t_s], [rng_seed])[0]
-
-
-def _plain(value):
-    """Dataclasses as dicts of their fields, arrays and tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclass_fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    return value
-
-
-def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    """Plain-data view of a scenario config, canonical for hashing."""
-    return _plain(scenario)
 
 
 def trace_seeds(master_seed: int, n_identities: int, n_periods: int) -> np.ndarray:

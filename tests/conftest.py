@@ -62,8 +62,7 @@ def labeled_dataset(rows, sources):
         window=[window for _, window, *_ in rows],
         from_id=[names.index(i) for _, _, i, *_ in rows],
         to_id=[names.index(j) for _, _, _, j, *_ in rows],
-        keys=tuple(codes), identities=tuple(names), sources=sources,
-        provenance={"profile_len": X.shape[1]})
+        keys=tuple(codes), identities=tuple(names), sources=sources)
 
 
 FOUR_ID_SPECS = (

@@ -28,6 +28,8 @@ from sybilscatter import (
     SegmentationError,
     SignalProfile,
     SimilarityMatrix,
+    TagLayout,
+    Trajectory,
     Verdict,
     build_corpus,
     build_dataset,
@@ -441,6 +443,42 @@ class TestOnline:
                 online.append(sims.probs[i, j])
         dataset = labeled_dataset(rows, {(s,): {i: i for i in ids} for s in range(6)})
         assert predict_scores(model, dataset).tobytes() == np.array(online).tobytes()
+
+    @pytest.mark.parametrize("cls", [DistanceMatrix, SimilarityMatrix, LRModel,
+                                     MultipathSignature, SignalProfile, TagLayout,
+                                     Trajectory, ReceivedTrace, TraceBatch],
+                             ids=lambda cls: cls.__name__)
+    def test_constructors_copy_the_callers_arrays(self, cls):
+        """The validating constructors freeze a copy; only the loop's
+        prevalidated objects take the arrays they are given."""
+        unit = np.array([0.6, 0.8])
+        trace = dict(identity="n0", true_source_id="r0", sample_rate_hz=1.0,
+                     tag_code=np.array([1, 0, 1, 0], dtype=np.uint8),
+                     samples_per_bit=1, n_tags=2)
+        kwargs = {  # every array already in its stored dtype
+            DistanceMatrix: dict(identities=("a", "b"), values=np.zeros((2, 2, 3))),
+            SimilarityMatrix: dict(identities=("a", "b"),
+                                   probs=np.array([[0.0, 0.2], [0.3, 0.0]])),
+            LRModel: dict(weights=np.array([1.0, 2.0]), bias=0.5),
+            MultipathSignature: dict(raw=unit.copy(), normalized=unit.copy()),
+            SignalProfile: dict(identity="n0", signatures=np.array([unit, unit]),
+                                mean_vector=unit.copy()),
+            TagLayout: dict(tag_positions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                            ring_radius_m=1.0),
+            Trajectory: dict(waypoints=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                             speed_mps=1.0),
+            ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(8),
+                                tag_schedule=np.zeros(8, dtype=np.int16)),
+            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 8)),
+                             tag_schedule=np.zeros((2, 8), dtype=np.int16)),
+        }[cls]
+        obj = cls(**kwargs)
+        arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
+        for name, given in arrays.items():
+            own = getattr(obj, name)
+            assert given.flags.writeable and not own.flags.writeable, name
+            assert not np.shares_memory(own, given), name
+        assert len(arrays) >= 1
 
 
 class TestDigests:

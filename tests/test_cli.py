@@ -1,5 +1,6 @@
 """Command line workflow, run in process against tiny configs."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,19 @@ position = 1.0 0.3
 identities = n2
 position = -0.9 0.5
 """
+
+
+# sha256 of the experiment files that corpus_ini gives at seed 7 (ablation
+# and comparison at --profile-len 3): every byte the shared writer emits
+EXPERIMENT_SHA256 = {
+    "sweep.csv": "40cfbb0dd8f932316443bba719adb4d29ace4b2cf9c80a049d45f654aa6c8890",
+    "ablation.csv": "7fc59146027d96bdad2f244ced332d0b6f081517a2ec9b728b926be8ad0783f1",
+    "compare.csv": "c5652a4430fa936e821b456931f3f112cd49cf4e2c0dc1d9173c13cc835a9a75",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +189,7 @@ class TestExperimentCommands:
         assert [line.split(",")[:2] for line in lines[1:]] \
             == [["2", "2"], ["2", "3"]]
         assert "K=2 L=2" in capsys.readouterr().out
+        assert sha256(tmp_path / "sweep.csv") == EXPERIMENT_SHA256["sweep.csv"]
 
     def test_ablate_norm(self, tmp_path, corpus_ini):
         rc = main(["ablate-norm", "--config", corpus_ini, "--seed", "7",
@@ -184,6 +199,7 @@ class TestExperimentCommands:
         assert lines[0] == ABLATION_HEADER
         assert sorted(line.split(",")[:2] for line in lines[1:]) \
             == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+        assert sha256(tmp_path / "ablation.csv") == EXPERIMENT_SHA256["ablation.csv"]
 
     def test_compare_metrics(self, tmp_path, corpus_ini):
         rc = main(["compare-metrics", "--config", corpus_ini, "--seed", "7",
@@ -193,6 +209,7 @@ class TestExperimentCommands:
         assert lines[0] == COMPARE_HEADER
         assert [line.split(",")[0] for line in lines[1:]] \
             == ["adjusted", "manhattan", "euclidean", "chebyshev", "cosine"]
+        assert sha256(tmp_path / "compare.csv") == EXPERIMENT_SHA256["compare.csv"]
 
 
 class TestErrors:

@@ -29,14 +29,12 @@ from sybilscatter.fileio import (
     read_samples_csv,
     read_scenario_config,
     samples_header,
-    write_ablation_csv,
-    write_compare_csv,
     write_metrics_json,
     write_model_json,
     write_roc_csv,
+    write_rows_csv,
     write_run,
     write_samples_csv,
-    write_sweep_csv,
     write_trace_csv,
     write_verdicts_json,
 )
@@ -197,6 +195,12 @@ class TestSamplesFiles:
         assert path.read_text().splitlines()[0] == samples_header(2)
         assert samples_header(2).endswith("label,d_1,d_2")
 
+    def test_header_only_file_keeps_profile_len(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text(samples_header(4) + "\n")
+        ds = read_samples_csv(path)
+        assert len(ds) == 0 and ds.X.shape == (0, 4) and ds.profile_len == 4
+
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("a,b,c\n")
@@ -322,19 +326,20 @@ class TestReportFiles:
 
     def test_sweep_csv(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, [{"K": 2, "L": 10, "auroc": 0.75}])
+        write_rows_csv(path, SWEEP_HEADER, [{"K": 2, "L": 10, "auroc": 0.75}])
         assert path.read_text() == f"{SWEEP_HEADER}\n2,10,0.75\n"
 
     def test_compare_csv(self, tmp_path):
         path = tmp_path / "compare.csv"
-        write_compare_csv(path, [{"metric": "adjusted", "tpr": 1.0, "fpr": 0.25}])
+        write_rows_csv(path, COMPARE_HEADER,
+                       [{"metric": "adjusted", "tpr": 1.0, "fpr": 0.25}])
         assert path.read_text() == f"{COMPARE_HEADER}\nadjusted,1.0,0.25\n"
 
     def test_ablation_csv(self, tmp_path):
         path = tmp_path / "ablation.csv"
         rows = [{"normalized": True, "power_scaling": False,
                  "tpr": 0.5, "fpr": 0.125, "accuracy": 0.75, "auroc": 0.875}]
-        write_ablation_csv(path, rows)
+        write_rows_csv(path, ABLATION_HEADER, rows)
         assert path.read_text() == f"{ABLATION_HEADER}\n1,0,0.5,0.125,0.75,0.875\n"
 
     def test_verdicts_json_structure(self, tmp_path):
