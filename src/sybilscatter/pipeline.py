@@ -25,10 +25,14 @@ from .errors import (
     SegmentationError,
     ShapeError,
 )
-from .scenario import ReceivedTrace, TraceBatch, prevalidated, tag_block_bit_spans
+from .scenario import (
+    SMOOTHING_WINDOW,
+    ReceivedTrace,
+    TraceBatch,
+    prevalidated,
+    tag_block_bit_spans,
+)
 
-# taps of the moving average applied before the code correlation
-SMOOTHING_WINDOW = 9
 DEFAULT_PROFILE_LEN = 10
 
 # A correlation peak below this multiple of the median correlation is

@@ -17,6 +17,7 @@ same tag geometry.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -50,11 +51,41 @@ DEFAULT_TX_POWER_W = 3.0
 TRACE_SPANS = 5
 MIN_GUARD_SPANS = 1
 
+# taps of the moving average applied before the code correlation
+SMOOTHING_WINDOW = 9
+
 
 def _positive(name, value):
     if not (value > 0) or not math.isfinite(value):
         raise ParameterError(f"{name} must be strictly positive, got {value!r}")
     return float(value)
+
+
+def check_samples_per_bit(samples_per_bit, alternating=True):
+    """Reject a modulation that the pipeline's smoothing mis-segments.
+
+    A W-tap moving average passes frequency f with gain
+    sin(W pi f) / (W sin pi f).  Where that gain is not positive at the
+    alternating code's fundamental f = 1 / (2 samples_per_bit), the
+    smoothing inverts the code and its correlation peak moves by half a
+    period: samples_per_bit 3 and 4 for the 9-tap window.  At one sample
+    per bit the gain is positive, but the windows truncated at a trace's
+    edges weigh the code's first and last bits more than the full
+    windows weigh the others, so a region starting two or three samples
+    from either edge segments one code period early.  Other codes are
+    only held to samples_per_bit >= 1.
+    """
+    if samples_per_bit < 1:
+        raise ParameterError(f"samples_per_bit must be >= 1, got {samples_per_bit}")
+    if alternating:
+        w, f = SMOOTHING_WINDOW, 0.5 / samples_per_bit
+        gain = math.sin(w * math.pi * f) / (w * math.sin(math.pi * f))
+        if samples_per_bit < 2 or gain <= 0:
+            raise ParameterError(
+                f"samples_per_bit {samples_per_bit} mis-segments the alternating "
+                f"code: the rule is samples_per_bit >= 2 and a {w}-tap smoothing "
+                f"gain sin({w} pi f) / ({w} sin pi f) > 0 at "
+                f"f = 1 / (2 samples_per_bit); here the gain is {gain:.3g}")
 
 
 def _readonly(obj, name, arr):
@@ -243,13 +274,50 @@ class RobotAgent:
         return self.power_scale_per_identity.get(identity, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _tag_layout(n_bits: int, samples_per_bit: int, n_tags: int, n: int) -> np.ndarray:
+    """The schedule of every region start in an n-sample trace, read-only.
+
+    2n int16 entries: n zeros, the tag number (1..K) of each sample of the
+    backscattered region as synthesize_traces lays it out, then zeros.
+    The slice [n - s, 2n - s) is the schedule of a region starting at
+    sample s, and [0, n) is the all-guard schedule.
+    """
+    spans = tag_block_bit_spans(n_bits, n_tags)
+    tag_of = np.repeat(np.arange(1, n_tags + 1, dtype=np.int16),
+                       [(b1 - b0) * samples_per_bit for b0, b1 in spans])
+    layout = np.zeros(2 * n, dtype=np.int16)
+    layout[n:n + tag_of.size] = tag_of
+    layout.flags.writeable = False
+    return layout
+
+
+def _layout_slice(schedule, n_bits: int, samples_per_bit: int, n_tags: int):
+    """The slice of the cached _tag_layout equal to a validated 1-D
+    schedule, or None if the schedule does not follow that layout (uneven
+    blocks, a stray tag value, a region cut off at the end, a code too
+    short to give every tag a block).  Traces keep that view instead of a
+    copy of their own, since the pipeline never reads the schedule."""
+    n = schedule.size
+    if n_bits < 2 * n_tags:
+        return None
+    start = int((schedule != 0).argmax())
+    if not schedule[start]:  # all guard
+        start = n
+    elif start > n - n_bits * samples_per_bit:
+        return None
+    view = _tag_layout(n_bits, samples_per_bit, n_tags, n)[n - start:2 * n - start]
+    return view if view.tobytes() == schedule.tobytes() else None
+
+
 def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
                   sample_rate_hz, ndim):
     """Validate the arrays of one trace (ndim 1) or of a row batch (ndim 2).
 
     Returns samples, schedule and code as read-only copies in the stored
-    dtypes, so the caller's arrays stay writeable.  Rows are traces of
-    equal length sharing one code.
+    dtypes, so the caller's arrays stay writeable; a 1-D schedule that
+    follows its layout is the cached view instead (_layout_slice).  Rows
+    are traces of equal length sharing one code.
     """
     samples = np.array(samples, dtype=np.float64)
     schedule = np.array(tag_schedule, dtype=np.int16)
@@ -259,8 +327,8 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
         raise ParameterError("tag_code must be a nonempty 1-D binary array")
     if np.any((code != 0) & (code != 1)):
         raise ParameterError("tag_code entries must be 0 or 1")
-    if samples_per_bit < 1:
-        raise ParameterError(f"samples_per_bit must be >= 1, got {samples_per_bit}")
+    check_samples_per_bit(samples_per_bit,
+                          alternating=code[::2].all() and not code[1::2].any())
     if n_tags < 1:
         raise ParameterError(f"n_tags must be >= 1, got {n_tags}")
     if samples.ndim != ndim or schedule.shape != samples.shape:
@@ -275,6 +343,10 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
         raise ParameterError("trace magnitudes must be nonnegative")
     if schedule.size and (schedule.min() < 0 or schedule.max() > n_tags):
         raise ParameterError("tag_schedule values must lie in 0..n_tags")
+    if ndim == 1:
+        view = _layout_slice(schedule, code.size, samples_per_bit, n_tags)
+        if view is not None:
+            schedule = view
     for arr in (samples, schedule, code):
         arr.flags.writeable = False
     return samples, schedule, code
@@ -287,6 +359,8 @@ class ReceivedTrace:
     ``tag_schedule`` annotates each sample with the tag block it belongs to
     (1..K over the backscattered region, 0 over the ambient-only guards);
     ``tag_code`` is the known M-bit modulation pattern shared by all tags.
+    A schedule that follows the simulator's layout is stored as a
+    read-only view of one array cached per layout, any other as a copy.
     """
 
     identity: str
@@ -382,19 +456,24 @@ class TraceBatch(Sequence):
         return int(self.samples.shape[0])
 
     def __getitem__(self, k):
-        """The trace of row k, holding its own copy of the row.
+        """The trace of row k, holding its own copy of the samples row.
 
         A row view would pin the whole batch for as long as any one trace
         taken from it is kept; a consumer that keeps a subset of the traces
         (a receiver dropping lost announcements) would then hold every row.
+        The schedule is the layout's cached view (_layout_slice), or a copy
+        of the row if it does not follow the layout.
         """
         if isinstance(k, slice):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         k = range(len(self))[k]
         samples = self.samples[k].copy()
-        schedule = self.tag_schedule[k].copy()
         samples.flags.writeable = False
-        schedule.flags.writeable = False
+        schedule = _layout_slice(self.tag_schedule[k], self.tag_code.size,
+                                 self.samples_per_bit, self.n_tags)
+        if schedule is None:
+            schedule = self.tag_schedule[k].copy()
+            schedule.flags.writeable = False
         return prevalidated(
             ReceivedTrace, identity=self.identity,
             true_source_id=self.true_source_id, t_s=float(self.t_s[k]),
@@ -430,8 +509,7 @@ class ScenarioConfig:
             raise ParameterError("slot_spacing_s must be >= 0")
         if self.code_bits < 2:
             raise ParameterError(f"code_bits must be >= 2, got {self.code_bits}")
-        if self.samples_per_bit < 1:
-            raise ParameterError(f"samples_per_bit must be >= 1, got {self.samples_per_bit}")
+        check_samples_per_bit(self.samples_per_bit)
         seen = set()
         for agent in self.agents:
             for ident in agent.claimed_identities:
@@ -599,15 +677,14 @@ def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str
                          f"seeds for times of shape {t_s.shape}")
     powers = tag_reflection_power_rows(scenario, agent, identity, t_s)
     code = alternating_code(scenario.code_bits)
-    spans = tag_block_bit_spans(scenario.code_bits, scenario.tag_layout.n_tags)
     spb = scenario.samples_per_bit
     code_span = scenario.code_bits * spb
     total = TRACE_SPANS * code_span
     n = t_s.size
 
     # tag number (1..K) and on/off keying of every sample of the region
-    tag_of = np.repeat(np.arange(1, len(spans) + 1, dtype=np.int16),
-                       [(b1 - b0) * spb for b0, b1 in spans])
+    tag_of = _tag_layout(scenario.code_bits, spb, scenario.tag_layout.n_tags,
+                         total)[total:total + code_span]
     on = np.repeat(code, spb).astype(np.float64)
     region = scenario.ambient_w + powers[:, tag_of - 1] * on
 

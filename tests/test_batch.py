@@ -8,13 +8,14 @@ longer than the 2 L window age, and degenerate announcements that segment
 but reflect on no tag.  The digest pins come from the per-trace code.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracle
-from conftest import labeled_dataset, make_scenario
+from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
 from sybilscatter import (
     ChannelParams,
     DegenerateSignatureError,
@@ -52,7 +53,7 @@ from sybilscatter.pipeline import (
     locate_rows,
     signature_rows,
 )
-from sybilscatter.scenario import TraceBatch, reflected_powers
+from sybilscatter.scenario import TraceBatch, _tag_layout, reflected_powers
 
 PROFILE_LEN = 5  # max age 10 periods
 OUTAGE = range(12, 24)  # 12 periods > 2 L
@@ -142,6 +143,82 @@ class TestSimulate:
         assert trace.samples.base is not batch.samples
         assert not trace.samples.flags.writeable
         assert [t.t_s for t in batch] == [t.t_s for t in batch[:]]
+
+
+class TestSchedules:
+    """A schedule that follows its layout is a view of one read-only array
+    cached per layout; any other schedule is a private copy."""
+
+    def _check_rows(self, batch):
+        for k, trace in enumerate(batch):
+            row = batch.tag_schedule[k]
+            assert trace.tag_schedule.dtype == row.dtype
+            assert trace.tag_schedule.tobytes() == row.tobytes()
+            assert not trace.tag_schedule.flags.writeable
+            nonzero = np.flatnonzero(row)
+            assert trace.scheduled_start() == (int(nonzero[0]) if nonzero.size else None)
+
+    def test_rows_equal_the_batch_rows(self, four_identity_run, degraded_run):
+        _, streams = degraded_run
+        for batch in [*four_identity_run.traces.values(), *map(_batch, streams.values())]:
+            self._check_rows(batch)
+
+    def test_one_layout_shares_one_array(self, four_identity_run, degraded_run):
+        run, streams = degraded_run
+        batch = four_identity_run.traces["n0"]
+        first, other = batch[0], four_identity_run.traces["n2"][7]
+        assert first.scheduled_start() != other.scheduled_start()
+        assert np.shares_memory(first.tag_schedule, other.tag_schedule)
+        assert not np.shares_memory(first.tag_schedule, batch.tag_schedule)
+        # the corpus scenario has the same layout: 4 tags, 64 bits, 8 samples each
+        ident = next(iter(streams))
+        guard_only = streams[ident][OUTAGE[0]]
+        assert guard_only.scheduled_start() is None
+        built = replace(run.traces[ident][0])
+        assert built.scheduled_start() is not None
+        for trace in (guard_only, built):
+            assert np.shares_memory(trace.tag_schedule, first.tag_schedule)
+
+    def test_other_schedules_get_a_private_copy(self, four_identity_run):
+        batch = four_identity_run.traces["n0"]
+        trace = batch[0]
+        start, n = trace.scheduled_start(), trace.samples.size
+        uneven = trace.tag_schedule.copy()
+        uneven[start + 128] = 1  # tag 1's block one sample longer, tag 2's shorter
+        stray = trace.tag_schedule.copy()
+        stray[start + 5] = 3
+        cut_off = np.zeros(n, dtype=np.int16)
+        cut_off[n - 100:] = trace.tag_schedule[start:start + 100]
+        rows = np.stack([uneven, stray, cut_off])
+        odd = replace(batch, t_s=batch.t_s[:3], samples=batch.samples[:3], tag_schedule=rows)
+        self._check_rows(odd)
+        for k, row in enumerate(rows):
+            for got in (odd[k], replace(trace, tag_schedule=row)):
+                np.testing.assert_array_equal(got.tag_schedule, row)
+                assert got.scheduled_start() == np.flatnonzero(row)[0]
+                for other in (trace.tag_schedule, odd.tag_schedule, row):
+                    assert not np.shares_memory(got.tag_schedule, other)
+
+    def test_cached_layout_is_read_only(self):
+        layout = _tag_layout(64, 8, 4, 2560)
+        assert not layout.flags.writeable
+        with pytest.raises(ValueError):
+            layout[0] = 1
+        np.testing.assert_array_equal(layout[2560:2560 + 512], np.repeat([1, 2, 3, 4], 128))
+        assert not layout[:2560].any() and not layout[2560 + 512:].any()
+
+    def test_kept_traces_hold_only_their_samples(self):
+        """Taking every row of a 60 s batch allocates the samples and at
+        most 1 KiB more per trace; tracemalloc sees numpy's data."""
+        batch = simulate_scenario(make_scenario(FOUR_ID_SPECS, horizon_s=60.0), 42).traces["n0"]
+        tracemalloc.start()
+        try:
+            traces = [batch[k] for k in range(len(batch))]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traces) == 100
+        assert held <= len(traces) * (batch.samples[0].nbytes + 1024)
 
 
 class TestExtract:
@@ -454,7 +531,7 @@ class TestOnline:
         unit = np.array([0.6, 0.8])
         trace = dict(identity="n0", true_source_id="r0", sample_rate_hz=1.0,
                      tag_code=np.array([1, 0, 1, 0], dtype=np.uint8),
-                     samples_per_bit=1, n_tags=2)
+                     samples_per_bit=2, n_tags=2)
         kwargs = {  # every array already in its stored dtype
             DistanceMatrix: dict(identities=("a", "b"), values=np.zeros((2, 2, 3))),
             SimilarityMatrix: dict(identities=("a", "b"),

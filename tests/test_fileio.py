@@ -125,6 +125,8 @@ class TestTraceFiles:
                 assert back.true_source_id == orig.true_source_id
                 np.testing.assert_array_equal(back.samples, orig.samples)
                 np.testing.assert_array_equal(back.tag_schedule, orig.tag_schedule)
+                # both are views of the one array cached for their layout
+                assert np.shares_memory(back.tag_schedule, orig.tag_schedule)
 
     def test_writes_are_byte_identical(self, tmp_path, four_identity_run,
                                        four_identity_scenario):
@@ -605,6 +607,17 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError,
                            match=rf"config\.ini: \[{re.escape(section)}\] .*{re.escape(message)}"):
             read_scenario_config(path)
+
+    @pytest.mark.parametrize("spb", [1, 3, 4])
+    @pytest.mark.parametrize("text,section", [(SCENARIO_INI, "scenario"),
+                                              (CORPUS_INI, "corpus")])
+    def test_mis_segmenting_samples_per_bit_rejected(self, tmp_path, text, section, spb):
+        path = tmp_path / "config.ini"
+        path.write_text(text.replace(f"[{section}]\n",
+                                     f"[{section}]\nsamples_per_bit = {spb}\n"))
+        with pytest.raises(ConfigError, match=rf"config\.ini: \[{section}\] samples_per_bit "
+                                              rf"{spb} mis-segments the alternating code"):
+            read_config(path)
 
     def test_agent_without_identities_rejected(self, tmp_path):
         path = tmp_path / "config.ini"

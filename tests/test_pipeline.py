@@ -46,7 +46,19 @@ from sybilscatter.pipeline import (
     expand_code,
     locate_rows,
 )
-from sybilscatter.scenario import TraceBatch
+from sybilscatter.scenario import TraceBatch, check_samples_per_bit
+
+
+def _accepted(spb):
+    try:
+        check_samples_per_bit(spb)
+    except ParameterError:
+        return False
+    return True
+
+
+# every samples_per_bit in 1-16 that the alternating code's constructors accept
+ACCEPTED_SPB = [spb for spb in range(1, 17) if _accepted(spb)]
 
 
 def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
@@ -261,10 +273,10 @@ class TestSegmentation:
             segment_backscatter(trace)
 
     @settings(max_examples=40, deadline=None)
-    @given(bits=st.integers(8, 64), spb=st.integers(5, 10), data=st.data())
+    @given(bits=st.integers(8, 64), spb=st.sampled_from(ACCEPTED_SPB), data=st.data())
     def test_start_follows_a_shifted_prefix(self, bits, spb, data):
-        # runs of at least 5 samples, so the 9-tap smoothing keeps the
-        # modulation; the region starts wherever the prefix ends
+        # every modulation the constructors accept; the region starts
+        # wherever the prefix ends
         span = bits * spb
         n = 5 * span
         start = data.draw(st.integers(0, n - span))

@@ -6,6 +6,7 @@ import pytest
 from sybilscatter import (
     ChannelParams,
     ConfigError,
+    CorpusSpec,
     GeometryError,
     IdentityError,
     ParameterError,
@@ -27,6 +28,7 @@ from sybilscatter import (
 )
 
 from conftest import FOUR_ID_SPECS, make_scenario, parked
+from sybilscatter.scenario import TraceBatch
 
 # Hand-evaluated reflection budget, pinned before the implementation:
 # P_t=1, G_t=G_r=1, lam=0.125, d_t=2, d_r=0.12, transfer=1.
@@ -320,6 +322,53 @@ class TestSynthesizeTrace:
                           sample_rate_hz=100.0, samples=samples,
                           tag_schedule=np.zeros(20, dtype=int), tag_code=code,
                           samples_per_bit=2, n_tags=1)
+
+
+# layouts of the alternating code that the 9-tap smoothing mis-segments
+REJECTED_SPB = (1, 3, 4)
+SPB_RULE = r"mis-segments the alternating code: the rule is samples_per_bit >= 2"
+
+
+def _trace_fields(spb, code):
+    n = 5 * code.size * spb
+    return dict(identity="x", true_source_id="s", sample_rate_hz=100.0,
+                samples=np.ones(n), tag_schedule=np.zeros(n, dtype=np.int16),
+                tag_code=code, samples_per_bit=spb, n_tags=1)
+
+
+class TestSamplesPerBitRule:
+    @pytest.mark.parametrize("spb", REJECTED_SPB)
+    def test_scenario_config_rejects(self, spb):
+        with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
+            make_scenario(FOUR_ID_SPECS, samples_per_bit=spb)
+
+    @pytest.mark.parametrize("spb", REJECTED_SPB)
+    def test_corpus_spec_rejects(self, spb):
+        with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
+            CorpusSpec(samples_per_bit=spb)
+
+    @pytest.mark.parametrize("spb", REJECTED_SPB)
+    def test_received_trace_rejects(self, spb):
+        with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
+            ReceivedTrace(t_s=0.0, **_trace_fields(spb, alternating_code(8)))
+
+    @pytest.mark.parametrize("spb", REJECTED_SPB)
+    def test_trace_batch_rejects(self, spb):
+        fields = _trace_fields(spb, alternating_code(8))
+        fields.update(samples=fields["samples"][None], tag_schedule=fields["tag_schedule"][None])
+        with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
+            TraceBatch(t_s=[0.0], **fields)
+
+    @pytest.mark.parametrize("spb", REJECTED_SPB)
+    def test_other_codes_are_not_held_to_it(self, spb):
+        code = np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
+        assert ReceivedTrace(t_s=0.0, **_trace_fields(spb, code)).samples_per_bit == spb
+
+    def test_every_other_layout_is_accepted(self):
+        for spb in (2, *range(5, 17)):
+            assert make_scenario(FOUR_ID_SPECS, samples_per_bit=spb).samples_per_bit == spb
+            assert CorpusSpec(samples_per_bit=spb).samples_per_bit == spb
+            ReceivedTrace(t_s=0.0, **_trace_fields(spb, alternating_code(8)))
 
 
 class TestSimulateScenario:
