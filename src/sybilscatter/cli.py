@@ -159,8 +159,7 @@ def _dataset_from_traces(args) -> harness.LabeledDataset:
     for idx, run_dir in enumerate(run_dirs):
         traces, labels = fileio.read_run(run_dir)
         run = ScenarioRun(
-            traces={ident: tuple(ts) for ident, ts in traces.items()},
-            true_sources=dict(labels["identities"]),
+            traces=traces, true_sources=dict(labels["identities"]),
             seed=int(labels["seed"]))
         scenarios.append(harness.extract_signatures(run, config_index=idx))
     return harness.build_dataset(scenarios, args.profile_len, metric=args.metric)

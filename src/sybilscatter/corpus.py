@@ -52,7 +52,7 @@ from .scenario import (
     ScenarioConfig,
     TagLayout,
     Trajectory,
-    check_samples_per_bit,
+    check_layout,
 )
 
 RX_DISK_RADIUS_M = 0.25
@@ -108,7 +108,7 @@ class CorpusSpec:
             raise ParameterError(f"n_scenarios must be >= 1, got {self.n_scenarios}")
         if self.n_tags < 2:
             raise ParameterError(f"n_tags must be >= 2, got {self.n_tags}")
-        check_samples_per_bit(self.samples_per_bit)
+        check_layout(self.code_bits, self.samples_per_bit, self.n_tags)
         if not (0.0 < self.alpha_low <= self.alpha_high):
             raise ParameterError(
                 f"alpha range must satisfy 0 < low <= high, got "

@@ -24,11 +24,11 @@ from .scenario import (
     DEFAULT_SPEED_MPS,
     DEFAULT_TX_POWER_W,
     ChannelParams,
-    ReceivedTrace,
     RobotAgent,
     ScenarioConfig,
     ScenarioRun,
     TagLayout,
+    TraceBatch,
     Trajectory,
     alternating_code,
 )
@@ -38,7 +38,6 @@ ROC_HEADER = "threshold,fpr,tpr"
 SWEEP_HEADER = "K,L,auroc"
 COMPARE_HEADER = "metric,tpr,fpr"
 ABLATION_HEADER = "normalized,power_scaling,tpr,fpr,accuracy,auroc"
-
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -100,69 +99,80 @@ def write_run(out_dir, run: ScenarioRun, config: ScenarioConfig) -> list:
 
 
 def read_run_labels(path) -> dict:
-    with open(path, encoding="utf-8") as fp:
-        return json.load(fp)
+    """The labels.json of write_run_labels; ConfigError names the file when
+    a field is missing or ill-typed."""
+    payload = _json_object(path, ("seed", "identities", "modulation"))
+    seed, identities, mod = payload["seed"], payload["identities"], payload["modulation"]
+    if not _is_int(seed):
+        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
+    if not (isinstance(identities, dict)
+            and all(isinstance(src, str) for src in identities.values())):
+        raise ConfigError(f"{path}: identities must map each identity to its source name")
+    if not (isinstance(mod, dict) and _is_number(mod.get("sample_rate_hz")) and all(
+            _is_int(mod.get(key)) for key in ("code_bits", "samples_per_bit", "n_tags"))):
+        raise ConfigError(f"{path}: modulation must hold the integers code_bits, "
+                          "samples_per_bit and n_tags and the number sample_rate_hz")
+    return payload
 
 
-def read_trace_csv(path, identity: str, labels: dict) -> list:
-    """Rebuild the ReceivedTrace sequence for one identity."""
-    mod = labels["modulation"]
-    code = alternating_code(int(mod["code_bits"]))
-    source = labels["identities"][identity]
-    traces = []
-    t_s = None
-    samples: list = []
-    tags: list = []
-
-    def flush():
-        if t_s is None:
-            return
-        traces.append(ReceivedTrace(
-            identity=identity,
-            true_source_id=source,
-            t_s=float(t_s),
-            sample_rate_hz=float(mod["sample_rate_hz"]),
-            samples=np.array(samples, dtype=np.float64),
-            tag_schedule=np.array(tags, dtype=np.int16),
-            tag_code=code,
-            samples_per_bit=int(mod["samples_per_bit"]),
-            n_tags=int(mod["n_tags"]),
-        ))
-
+def read_trace_csv(path, identity: str, labels: dict):
+    """One identity's traces as a TraceBatch, or None for a file without
+    a trace; ConfigError names path:line for a malformed line or a
+    non-finite value, and the file for traces of unequal length or a
+    layout TraceBatch rejects."""
+    times, rows, tags = [], [], []  # per trace: t_s, samples, tag indices
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip()
         if header != TRACE_HEADER:
             raise ConfigError(f"{path}: expected header {TRACE_HEADER!r}, got {header!r}")
+        key = None
         for lineno, line in enumerate(fp, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 t_str, sample_str, tag_str = line.split(",")
-                sample, tag = float(sample_str), int(tag_str)
+                t_s, sample, tag = float(t_str), float(sample_str), int(tag_str)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed trace line {line!r}") from None
-            if not math.isfinite(sample):
-                raise ConfigError(f"{path}:{lineno}: trace samples must be finite")
-            if t_s is None or t_str != t_s:
-                flush()
-                t_s = t_str
-                samples, tags = [], []
-            samples.append(sample)
-            tags.append(tag)
-    flush()
-    return traces
+            if not (math.isfinite(t_s) and math.isfinite(sample)):
+                raise ConfigError(f"{path}:{lineno}: trace times and samples must be finite")
+            if t_str != key:
+                key = t_str
+                times.append(t_s)
+                rows.append([])
+                tags.append([])
+            rows[-1].append(sample)
+            tags[-1].append(tag)
+    if not rows:
+        return None
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ConfigError(f"{path}: traces of {lengths} samples; the traces of one "
+                          "file must be of equal length")
+    mod = labels["modulation"]
+    return _construct(f"{path}:", lambda: TraceBatch(
+        identity=identity, true_source_id=labels["identities"][identity], t_s=times,
+        sample_rate_hz=float(mod["sample_rate_hz"]), samples=rows, tag_schedule=tags,
+        tag_code=alternating_code(mod["code_bits"]), samples_per_bit=mod["samples_per_bit"],
+        n_tags=mod["n_tags"]))
 
 
 def read_run(run_dir) -> tuple:
-    """Load a scenario directory back into (traces by identity, labels)."""
+    """Load a scenario directory back into (TraceBatch by identity, labels).
+
+    An identity without a trace file, or whose file holds no trace, is
+    left out.
+    """
     run_dir = Path(run_dir)
     labels = read_run_labels(run_dir / "labels.json")
     traces = {}
     for identity in sorted(labels["identities"]):
         path = run_dir / f"trace_{identity}.csv"
         if path.exists():
-            traces[identity] = read_trace_csv(path, identity, labels)
+            batch = read_trace_csv(path, identity, labels)
+            if batch is not None:
+                traces[identity] = batch
     return traces, labels
 
 
@@ -250,16 +260,7 @@ def read_model_json(path) -> LRModel:
     """The model of write_model_json; ConfigError names the file when it is
     not a JSON object with an integer L, a list of L numbers as weights
     and a number as bias."""
-    try:
-        with open(path, encoding="utf-8") as fp:
-            payload = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected a JSON object with L, weights and bias")
-    for key in ("L", "weights", "bias"):
-        if key not in payload:
-            raise ConfigError(f"{path}: missing {key!r}")
+    payload = _json_object(path, ("L", "weights", "bias"))
     size, weights, bias = payload["L"], payload["weights"], payload["bias"]
     if not _is_int(size):
         raise ConfigError(f"{path}: L must be an integer, got {size!r}")
@@ -273,6 +274,22 @@ def read_model_json(path) -> LRModel:
         return LRModel(weights=np.array(weights, dtype=np.float64), bias=float(bias))
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _json_object(path, keys) -> dict:
+    """The JSON object in path; ConfigError names the file when it does not
+    parse, is not an object or misses one of keys."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            payload = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object with {', '.join(keys)}")
+    for key in keys:
+        if key not in payload:
+            raise ConfigError(f"{path}: missing {key!r}")
+    return payload
 
 
 def _is_int(value) -> bool:

@@ -44,10 +44,9 @@ from .pipeline import (
     DEFAULT_PROFILE_LEN,
     full_window_ends,
     signature_rows,
-    trace_batches,
     window_rows,
 )
-from .scenario import simulate_scenario
+from .scenario import TraceBatch, simulate_scenario
 
 ADJUSTED_METRIC = "adjusted"
 DATASET_METRICS = (ADJUSTED_METRIC,) + BASELINE_METRICS
@@ -213,23 +212,19 @@ class ScenarioSignatures:
 def extract_signatures(run, config_index: int = 0) -> ScenarioSignatures:
     """Run every trace of a scenario through the signal pipeline.
 
-    Each identity's traces go through signature_rows as one batch (or one
-    per run of equal layout).  Traces that fail segmentation or yield a
-    degenerate signature are skipped; their period simply has no entry for
-    that identity.
+    Each identity's traces go through signature_rows as one batch; a
+    stream that is not a TraceBatch is stacked into one, which raises
+    ShapeError unless its traces share one layout.  Traces that fail
+    segmentation or yield a degenerate signature are skipped; their
+    period simply has no entry for that identity.
     """
     periods, signatures, raw = {}, {}, {}
     for identity, traces in run.traces.items():
-        kept, raw_rows, unit_rows = [], [], []
-        for first, batch in trace_batches(traces):
-            rows, batch_raw, batch_unit = signature_rows(batch)
-            kept.append(first + rows)
-            raw_rows.append(batch_raw)
-            unit_rows.append(batch_unit)
-        if any(k.size for k in kept):
-            periods[identity] = np.concatenate(kept)
-            raw[identity] = np.concatenate(raw_rows)
-            signatures[identity] = np.concatenate(unit_rows)
+        if not isinstance(traces, TraceBatch):
+            traces = TraceBatch.stack(traces)
+        kept, raw_rows, unit_rows = signature_rows(traces)
+        if kept.size:
+            periods[identity], raw[identity], signatures[identity] = kept, raw_rows, unit_rows
     return ScenarioSignatures(
         scenario_key=(int(config_index), int(run.seed)),
         sources=dict(run.true_sources),

@@ -11,7 +11,6 @@ a signal profile.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -273,7 +272,7 @@ def _segmentation(c):
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
 
 
-def _exact_segmentation(batch: TraceBatch, rows=slice(None)):
+def _exact_segmentation(batch: TraceBatch, rows):
     """_segmentation of np.correlate's lags on the given rows of a batch:
     the reference decisions."""
     smoothed = _smooth_rows(batch.samples[rows], SMOOTHING_WINDOW)
@@ -289,16 +288,6 @@ def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u): a sum of n + 1 terms, added in
     any order, errs by at most gamma_n times the sum of their magnitudes."""
     return n * _U / (1.0 - n * _U)
-
-
-@functools.lru_cache(maxsize=64)
-def _alternating_runs(code_bytes: bytes) -> int:
-    """The number of 1-bits of an alternating code (1, 0, 1, 0, ...), or 0
-    for any other code."""
-    code = np.frombuffer(code_bytes, dtype=np.uint8)
-    if not np.array_equal(code, 1 - np.arange(code.size) % 2):
-        return 0
-    return (code.size + 1) // 2
 
 
 def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
@@ -425,8 +414,8 @@ def _error_bound(n: int, samples_per_bit: int, n_runs: int, code_len: int):
 
 
 def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
-    """(starts, decodable, certified) of every nonnegative row of x, from
-    prefix sums.
+    """(starts, decodable, peaks, floors, certified) of every nonnegative
+    row of x, from prefix sums.
 
     A row is certified when its decisions are np.correlate's by
     construction.  With E its error bound (see _error_bound), it needs:
@@ -447,32 +436,31 @@ def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
         runner_up = np.maximum.reduce(c, axis=1)
         certified = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
                      & (np.absolute(peaks - floors) > 4.0 * bound))
-    return starts, decodable, certified
+    return starts, decodable, peaks, floors, certified
 
 
 def locate_rows(batch: TraceBatch):
-    """Segment every row of a batch: (starts, decodable).
+    """Segment every row of a batch: (starts, decodable, peaks, floors).
 
     Each row is smoothed and correlated against the sample-domain code,
-    and _segmentation reads the region start and whether the row is
-    decodable from the lags.  The decisions are np.correlate's on
-    _smooth_rows' output.  For the alternating code the lags come from
-    prefix sums of the raw row, O(N) per row, and only the rows whose
-    decisions their error bound cannot certify (see _fast_segmentation)
-    are smoothed and re-run through np.correlate, as are all rows of any
-    other code.
+    and _segmentation reads the region start, whether the row is
+    decodable, and the peak and floor that decided it from the lags.  The
+    decisions are np.correlate's on _smooth_rows' output.  The lags come
+    from prefix sums of the raw row, O(N) per row, and only the rows
+    whose decisions their error bound cannot certify (see
+    _fast_segmentation) are smoothed and re-run through np.correlate.
+    A certified row's peak and floor are within its bound of
+    np.correlate's.
     """
-    samples = batch.samples
     code_len = batch.tag_code.size * batch.samples_per_bit
-    n_runs = _alternating_runs(batch.tag_code.tobytes())
-    if not n_runs or samples.shape[1] < SMOOTHING_WINDOW:
-        return _exact_segmentation(batch)[:2]
-    starts, decodable, certified = _fast_segmentation(
-        samples, batch.samples_per_bit, n_runs, code_len)
+    n_runs = (batch.tag_code.size + 1) // 2
+    *decisions, certified = _fast_segmentation(
+        batch.samples, batch.samples_per_bit, n_runs, code_len)
     if not certified.all():
         redo = np.flatnonzero(~certified)
-        starts[redo], decodable[redo], _, _ = _exact_segmentation(batch, redo)
-    return starts, decodable
+        for out, exact in zip(decisions, _exact_segmentation(batch, redo)):
+            out[redo] = exact
+    return tuple(decisions)
 
 
 def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
@@ -485,11 +473,10 @@ def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
 
 
 def _region_start(batch: TraceBatch) -> int:
-    """locate_rows on a one-row batch; raises SegmentationError, with the
-    exact peak and floor."""
-    starts, decodable = locate_rows(batch)
+    """locate_rows on a one-row batch; raises SegmentationError with the
+    peak and floor that decided it."""
+    starts, decodable, peaks, floors = locate_rows(batch)
     if not decodable[0]:
-        _, _, peaks, floors = _exact_segmentation(batch)
         raise SegmentationError(
             f"correlation peak {peaks[0]:.3e} below decision floor {floors[0]:.3e}")
     return int(starts[0])
@@ -536,8 +523,6 @@ def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
     groups = {}
     for tag_idx, (b0, b1) in enumerate(tag_block_bit_spans(code.size, n_tags)):
         mask = np.repeat(code[b0:b1], samples_per_bit).astype(bool)
-        if mask.all() or not mask.any():
-            raise MaskError(f"tag {tag_idx + 1}'s code bits must both reflect and absorb")
         offsets = b0 * samples_per_bit + np.arange(mask.size)
         groups.setdefault((int(mask.sum()), mask.size), []).append(
             (tag_idx, np.concatenate([offsets[mask], offsets[~mask]])))
@@ -604,30 +589,13 @@ def signature_rows(batch: TraceBatch):
     other rows are the ones for which signature_from_trace raises
     SegmentationError or DegenerateSignatureError.
     """
-    starts, decodable = locate_rows(batch)
+    starts, decodable, _, _ = locate_rows(batch)
     found = np.flatnonzero(decodable)
     raw = reflection_rows(batch, found, starts[found])
     norms = row_norms(raw)
     live = norms > 0.0  # zero on every tag: no direction to normalize
     raw = raw[live]
     return found[live], raw, raw / norms[live][:, None]
-
-
-def _layout(trace):
-    return (trace.samples.size, trace.samples_per_bit, trace.n_tags,
-            trace.tag_code.tobytes())
-
-
-def trace_batches(traces):
-    """A trace sequence as runs of one layout: [(first index, TraceBatch)]."""
-    if isinstance(traces, TraceBatch):
-        return [(0, traces)]
-    out, first = [], 0
-    for _, group in itertools.groupby(traces, key=_layout):
-        batch = TraceBatch.stack(group)
-        out.append((first, batch))
-        first += len(batch)
-    return out
 
 
 def build_profile(identity: str, signatures, profile_len: int = DEFAULT_PROFILE_LEN) -> SignalProfile:

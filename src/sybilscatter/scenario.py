@@ -53,6 +53,8 @@ MIN_GUARD_SPANS = 1
 
 # taps of the moving average applied before the code correlation
 SMOOTHING_WINDOW = 9
+# the fewest code bits of one tag's block that segments exactly (check_layout)
+MIN_TAG_BITS = 7
 
 
 def _positive(name, value):
@@ -61,31 +63,32 @@ def _positive(name, value):
     return float(value)
 
 
-def check_samples_per_bit(samples_per_bit, alternating=True):
-    """Reject a modulation that the pipeline's smoothing mis-segments.
+def check_layout(code_bits, samples_per_bit, n_tags):
+    """Reject a code layout that the pipeline does not segment exactly.
 
-    A W-tap moving average passes frequency f with gain
-    sin(W pi f) / (W sin pi f).  Where that gain is not positive at the
-    alternating code's fundamental f = 1 / (2 samples_per_bit), the
-    smoothing inverts the code and its correlation peak moves by half a
-    period: samples_per_bit 3 and 4 for the 9-tap window.  At one sample
-    per bit the gain is positive, but the windows truncated at a trace's
-    edges weigh the code's first and last bits more than the full
-    windows weigh the others, so a region starting two or three samples
-    from either edge segments one code period early.  Other codes are
-    only held to samples_per_bit >= 1.
+    Every tag keys the alternating code over one block of its bits
+    (tag_block_bit_spans).  Under these two rules a noise-free trace
+    segments at its region's start wherever that lies and whatever the
+    tags' powers:
+    - code_bits >= MIN_TAG_BITS n_tags.  With a shorter block, a region
+      next to a trace edge gets more of its first or last reflecting run
+      through the truncated smoothing windows than the block's further
+      runs take back, so it segments off its start;
+    - samples_per_bit > SMOOTHING_WINDOW // 2, so the smoothing never
+      carries a tag's power across an absorbing bit into the next
+      reflecting run (at 2 it does; at 3 and 4 it inverts the code).
     """
-    if samples_per_bit < 1:
-        raise ParameterError(f"samples_per_bit must be >= 1, got {samples_per_bit}")
-    if alternating:
-        w, f = SMOOTHING_WINDOW, 0.5 / samples_per_bit
-        gain = math.sin(w * math.pi * f) / (w * math.sin(math.pi * f))
-        if samples_per_bit < 2 or gain <= 0:
-            raise ParameterError(
-                f"samples_per_bit {samples_per_bit} mis-segments the alternating "
-                f"code: the rule is samples_per_bit >= 2 and a {w}-tap smoothing "
-                f"gain sin({w} pi f) / ({w} sin pi f) > 0 at "
-                f"f = 1 / (2 samples_per_bit); here the gain is {gain:.3g}")
+    if n_tags < 1:
+        raise ParameterError(f"n_tags must be >= 1, got {n_tags}")
+    if code_bits < MIN_TAG_BITS * n_tags:
+        raise ParameterError(
+            f"code_bits {code_bits} gives one of {n_tags} tags fewer than "
+            f"{MIN_TAG_BITS} bits: the rule is code_bits >= {MIN_TAG_BITS} n_tags")
+    if samples_per_bit <= SMOOTHING_WINDOW // 2:
+        raise ParameterError(
+            f"samples_per_bit {samples_per_bit} mis-segments the alternating "
+            f"code: the rule is samples_per_bit > {SMOOTHING_WINDOW // 2}, half "
+            f"the {SMOOTHING_WINDOW}-tap smoothing window")
 
 
 def _readonly(obj, name, arr):
@@ -294,13 +297,11 @@ def _tag_layout(n_bits: int, samples_per_bit: int, n_tags: int, n: int) -> np.nd
 
 def _layout_slice(schedule, n_bits: int, samples_per_bit: int, n_tags: int):
     """The slice of the cached _tag_layout equal to a validated 1-D
-    schedule, or None if the schedule does not follow that layout (uneven
-    blocks, a stray tag value, a region cut off at the end, a code too
-    short to give every tag a block).  Traces keep that view instead of a
-    copy of their own, since the pipeline never reads the schedule."""
+    schedule of a checked layout, or None if the schedule does not follow
+    it (uneven blocks, a stray tag value, a region cut off at the end).
+    Traces keep that view instead of a copy of their own, since the
+    pipeline never reads the schedule."""
     n = schedule.size
-    if n_bits < 2 * n_tags:
-        return None
     start = int((schedule != 0).argmax())
     if not schedule[start]:  # all guard
         start = n
@@ -317,26 +318,28 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
     Returns samples, schedule and code as read-only copies in the stored
     dtypes, so the caller's arrays stay writeable; a 1-D schedule that
     follows its layout is the cached view instead (_layout_slice).  Rows
-    are traces of equal length sharing one code.
+    are traces of equal length sharing one code.  Besides check_layout,
+    a trace must carry the alternating code and hold one code span.  A
+    checked span is longer than the smoothing window.
     """
     samples = np.array(samples, dtype=np.float64)
     schedule = np.array(tag_schedule, dtype=np.int16)
     code = np.array(tag_code, dtype=np.uint8)
     _positive("sample_rate_hz", sample_rate_hz)
-    if code.ndim != 1 or code.size == 0:
-        raise ParameterError("tag_code must be a nonempty 1-D binary array")
-    if np.any((code != 0) & (code != 1)):
-        raise ParameterError("tag_code entries must be 0 or 1")
-    check_samples_per_bit(samples_per_bit,
-                          alternating=code[::2].all() and not code[1::2].any())
-    if n_tags < 1:
-        raise ParameterError(f"n_tags must be >= 1, got {n_tags}")
+    if code.ndim != 1 or not np.array_equal(code, 1 - np.arange(code.size) % 2):
+        raise ParameterError(
+            "tag_code is not the alternating code: the rule is "
+            "tag_code = 1, 0, 1, 0, ... (alternating_code(len(tag_code)))")
+    check_layout(code.size, samples_per_bit, n_tags)
     if samples.ndim != ndim or schedule.shape != samples.shape:
         raise ShapeError(
             f"samples {samples.shape} and tag_schedule {schedule.shape} "
             f"must be {ndim}-D arrays of equal shape")
-    if samples.shape[-1] < code.size * samples_per_bit:
-        raise ParameterError("trace shorter than one full code span")
+    span = code.size * samples_per_bit
+    if samples.shape[-1] < span:
+        raise ParameterError(
+            f"trace of {samples.shape[-1]} samples is too short: the rule is at "
+            f"least one code span, {span} samples")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("trace magnitudes must be finite")
     if np.any(samples < 0):
@@ -436,7 +439,7 @@ class TraceBatch(Sequence):
             if (trace.samples.size != first.samples.size
                     or trace.samples_per_bit != first.samples_per_bit
                     or trace.n_tags != first.n_tags
-                    or not np.array_equal(trace.tag_code, first.tag_code)):
+                    or trace.tag_code.size != first.tag_code.size):
                 raise ShapeError("stacked traces must share length, code and modulation")
         if len(traces) == 1:  # a one-row call: views of the trace's read-only arrays
             samples, schedule = first.samples[None], first.tag_schedule[None]
@@ -507,9 +510,7 @@ class ScenarioConfig:
         _positive("ambient_w", self.ambient_w)
         if self.slot_spacing_s < 0:
             raise ParameterError("slot_spacing_s must be >= 0")
-        if self.code_bits < 2:
-            raise ParameterError(f"code_bits must be >= 2, got {self.code_bits}")
-        check_samples_per_bit(self.samples_per_bit)
+        check_layout(self.code_bits, self.samples_per_bit, self.tag_layout.n_tags)
         seen = set()
         for agent in self.agents:
             for ident in agent.claimed_identities:
@@ -544,8 +545,9 @@ class ScenarioConfig:
 class ScenarioRun:
     """Output of simulate_scenario: per-identity trace streams plus truth.
 
-    ``traces`` maps each identity to a sequence of ReceivedTrace, one per
-    update period: a TraceBatch from the simulator, any sequence otherwise.
+    ``traces`` maps each identity to a sequence of ReceivedTrace of one
+    layout, one per update period: a TraceBatch from the simulator and the
+    trace reader, any such sequence otherwise.
     """
 
     traces: dict

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
@@ -27,6 +29,7 @@ from sybilscatter import (
     ReceivedTrace,
     ScenarioRun,
     SegmentationError,
+    ShapeError,
     SignalProfile,
     SimilarityMatrix,
     TagLayout,
@@ -254,20 +257,45 @@ class TestExtract:
             np.testing.assert_array_equal(got.raw[ident], np.vstack(raw))
             np.testing.assert_array_equal(got.signatures[ident], np.vstack(normed))
 
-    def test_mixed_lengths_and_uneven_tag_blocks(self):
-        # 3 and 5 tags split 64 code bits unevenly; a longer trace in the
-        # middle of the stream splits it into runs of one layout
+    def test_uneven_tag_blocks(self):
+        # 3 and 5 tags split 64 code bits unevenly
         for n_tags in (3, 5):
             config = make_scenario((("r0", ("n0",), (1.0, 0.4), None),),
                                    n_tags=n_tags, horizon_s=9.0)
             traces = list(simulate_scenario(config, 21).traces["n0"])
-            traces[6] = replace(traces[6], samples=np.pad(traces[6].samples, (0, 40)),
-                                tag_schedule=np.pad(traces[6].tag_schedule, (0, 40)))
             got = extract_signatures(ScenarioRun({"n0": tuple(traces)}, {"n0": "r0"}, 21))
             periods, raw, _ = oracle.signatures(traces, 9)
             assert len(periods) == len(traces)
             np.testing.assert_array_equal(got.periods["n0"], periods)
             np.testing.assert_array_equal(got.raw["n0"], np.vstack(raw))
+
+    def test_mixed_layouts_are_rejected(self):
+        # a stream is stacked into one TraceBatch: a longer trace in the
+        # middle of it, or a trace of another tag count, is a ShapeError
+        config = make_scenario((("r0", ("n0",), (1.0, 0.4), None),), horizon_s=9.0)
+        traces = list(simulate_scenario(config, 21).traces["n0"])
+        longer = replace(traces[6], samples=np.pad(traces[6].samples, (0, 40)),
+                         tag_schedule=np.pad(traces[6].tag_schedule, (0, 40)))
+        fewer_tags = replace(traces[6], tag_schedule=np.zeros_like(traces[6].tag_schedule),
+                             n_tags=3)
+        for odd in (longer, fewer_tags):
+            stream = tuple(traces[:6] + [odd] + traces[7:])
+            with pytest.raises(ShapeError, match="share length, code and modulation"):
+                extract_signatures(ScenarioRun({"n0": stream}, {"n0": "r0"}, 21))
+
+    @settings(max_examples=30, deadline=None)
+    @given(exponent=st.integers(-60, 60), which=st.integers(0, 3))
+    def test_power_of_two_scaling_keeps_signatures(self, degraded_run, exponent, which):
+        """Scaling every sample by 2^e scales each lag, mean and norm
+        exactly, so the kept rows and the unit signatures keep their bits."""
+        _, streams = degraded_run
+        batch = _batch(list(streams.values())[which])
+        scaled = replace(batch, samples=batch.samples * 2.0 ** exponent)
+        kept, _, unit = signature_rows(batch)
+        kept_scaled, _, unit_scaled = signature_rows(scaled)
+        assert kept.size < len(batch)
+        assert kept_scaled.tobytes() == kept.tobytes()
+        assert unit_scaled.tobytes() == unit.tobytes()
 
     def test_one_row_calls_match_per_trace_oracle(self, degraded_run):
         _, streams = degraded_run
@@ -304,8 +332,8 @@ class TestExtract:
         redone = 0
         for traces in streams.values():
             batch = _batch(traces)
-            starts, decodable = locate_rows(batch)
-            redone += (~_fast_segmentation(batch.samples, 8, 32, 512)[2]).sum()
+            starts, decodable, _, _ = locate_rows(batch)
+            redone += (~_fast_segmentation(batch.samples, 8, 32, 512)[4]).sum()
             template = np.repeat(traces[0].tag_code, 8).astype(np.float64)
             for k, trace in enumerate(traces):
                 start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8, 9)
@@ -530,8 +558,8 @@ class TestOnline:
         prevalidated objects take the arrays they are given."""
         unit = np.array([0.6, 0.8])
         trace = dict(identity="n0", true_source_id="r0", sample_rate_hz=1.0,
-                     tag_code=np.array([1, 0, 1, 0], dtype=np.uint8),
-                     samples_per_bit=2, n_tags=2)
+                     tag_code=np.tile(np.array([1, 0], dtype=np.uint8), 7),
+                     samples_per_bit=5, n_tags=2)
         kwargs = {  # every array already in its stored dtype
             DistanceMatrix: dict(identities=("a", "b"), values=np.zeros((2, 2, 3))),
             SimilarityMatrix: dict(identities=("a", "b"),
@@ -544,10 +572,10 @@ class TestOnline:
                             ring_radius_m=1.0),
             Trajectory: dict(waypoints=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
                              speed_mps=1.0),
-            ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(8),
-                                tag_schedule=np.zeros(8, dtype=np.int16)),
-            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 8)),
-                             tag_schedule=np.zeros((2, 8), dtype=np.int16)),
+            ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(70),
+                                tag_schedule=np.zeros(70, dtype=np.int16)),
+            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 70)),
+                             tag_schedule=np.zeros((2, 70), dtype=np.int16)),
         }[cls]
         obj = cls(**kwargs)
         arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
@@ -577,3 +605,16 @@ class TestDigests:
         configs, seeds = corpus
         ds = generate_dataset(configs, seeds, n_tags=4, profile_len=10, **options)
         assert dataset_digest(ds) == digest
+
+    def test_every_row_is_certified(self, corpus):
+        """No stock row needs np.correlate: a change that sends them there
+        fails here, not only in the benchmark's timings."""
+        rows = 0
+        for config, seed in zip(*corpus):
+            for batch in simulate_scenario(config, seed).traces.values():
+                *_, certified = _fast_segmentation(
+                    batch.samples, batch.samples_per_bit, (batch.tag_code.size + 1) // 2,
+                    batch.tag_code.size * batch.samples_per_bit)
+                assert certified.all()
+                rows += len(batch)
+        assert rows == 500

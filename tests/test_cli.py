@@ -228,6 +228,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.json: missing 'bias'" in err
 
+    def test_dataset_rejects_labels_without_modulation(self, tmp_path, scenario_ini, capsys):
+        main(["simulate", "--config", scenario_ini, "--seed", "5",
+              "--out", str(tmp_path / "runs")])
+        labels = tmp_path / "runs" / "scenario_000" / "labels.json"
+        payload = json.loads(labels.read_text())
+        del payload["modulation"]
+        labels.write_text(json.dumps(payload))
+        rc = main(["dataset", "--traces", str(tmp_path / "runs"), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "labels.json: missing 'modulation'" in err
+
     def test_experiment_rejects_scenario_config(self, tmp_path, scenario_ini,
                                                 capsys):
         rc = main(["sweep", "--config", scenario_ini, "--out", str(tmp_path)])

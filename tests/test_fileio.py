@@ -11,6 +11,7 @@ from conftest import labeled_dataset
 from sybilscatter import (
     ConfigError,
     LRModel,
+    TraceBatch,
     Verdict,
     metrics_from_scores,
     position_at,
@@ -26,6 +27,7 @@ from sybilscatter.fileio import (
     read_corpus_spec,
     read_model_json,
     read_run,
+    read_run_labels,
     read_samples_csv,
     read_scenario_config,
     samples_header,
@@ -119,7 +121,8 @@ class TestTraceFiles:
         assert set(traces) == set(four_identity_run.traces)
         for identity, originals in four_identity_run.traces.items():
             loaded = traces[identity]
-            assert len(loaded) == len(originals)
+            assert isinstance(loaded, TraceBatch) and len(loaded) == len(originals)
+            assert loaded.samples.tobytes() == originals.samples.tobytes()
             for orig, back in zip(originals, loaded):
                 assert back.t_s == orig.t_s
                 assert back.true_source_id == orig.true_source_id
@@ -167,6 +170,54 @@ class TestTraceFiles:
         with pytest.raises(ConfigError, match=r"trace_n1\.csv:5: "):
             read_run(tmp_path)
 
+    @pytest.mark.parametrize("bad,message", [("abc", "malformed trace line"),
+                                             ("nan", "trace times and samples must be finite"),
+                                             ("inf", "trace times and samples must be finite")])
+    def test_bad_time_names_file_and_line(self, tmp_path, four_identity_run,
+                                          four_identity_scenario, bad, message):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n1.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = ",".join([bad, *lines[4].split(",")[1:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"trace_n1\.csv:5: {message}"):
+            read_run(tmp_path)
+
+    def test_traces_of_unequal_length_name_the_file(self, tmp_path, four_identity_run,
+                                                    four_identity_scenario):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n2.csv"
+        lines = path.read_text().splitlines()
+        del lines[3000]  # a sample of the second trace
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"trace_n2\.csv: traces of \[2559, 2560\] "
+                                              r"samples; the traces of one file must be "
+                                              r"of equal length"):
+            read_run(tmp_path)
+
+    def test_header_only_file_leaves_the_identity_out(self, tmp_path, four_identity_run,
+                                                      four_identity_scenario):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        (tmp_path / "trace_n3.csv").write_text(TRACE_HEADER + "\n")
+        traces, _ = read_run(tmp_path)
+        assert list(traces) == ["n0", "n1", "n2"]
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("samples_per_bit", 3, "the rule is samples_per_bit > 4"),
+        ("code_bits", 20, "the rule is code_bits >= 7 n_tags"),
+        ("code_bits", 1, "code needs >= 2 bits"),
+        ("n_tags", 0, "n_tags must be >= 1"),
+        ("sample_rate_hz", -1.0, "sample_rate_hz must be strictly positive"),
+    ])
+    def test_rejected_layout_names_the_trace_file(self, tmp_path, four_identity_run,
+                                                  four_identity_scenario, field, value, rule):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        labels = json.loads((tmp_path / "labels.json").read_text())
+        labels["modulation"][field] = value
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        with pytest.raises(ConfigError, match=rf"trace_n0\.csv: .*{rule}"):
+            read_run(tmp_path)
+
     def test_short_line_names_file_and_line(self, tmp_path, four_identity_run,
                                             four_identity_scenario):
         write_run(tmp_path, four_identity_run, four_identity_scenario)
@@ -175,6 +226,76 @@ class TestTraceFiles:
         lines[2] = lines[2].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=r"trace_n0\.csv:3: malformed"):
+            read_run(tmp_path)
+
+
+GOOD_LABELS = {"seed": 7, "identities": {"n0": "robotA", "n1": "robotA"},
+               "modulation": {"code_bits": 64, "samples_per_bit": 8,
+                              "sample_rate_hz": 8000.0, "n_tags": 4}}
+
+
+def _labels(**changes):
+    """GOOD_LABELS with top-level or modulation keys replaced (None deletes)."""
+    payload = json.loads(json.dumps(GOOD_LABELS))
+    for key, value in changes.items():
+        target = payload["modulation"] if key in payload["modulation"] else payload
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return payload
+
+
+class TestRunLabels:
+    def test_written_labels_read_back(self, tmp_path, four_identity_run,
+                                      four_identity_scenario):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        labels = read_run_labels(tmp_path / "labels.json")
+        assert labels == json.loads((tmp_path / "labels.json").read_text())
+
+    @pytest.mark.parametrize("payload,message", [
+        (_labels(seed=None), "missing 'seed'"),
+        (_labels(seed="7"), "seed must be an integer"),
+        (_labels(seed=7.0), "seed must be an integer"),
+        (_labels(seed=True), "seed must be an integer"),
+    ])
+    def test_seed(self, tmp_path, payload, message):
+        self._rejects(tmp_path, payload, message)
+
+    @pytest.mark.parametrize("payload,message", [
+        (_labels(identities=None), "missing 'identities'"),
+        (_labels(identities=["n0", "n1"]), "identities must map each identity"),
+        (_labels(identities={"n0": 3}), "identities must map each identity"),
+    ])
+    def test_identities(self, tmp_path, payload, message):
+        self._rejects(tmp_path, payload, message)
+
+    @pytest.mark.parametrize("payload", [
+        _labels(code_bits=None), _labels(code_bits=64.0), _labels(samples_per_bit="8"),
+        _labels(n_tags=None), _labels(sample_rate_hz=None), _labels(sample_rate_hz="8k"),
+        _labels(modulation=[64, 8, 8000.0, 4]),
+    ])
+    def test_modulation(self, tmp_path, payload):
+        self._rejects(tmp_path, payload, "modulation must hold the integers code_bits, "
+                                         "samples_per_bit and n_tags and the number "
+                                         "sample_rate_hz")
+
+    def test_missing_modulation(self, tmp_path):
+        self._rejects(tmp_path, _labels(modulation=None), "missing 'modulation'")
+
+    @pytest.mark.parametrize("text", ['{"seed": 7,', "[7]"])
+    def test_malformed_json_names_file(self, tmp_path, text):
+        path = tmp_path / "labels.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"labels\.json: "):
+            read_run_labels(path)
+
+    def _rejects(self, tmp_path, payload, message):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=rf"labels\.json: {message}"):
+            read_run_labels(path)
+        with pytest.raises(ConfigError, match=rf"labels\.json: {message}"):
             read_run(tmp_path)
 
 
@@ -617,6 +738,16 @@ class TestConfigBoundary:
                                      f"[{section}]\nsamples_per_bit = {spb}\n"))
         with pytest.raises(ConfigError, match=rf"config\.ini: \[{section}\] samples_per_bit "
                                               rf"{spb} mis-segments the alternating code"):
+            read_config(path)
+
+    @pytest.mark.parametrize("text,section", [(SCENARIO_INI, "scenario"),
+                                              (CORPUS_INI, "corpus")])
+    def test_short_code_rejected(self, tmp_path, text, section):
+        # both files lay out 4 tags
+        path = tmp_path / "config.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\ncode_bits = 27\n"))
+        with pytest.raises(ConfigError, match=rf"config\.ini: \[{section}\] code_bits 27 "
+                                              r"gives one of 4 tags fewer than 7 bits"):
             read_config(path)
 
     def test_agent_without_identities_rejected(self, tmp_path):

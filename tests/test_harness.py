@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import labeled_dataset, make_scenario
 
 from sybilscatter import (
     ConfigError,
     CorpusSpec,
+    LabeledDataset,
     MetricsUndefinedError,
     ParameterError,
     ShapeError,
@@ -217,6 +220,29 @@ class TestLabeledDataset:
 
 
 class TestKfoldSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=8),
+           by_scenario=st.booleans(), data=st.data())
+    def test_folds_cover_every_index_once(self, sizes, by_scenario, data):
+        n = sum(sizes)
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        keys = tuple((s, 0) for s in range(len(sizes)))
+        dataset = LabeledDataset(
+            X=np.zeros((n, 1)), y=y, scenario=np.repeat(np.arange(len(sizes)), sizes),
+            window=np.zeros(n), from_id=np.zeros(n), to_id=np.ones(n), keys=keys,
+            identities=("a", "b"), sources={key: {"a": "r", "b": "r"} for key in keys})
+        k = data.draw(st.integers(2, len(sizes) if by_scenario else n))
+        folds = kfold_split(dataset, k=k, seed=data.draw(st.integers(0, 2**32)),
+                            by_scenario=by_scenario)
+        assert len(folds) == k
+        tests = np.concatenate([test for _, test in folds])
+        assert np.array_equal(np.sort(tests), np.arange(n))
+        for train, test in folds:
+            assert not np.intersect1d(train, test).size
+            assert np.array_equal(np.union1d(train, test), np.arange(n))
+            if by_scenario:
+                assert not np.intersect1d(dataset.scenario[train], dataset.scenario[test]).size
+
     def test_scenario_folds_partition_samples(self, small_dataset):
         folds = kfold_split(small_dataset, k=3, seed=0)
         seen = np.concatenate([test for _, test in folds])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,13 +29,13 @@ from sybilscatter import (
     signature_from_trace,
     simulate_scenario,
     synthesize_trace,
+    tag_block_bit_spans,
     tag_reflection_powers,
 )
 
 from conftest import make_scenario
 from sybilscatter.pipeline import (
     _alternating_lags,
-    _alternating_runs,
     _error_bound,
     _fast_segmentation,
     _median_rows,
@@ -46,19 +46,19 @@ from sybilscatter.pipeline import (
     expand_code,
     locate_rows,
 )
-from sybilscatter.scenario import TraceBatch, check_samples_per_bit
+from sybilscatter.scenario import TraceBatch, check_layout
 
 
-def _accepted(spb):
+def _accepted(bits, spb, n_tags):
     try:
-        check_samples_per_bit(spb)
+        check_layout(bits, spb, n_tags)
     except ParameterError:
         return False
     return True
 
 
-# every samples_per_bit in 1-16 that the alternating code's constructors accept
-ACCEPTED_SPB = [spb for spb in range(1, 17) if _accepted(spb)]
+# every samples_per_bit in 1-16 that the constructors accept
+ACCEPTED_SPB = [spb for spb in range(1, 17) if _accepted(64, spb, 1)]
 
 
 def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
@@ -76,6 +76,24 @@ def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
                          sample_rate_hz=8000.0, samples=samples,
                          tag_schedule=schedule, tag_code=code,
                          samples_per_bit=spb, n_tags=n_tags)
+
+
+def layout_trace(bits, spb, powers, ambient, start):
+    """Noise-free five-span trace of the simulator's layout: len(powers)
+    tags, tag k keying powers[k] onto its block of the alternating code,
+    the region starting at sample start."""
+    code = alternating_code(bits)
+    n = 5 * bits * spb
+    samples = np.full(n, float(ambient))
+    schedule = np.zeros(n, dtype=np.int16)
+    for tag, (b0, b1) in enumerate(tag_block_bit_spans(bits, len(powers))):
+        lo, hi = start + b0 * spb, start + b1 * spb
+        samples[lo:hi] += powers[tag] * np.repeat(code[b0:b1], spb)
+        schedule[lo:hi] = tag + 1
+    return ReceivedTrace(identity="x", true_source_id="sx", t_s=0.0,
+                         sample_rate_hz=8000.0, samples=samples,
+                         tag_schedule=schedule, tag_code=code,
+                         samples_per_bit=spb, n_tags=len(powers))
 
 
 def code_trace(samples, code, spb=8):
@@ -111,18 +129,18 @@ def exact_decisions(trace):
 
 
 def certified(trace):
-    runs = _alternating_runs(trace.tag_code.tobytes())
+    runs = (trace.tag_code.size + 1) // 2
     return bool(_fast_segmentation(trace.samples[None], trace.samples_per_bit, runs,
-                                   trace.code_span)[2][0])
+                                   trace.code_span)[4][0])
 
 
 def assert_exact_decisions(traces):
     """locate_rows on the batch and on each row, and segment_backscatter,
     against exact_decisions, down to the SegmentationError message."""
-    starts, decodable = locate_rows(TraceBatch.stack(traces))
+    starts, decodable, _, _ = locate_rows(TraceBatch.stack(traces))
     for k, trace in enumerate(traces):
         start, ok, peak, floor = exact_decisions(trace)
-        one_starts, one_ok = locate_rows(TraceBatch.stack([trace]))
+        one_starts, one_ok, _, _ = locate_rows(TraceBatch.stack([trace]))
         assert (starts[k], decodable[k]) == (one_starts[0], one_ok[0]) == (start, ok)
         if ok:
             assert segment_backscatter(trace).t_start == start
@@ -288,6 +306,24 @@ class TestSegmentation:
         assert segment_backscatter(trace).t_start == start
         assert exact_decisions(trace)[:2] == (start, True)
 
+    @settings(max_examples=150, deadline=None)
+    @given(spb=st.integers(2, 16), n_tags=st.integers(1, 8), data=st.data())
+    def test_every_accepted_layout_segments_at_its_start(self, spb, n_tags, data):
+        # check_layout's contract: every layout the constructors accept
+        # segments a noise-free trace exactly, with distinct tag powers of
+        # at least 20 x ambient and the region starting anywhere
+        bits = data.draw(st.integers(2 * n_tags, 64), label="code_bits")
+        assume(_accepted(bits, spb, n_tags))
+        ambient = data.draw(st.floats(1e-9, 1.0), label="ambient")
+        ratios = data.draw(st.lists(st.floats(20.0, 1e4), min_size=n_tags,
+                                    max_size=n_tags, unique=True), label="power ratios")
+        start = data.draw(st.integers(0, 4 * bits * spb), label="start")
+        trace = layout_trace(bits, spb, ambient * np.array(ratios), ambient, start)
+        assert trace.scheduled_start() == start
+        starts, decodable, _, _ = locate_rows(TraceBatch.stack([trace]))
+        assert (starts[0], decodable[0]) == (start, True)
+        assert exact_decisions(trace)[:2] == (start, True)
+
     def test_bounds_validation(self):
         with pytest.raises(ParameterError):
             SegmentBounds(t_start=-1, t_end=5)
@@ -325,18 +361,25 @@ class TestCertifiedSegmentation:
 
     @pytest.mark.parametrize("code", [np.tile([1, 1, 0, 0], 16), np.tile([0, 1], 32),
                                       np.random.default_rng(3).integers(0, 2, 64)])
-    def test_other_codes_run_np_correlate(self, code):
-        assert _alternating_runs(np.asarray(code, dtype=np.uint8).tobytes()) == 0
-        rng = np.random.default_rng(8)
-        samples = np.abs(rng.normal(1e-6, 1e-7, 5 * 512))
+    def test_other_codes_are_rejected(self, code):
+        samples = np.full(5 * 512, 1e-6)
         samples[700:1212] += 5e-5 * np.repeat(code, 8)
-        noise = np.abs(rng.normal(1e-6, 1e-7, 5 * 512))
-        assert_exact_decisions([code_trace(samples, code), code_trace(noise, code)])
+        with pytest.raises(ParameterError, match="tag_code is not the alternating code"):
+            code_trace(samples, code)
 
-    def test_alternating_runs(self):
-        for bits in (1, 2, 7, 64):
-            code = alternating_code(bits) if bits > 1 else np.ones(1, dtype=np.uint8)
-            assert _alternating_runs(code.tobytes()) == (bits + 1) // 2
+    @pytest.mark.parametrize("bits", [7, 9, 65])
+    def test_odd_code_lengths_segment_on_the_fast_path(self, bits):
+        # an odd code ends on a 1-bit: (bits + 1) // 2 runs of ones
+        rng = np.random.default_rng(bits)
+        span = bits * 8
+        samples = np.abs(rng.normal(1e-6, 1e-7, 5 * span))
+        samples[span + 5:2 * span + 5] += 5e-5 * np.repeat(alternating_code(bits), 8)
+        noise = np.abs(rng.normal(1e-6, 1e-7, 5 * span))
+        traces = [code_trace(samples, alternating_code(bits)),
+                  code_trace(noise, alternating_code(bits))]
+        assert all(certified(t) for t in traces)
+        assert exact_decisions(traces[0])[:2] == (span + 5, True)
+        assert_exact_decisions(traces)
 
     def test_near_ties_reproduce_np_correlate(self):
         # second copies within a few ulps to 1e-6 of the first, and
@@ -355,7 +398,7 @@ class TestCertifiedSegmentation:
         assert any(flags) and not all(flags)
         # the prefix-sum lags alone decide some of these rows differently,
         # and the bound flags every one of them
-        fast_starts, fast_ok, _ = _fast_segmentation(
+        fast_starts, fast_ok, *_ = _fast_segmentation(
             np.stack([t.samples for t in traces]), 8, 32, 512)
         wrong = [k for k, t in enumerate(traces)
                  if (fast_starts[k], fast_ok[k]) != exact_decisions(t)[:2]]

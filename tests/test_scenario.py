@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sybilscatter import (
     ChannelParams,
@@ -302,38 +304,42 @@ class TestSynthesizeTrace:
             tag_reflection_powers(config, config.agents[0], "n2", 0.0)
 
     def test_trace_validation(self):
-        code = alternating_code(4)
+        code = alternating_code(8)
         good = dict(identity="x", true_source_id="s", t_s=0.0,
-                    sample_rate_hz=100.0, tag_code=code, samples_per_bit=2,
+                    sample_rate_hz=100.0, tag_code=code, samples_per_bit=5,
                     n_tags=1)
-        with pytest.raises(ParameterError):
-            ReceivedTrace(samples=-np.ones(20), tag_schedule=np.zeros(20, dtype=int),
+        ReceivedTrace(samples=np.ones(60), tag_schedule=np.zeros(60, dtype=int), **good)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            ReceivedTrace(samples=-np.ones(60), tag_schedule=np.zeros(60, dtype=int),
                           **good)
-        with pytest.raises(ParameterError):  # schedule value beyond n_tags
-            ReceivedTrace(samples=np.ones(20), tag_schedule=np.full(20, 3), **good)
+        with pytest.raises(ParameterError, match="0..n_tags"):  # beyond n_tags
+            ReceivedTrace(samples=np.ones(60), tag_schedule=np.full(60, 3), **good)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
-        code = alternating_code(4)
-        samples = np.ones(20)
+        code = alternating_code(8)
+        samples = np.ones(60)
         samples[7] = bad
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="finite"):
             ReceivedTrace(identity="x", true_source_id="s", t_s=0.0,
                           sample_rate_hz=100.0, samples=samples,
-                          tag_schedule=np.zeros(20, dtype=int), tag_code=code,
-                          samples_per_bit=2, n_tags=1)
+                          tag_schedule=np.zeros(60, dtype=int), tag_code=code,
+                          samples_per_bit=5, n_tags=1)
 
 
 # layouts of the alternating code that the 9-tap smoothing mis-segments
-REJECTED_SPB = (1, 3, 4)
-SPB_RULE = r"mis-segments the alternating code: the rule is samples_per_bit >= 2"
+REJECTED_SPB = (1, 2, 3, 4)
+SPB_RULE = r"mis-segments the alternating code: the rule is samples_per_bit > 4"
+CODE_BITS_RULE = r"the rule is code_bits >= 7 n_tags"
+CODE_RULE = r"tag_code is not the alternating code: the rule is tag_code = 1, 0, 1, 0"
+LENGTH_RULE = r"too short: the rule is at least one code span"
 
 
-def _trace_fields(spb, code):
-    n = 5 * code.size * spb
+def _trace_fields(spb, code, n_tags=1, n=None):
+    n = 5 * max(code.size * spb, 1) if n is None else n
     return dict(identity="x", true_source_id="s", sample_rate_hz=100.0,
                 samples=np.ones(n), tag_schedule=np.zeros(n, dtype=np.int16),
-                tag_code=code, samples_per_bit=spb, n_tags=1)
+                tag_code=code, samples_per_bit=spb, n_tags=n_tags)
 
 
 class TestSamplesPerBitRule:
@@ -359,16 +365,89 @@ class TestSamplesPerBitRule:
         with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
             TraceBatch(t_s=[0.0], **fields)
 
-    @pytest.mark.parametrize("spb", REJECTED_SPB)
-    def test_other_codes_are_not_held_to_it(self, spb):
-        code = np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
-        assert ReceivedTrace(t_s=0.0, **_trace_fields(spb, code)).samples_per_bit == spb
+    @pytest.mark.parametrize("code", [[1, 1, 0, 1, 0, 0, 1, 0], [0, 1] * 4, [1] * 8])
+    def test_other_codes_are_rejected(self, code):
+        with pytest.raises(ParameterError, match=CODE_RULE):
+            ReceivedTrace(t_s=0.0, **_trace_fields(8, np.array(code, dtype=np.uint8)))
 
     def test_every_other_layout_is_accepted(self):
-        for spb in (2, *range(5, 17)):
+        for spb in range(5, 17):
             assert make_scenario(FOUR_ID_SPECS, samples_per_bit=spb).samples_per_bit == spb
             assert CorpusSpec(samples_per_bit=spb).samples_per_bit == spb
             ReceivedTrace(t_s=0.0, **_trace_fields(spb, alternating_code(8)))
+
+
+def _trace_constructors(bits, spb, n_tags, code=None, n=None):
+    """Calls of ReceivedTrace and TraceBatch on a layout, each raising what
+    its constructor raises."""
+    code = 1 - np.arange(bits, dtype=np.uint8) % 2 if code is None else code
+    fields = _trace_fields(spb, code, n_tags, n)
+    rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
+                tag_schedule=np.stack([fields["tag_schedule"]] * 2))
+    return [lambda: ReceivedTrace(t_s=0.0, **fields),
+            lambda: TraceBatch(t_s=[0.0, 1.0], **rows)]
+
+
+def _config_constructors(bits, spb, n_tags):
+    return [lambda: make_scenario(FOUR_ID_SPECS, n_tags=n_tags, code_bits=bits,
+                                  samples_per_bit=spb),
+            lambda: CorpusSpec(n_tags=n_tags, code_bits=bits, samples_per_bit=spb)]
+
+
+class TestLayoutRule:
+    """check_layout's rules, applied by every constructor a layout enters."""
+
+    @pytest.mark.parametrize("bits,n_tags", [(6, 4), (27, 4), (13, 2)])
+    def test_configs_reject_short_codes(self, bits, n_tags):
+        for build in _config_constructors(bits, 8, n_tags):
+            with pytest.raises(ParameterError, match=rf"code_bits {bits} gives one of "
+                                                     rf"{n_tags} tags .*{CODE_BITS_RULE}"):
+                build()
+
+    def test_traces_reject_short_codes(self):
+        for build in _trace_constructors(4, 8, 3):
+            with pytest.raises(ParameterError, match=CODE_BITS_RULE):
+                build()
+
+    def test_traces_reject_fewer_samples_than_the_code_spans(self):
+        for n in (8, 319):
+            for build in _trace_constructors(64, 5, 1, n=n):
+                with pytest.raises(ParameterError, match=rf"trace of {n} samples is "
+                                                         + LENGTH_RULE):
+                    build()
+        for build in _trace_constructors(64, 5, 1, n=320):
+            build()
+
+    def test_traces_reject_no_tags(self):
+        for build in _trace_constructors(8, 8, 0):
+            with pytest.raises(ParameterError, match="n_tags must be >= 1"):
+                build()
+
+    @settings(max_examples=80, deadline=None)
+    @given(bits=st.integers(0, 64), spb=st.integers(-2, 16), n_tags=st.integers(2, 8))
+    def test_every_rejected_layout_names_its_rule(self, bits, spb, n_tags):
+        short_code = bits < 7 * n_tags
+        assume(short_code or spb <= 4)
+        rule = CODE_BITS_RULE if short_code else SPB_RULE
+        builds = _trace_constructors(bits, spb, n_tags) + _config_constructors(bits, spb,
+                                                                                n_tags)
+        for build in builds:
+            with pytest.raises(ParameterError, match=rule):
+                build()
+
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.integers(7, 64), spb=st.integers(5, 16), data=st.data())
+    def test_traces_name_the_code_and_length_rules(self, bits, spb, data):
+        code = 1 - np.arange(bits, dtype=np.uint8) % 2
+        flip = data.draw(st.integers(0, bits - 1))
+        code[flip] ^= 1
+        for build in _trace_constructors(bits, spb, 1, code=code):
+            with pytest.raises(ParameterError, match=CODE_RULE):
+                build()
+        short = data.draw(st.integers(0, bits * spb - 1))
+        for build in _trace_constructors(bits, spb, 1, n=short):
+            with pytest.raises(ParameterError, match=LENGTH_RULE):
+                build()
 
 
 class TestSimulateScenario:
