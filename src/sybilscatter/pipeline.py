@@ -40,13 +40,13 @@ PEAK_FLOOR_RATIO = 3.0
 
 
 def row_norms(rows) -> np.ndarray:
-    """L2 norm of each row of an (R, K) array.
+    """L2 norm over the last axis of an (..., K) array.
 
     The squared norm is one BLAS dot product per row, as np.linalg.norm
     takes it for a single vector, so a row's norm is bit-identical alone
     or in a batch.
     """
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 def _readonly_arrays(*arrays):
@@ -88,7 +88,7 @@ class MultipathSignature:
             raise ShapeError(f"raw must be a 1-D vector, got {raw.shape}")
         if np.any(raw < 0):
             raise ParameterError("raw reflected powers must be nonnegative")
-        norm = row_norms(raw[None])[0]
+        norm = row_norms(raw)
         if norm == 0.0:
             raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
         return cls(raw=raw, normalized=raw / norm)
@@ -168,8 +168,8 @@ def _smoothing_bounds(n: int, window: int):
 
 
 def _smooth_rows(x, window: int) -> np.ndarray:
-    """moving_average over each row of an (R, N) array."""
-    n = x.shape[1]
+    """moving_average over the last axis of an (..., N) array."""
+    n = x.shape[-1]
     if window < 1:
         raise ParameterError(f"window must be >= 1, got {window}")
     if window > n:
@@ -179,11 +179,11 @@ def _smooth_rows(x, window: int) -> np.ndarray:
     lo, hi, width = _smoothing_bounds(n, window)
     # anchored on each row's first sample so the running sums stay near zero
     # and a constant row really does pass through bit-exactly
-    anchor = x[:, :1]
-    csum = np.zeros((x.shape[0], n + 1))
-    np.cumsum(x - anchor, axis=1, out=csum[:, 1:])
+    anchor = x[..., :1]
+    csum = np.zeros(x.shape[:-1] + (n + 1,))
+    np.cumsum(x - anchor, axis=-1, out=csum[..., 1:])
     # take keeps the rows C-contiguous, which the BLAS correlation needs
-    return anchor + (csum.take(hi, axis=1) - csum.take(lo, axis=1)) / width
+    return anchor + (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / width
 
 
 def moving_average(samples, window: int) -> np.ndarray:
@@ -196,7 +196,7 @@ def moving_average(samples, window: int) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"samples must be 1-D, got shape {x.shape}")
-    return _smooth_rows(x[None], window)[0]
+    return _smooth_rows(x, window)
 
 
 def _correlate_rows(x, template) -> np.ndarray:
@@ -245,37 +245,43 @@ def _template(code_bytes: bytes, samples_per_bit: int) -> np.ndarray:
 
 
 def _median_rows(c) -> np.ndarray:
-    """np.median over each row of a 2-D array, without its set-up cost.
+    """np.median over the last axis, without its set-up cost.
 
     The middle element of a row, or the mean of the two middle elements of
     an even-length row, both as np.median takes them.  Unlike np.median it
     does not turn a row holding NaN into NaN; locate_rows never needs it
     to, since such a row's NaN peak fails every comparison anyway.
     """
-    mid = c.shape[1] // 2
-    if c.shape[1] % 2:
-        return np.partition(c, mid, axis=1)[:, mid]
-    part = np.partition(c, (mid - 1, mid), axis=1)
-    return (part[:, mid - 1] + part[:, mid]) / 2.0
+    mid = c.shape[-1] // 2
+    if c.shape[-1] % 2:
+        return np.partition(c, mid, axis=-1)[..., mid]
+    part = np.partition(c, (mid - 1, mid), axis=-1)
+    return (part[..., mid - 1] + part[..., mid]) / 2.0
+
+
+def _row_index(positions, lead: int):
+    """Index reading row r of an array with ``lead`` leading axes at positions[r]."""
+    rows = np.indices(positions.shape[:lead], sparse=True)
+    return (*(r.reshape(r.shape + (1,) * (positions.ndim - lead)) for r in rows), positions)
 
 
 def _segmentation(c):
-    """(starts, decodable, peaks, floors) of (R, lags) correlations.
+    """(starts, decodable, peaks, floors) of correlations along the last axis.
 
     The peak lag is the region start.  A peak not above zero or below its
     floor, PEAK_FLOOR_RATIO times the row's median correlation, means no
     code is convincingly present, and the row is not decodable.
     """
-    starts = np.argmax(c, axis=1)
-    peaks = c[np.arange(c.shape[0]), starts]
+    starts = c.argmax(axis=-1)
+    peaks = c[_row_index(starts, starts.ndim)]
     floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
 
 
-def _exact_segmentation(batch: TraceBatch, rows):
-    """_segmentation of np.correlate's lags on the given rows of a batch:
-    the reference decisions."""
-    smoothed = _smooth_rows(batch.samples[rows], SMOOTHING_WINDOW)
+def _exact_segmentation(batch, redo):
+    """_segmentation of np.correlate's lags on the rows of a batch, or the
+    row of a trace, that the mask redo selects: the reference decisions."""
+    smoothed = _smooth_rows(batch.samples[redo], SMOOTHING_WINDOW)
     template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
     return _segmentation(_correlate_rows(smoothed, template))
 
@@ -292,8 +298,8 @@ def _gamma(n: int) -> float:
 
 def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     """(c, A): the lags of each nonnegative row of x, smoothed, against an
-    alternating template, (R, n_lags), and each row's sum, from prefix
-    sums in O(N) per row.
+    alternating template, (..., n_lags), and each row's sum, from prefix
+    sums in O(N) per row; the rows lie along x's last axis.
 
     The smoothed row is _smooth_rows' window sums over the same widths,
     but of the unanchored prefix sum C of x.  With s = samples_per_bit
@@ -303,7 +309,7 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     of B along stride P, turns that into one difference,
     T[n + (n_runs - 1) P] - T[n - P].
     """
-    rows, n = x.shape
+    *lead, n = x.shape
     window = SMOOTHING_WINDOW
     back, fwd = window // 2, (window - 1) // 2
     width = _smoothing_bounds(n, window)[2]
@@ -312,33 +318,30 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     # two buffers serve every step, since fresh pages cost as much as a
     # pass: prefix holds C, then Y, then the lags; work holds the smoothed
     # row, then T (it is wider than a row, see _chain_len)
-    prefix = np.empty((rows, n + 1))
-    work = np.empty((rows, _chain_len(n_lags, samples_per_bit, n_runs) * period))
+    prefix = np.empty((*lead, n + window))
+    work = np.empty((*lead, _chain_len(n_lags, samples_per_bit, n_runs) * period))
     # add.accumulate is the ufunc loop cumsum calls, without its wrappers
     accumulate = np.add.accumulate
-    prefix[:, 0] = 0.0
-    accumulate(x, axis=1, out=prefix[:, 1:])
-    total = prefix[:, -1].copy()
-    smoothed = work[:, :n]
-    inner = smoothed[:, back:n - fwd]
-    np.subtract(prefix[:, window:], prefix[:, :n + 1 - window], out=inner)
-    np.divide(inner, width[back], out=inner)
-    # the truncated windows: the first back start at C[0] = 0, which a
-    # subtraction would return unchanged, and the last fwd end at C[n]
-    np.divide(prefix[:, fwd + 1:window], width[:back], out=smoothed[:, :back])
-    right = smoothed[:, n - fwd:]
-    np.subtract(prefix[:, n:], prefix[:, n + 1 - window:n - back], out=right)
-    np.divide(right, width[n - fwd:], out=right)
-    accumulate(smoothed, axis=1, out=prefix[:, 1:])
+    # C padded with back zeros in front and fwd copies of C[n] behind, so
+    # that every window sum, truncated or not, is one difference: a
+    # truncated window subtracts C[0] = 0, which returns its sum unchanged
+    prefix[..., :back + 1] = 0.0
+    accumulate(x, axis=-1, out=prefix[..., back + 1:back + 1 + n])
+    prefix[..., back + 1 + n:] = prefix[..., back + n, None]
+    total = prefix[..., -1]  # C[n]; Y and the lags never reach the pad
+    smoothed = work[..., :n]
+    np.subtract(prefix[..., window:], prefix[..., :n], out=smoothed)
+    np.divide(smoothed, width, out=smoothed)
+    accumulate(smoothed, axis=-1, out=prefix[..., 1:n + 1])
     # T shifted by one period, so that T[k - P] reads 0 for k < P
-    work[:, :period] = 0.0
-    work[:, period + n_blocks:] = 0.0
-    np.subtract(prefix[:, samples_per_bit:samples_per_bit + n_blocks],
-                prefix[:, :n_blocks], out=work[:, period:period + n_blocks])
-    chains = work.reshape(rows, -1, period)
-    accumulate(chains, axis=1, out=chains)
+    work[..., :period] = 0.0
+    work[..., period + n_blocks:] = 0.0
+    np.subtract(prefix[..., samples_per_bit:samples_per_bit + n_blocks],
+                prefix[..., :n_blocks], out=work[..., period:period + n_blocks])
+    chains = work.reshape(*lead, -1, period)
+    accumulate(chains, axis=-2, out=chains)
     lags = n_runs * period
-    c = np.subtract(work[:, lags:lags + n_lags], work[:, :n_lags], out=prefix[:, :n_lags])
+    c = np.subtract(work[..., lags:lags + n_lags], work[..., :n_lags], out=prefix[..., :n_lags])
     return c, total
 
 
@@ -415,7 +418,7 @@ def _error_bound(n: int, samples_per_bit: int, n_runs: int, code_len: int):
 
 def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
     """(starts, decodable, peaks, floors, certified) of every nonnegative
-    row of x, from prefix sums.
+    row of x along its last axis, from prefix sums.
 
     A row is certified when its decisions are np.correlate's by
     construction.  With E its error bound (see _error_bound), it needs:
@@ -426,21 +429,22 @@ def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
       by 3 E, the peak by E.
     NaN or infinite lags or bounds certify nothing.
     """
-    n = x.shape[1]
+    n = x.shape[-1]
     k_sum, k_first, k_abs = _error_bound(n, samples_per_bit, n_runs, code_len)
     with np.errstate(over="ignore", invalid="ignore"):
         c, total = _alternating_lags(x, samples_per_bit, n_runs, n - code_len + 1)
-        bound = k_sum * total + k_first * x[:, 0] + k_abs
+        bound = k_sum * total + k_first * x[..., 0] + k_abs
         starts, decodable, peaks, floors = _segmentation(c)
-        c[np.arange(c.shape[0]), starts] = -np.inf
-        runner_up = np.maximum.reduce(c, axis=1)
+        c[_row_index(starts, starts.ndim)] = -np.inf
+        runner_up = np.maximum.reduce(c, axis=-1)
         certified = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
                      & (np.absolute(peaks - floors) > 4.0 * bound))
     return starts, decodable, peaks, floors, certified
 
 
-def locate_rows(batch: TraceBatch):
-    """Segment every row of a batch: (starts, decodable, peaks, floors).
+def locate_rows(batch):
+    """Segment every row of a TraceBatch, or a ReceivedTrace's one row to
+    scalars: (starts, decodable, peaks, floors).
 
     Each row is smoothed and correlated against the sample-domain code,
     and _segmentation reads the region start, whether the row is
@@ -457,7 +461,9 @@ def locate_rows(batch: TraceBatch):
     *decisions, certified = _fast_segmentation(
         batch.samples, batch.samples_per_bit, n_runs, code_len)
     if not certified.all():
-        redo = np.flatnonzero(~certified)
+        redo = ~certified
+        # a trace's scalars become 0-d arrays, which a mask writes like rows
+        decisions = [np.asarray(out) for out in decisions]
         for out, exact in zip(decisions, _exact_segmentation(batch, redo)):
             out[redo] = exact
     return tuple(decisions)
@@ -468,18 +474,18 @@ def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
 
     Raises SegmentationError when the trace is not decodable.
     """
-    start = _region_start(TraceBatch.stack([trace]))
+    start = _region_start(trace)
     return SegmentBounds(t_start=start, t_end=start + trace.code_span)
 
 
-def _region_start(batch: TraceBatch) -> int:
-    """locate_rows on a one-row batch; raises SegmentationError with the
-    peak and floor that decided it."""
-    starts, decodable, peaks, floors = locate_rows(batch)
-    if not decodable[0]:
+def _region_start(trace: ReceivedTrace) -> int:
+    """locate_rows on one trace; raises SegmentationError with the peak
+    and floor that decided it."""
+    start, decodable, peak, floor = locate_rows(trace)
+    if not decodable:
         raise SegmentationError(
-            f"correlation peak {peaks[0]:.3e} below decision floor {floors[0]:.3e}")
-    return int(starts[0])
+            f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
+    return int(start)
 
 
 def _reflections(on, off) -> np.ndarray:
@@ -531,19 +537,19 @@ def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
             for (n_on, _), members in groups.items()]
 
 
-def reflection_rows(batch: TraceBatch, rows, starts) -> np.ndarray:
-    """Raw K-vectors of the given batch rows, each region starting at starts.
+def reflection_rows(batch, starts) -> np.ndarray:
+    """Raw K-vectors of each row of a TraceBatch or ReceivedTrace, its region at starts.
 
     Works on the raw (unsmoothed) samples: block means are already noise
     averages, and smoothing would only correlate the estimation errors.
     """
-    rows = np.asarray(rows, dtype=np.intp)[:, None, None]
-    starts = np.asarray(starts, dtype=np.intp)[:, None, None]
-    raw = np.empty((rows.shape[0], batch.n_tags), dtype=np.float64)
+    lead = batch.samples.shape[:-1]
+    starts = np.asarray(starts, dtype=np.intp)[..., None, None]
+    raw = np.empty(lead + (batch.n_tags,), dtype=np.float64)
     for tags, offsets, n_on in _tag_gathers(batch.tag_code.tobytes(),
                                             batch.samples_per_bit, batch.n_tags):
-        block = batch.samples[rows, starts + offsets]
-        raw[:, tags] = _reflections(block[..., :n_on], block[..., n_on:])
+        block = batch.samples[_row_index(starts + offsets, len(lead))]
+        raw[..., tags] = _reflections(block[..., :n_on], block[..., n_on:])
     return raw
 
 
@@ -556,29 +562,28 @@ def build_signature(trace: ReceivedTrace, bounds: SegmentBounds) -> MultipathSig
         raise ShapeError(
             f"bounds span {bounds.t_end - bounds.t_start} does not equal the "
             f"code span {trace.code_span}")
-    return _signature(trace, TraceBatch.stack([trace]), bounds.t_start)
+    return _signature(trace, bounds.t_start)
 
 
-def _signature(trace: ReceivedTrace, batch: TraceBatch, start: int) -> MultipathSignature:
-    """reflection_rows on the one-row batch of ``trace``, normalized as
-    signature_rows does it.  The powers of a validated trace need no
-    further checks; raises DegenerateSignatureError."""
-    raw = reflection_rows(batch, [0], [start])
-    norm = row_norms(raw)[0]
+def _signature(trace: ReceivedTrace, start: int) -> MultipathSignature:
+    """reflection_rows on ``trace``, normalized as signature_rows does it.
+    The powers of a validated trace need no further checks; raises
+    DegenerateSignatureError."""
+    raw = reflection_rows(trace, start)
+    norm = row_norms(raw)
     if norm == 0.0:
         if not raw.any():
             raise DegenerateSignatureError(
                 f"identity {trace.identity!r} at t={trace.t_s}: zero reflection on every tag")
         # every power underflows when squared
         raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
-    raw, normalized = _readonly_arrays(raw[0], raw[0] / norm)
+    raw, normalized = _readonly_arrays(raw, raw / norm)
     return prevalidated(MultipathSignature, raw=raw, normalized=normalized)
 
 
 def signature_from_trace(trace: ReceivedTrace) -> MultipathSignature:
-    """Segment and extract in one step, on one stack of the trace."""
-    batch = TraceBatch.stack([trace])
-    return _signature(trace, batch, _region_start(batch))
+    """Segment and extract in one step, on the trace's own samples."""
+    return _signature(trace, _region_start(trace))
 
 
 def signature_rows(batch: TraceBatch):
@@ -591,7 +596,7 @@ def signature_rows(batch: TraceBatch):
     """
     starts, decodable, _, _ = locate_rows(batch)
     found = np.flatnonzero(decodable)
-    raw = reflection_rows(batch, found, starts[found])
+    raw = reflection_rows(batch, starts)[found]
     norms = row_norms(raw)
     live = norms > 0.0  # zero on every tag: no direction to normalize
     raw = raw[live]

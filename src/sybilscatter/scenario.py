@@ -323,7 +323,7 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
     checked span is longer than the smoothing window.
     """
     samples = np.array(samples, dtype=np.float64)
-    schedule = np.array(tag_schedule, dtype=np.int16)
+    schedule = np.asarray(tag_schedule)
     code = np.array(tag_code, dtype=np.uint8)
     _positive("sample_rate_hz", sample_rate_hz)
     if code.ndim != 1 or not np.array_equal(code, 1 - np.arange(code.size) % 2):
@@ -344,8 +344,12 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
         raise ParameterError("trace magnitudes must be finite")
     if np.any(samples < 0):
         raise ParameterError("trace magnitudes must be nonnegative")
-    if schedule.size and (schedule.min() < 0 or schedule.max() > n_tags):
+    # before the int16 cast, which would raise OverflowError on a large
+    # Python int, wrap 65537 to 1 and truncate 1.5 to 1
+    if schedule.size and not (schedule.min() >= 0 and schedule.max() <= n_tags
+                              and np.all(schedule % 1 == 0)):
         raise ParameterError("tag_schedule values must lie in 0..n_tags")
+    schedule = np.array(schedule, dtype=np.int16)
     if ndim == 1:
         view = _layout_slice(schedule, code.size, samples_per_bit, n_tags)
         if view is not None:
@@ -441,13 +445,10 @@ class TraceBatch(Sequence):
                     or trace.n_tags != first.n_tags
                     or trace.tag_code.size != first.tag_code.size):
                 raise ShapeError("stacked traces must share length, code and modulation")
-        if len(traces) == 1:  # a one-row call: views of the trace's read-only arrays
-            samples, schedule = first.samples[None], first.tag_schedule[None]
-        else:
-            samples = np.stack([t.samples for t in traces])
-            schedule = np.stack([t.tag_schedule for t in traces])
-            samples.flags.writeable = False
-            schedule.flags.writeable = False
+        samples = np.stack([t.samples for t in traces])
+        schedule = np.stack([t.tag_schedule for t in traces])
+        samples.flags.writeable = False
+        schedule.flags.writeable = False
         return prevalidated(
             cls, identity=first.identity, true_source_id=first.true_source_id,
             t_s=np.array([t.t_s for t in traces], dtype=np.float64),

@@ -113,6 +113,41 @@ def _batch(traces):
         n_tags=first.n_tags)
 
 
+def _one_trace_outcomes(streams):
+    """signature_from_trace, segment_backscatter and build_signature on
+    every trace against the per-trace oracle, down to the bytes of a kept
+    signature and the message of a rejection; returns the outcomes seen."""
+    outcomes = set()
+    for traces in streams.values():
+        for trace in traces:
+            start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+            if start is None:
+                outcomes.add("rejected")
+                for call in (signature_from_trace, segment_backscatter):
+                    with pytest.raises(SegmentationError) as err:
+                        call(trace)
+                    assert str(err.value) == (
+                        f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
+                continue
+            bounds = segment_backscatter(trace)
+            assert bounds.t_start == start
+            raw = oracle.build_signature(trace.samples, start, trace.tag_code, 8,
+                                         trace.n_tags)
+            if not raw.any():
+                outcomes.add("degenerate")
+                for call in (lambda: signature_from_trace(trace),
+                             lambda: build_signature(trace, bounds)):
+                    with pytest.raises(DegenerateSignatureError):
+                        call()
+                continue
+            outcomes.add("kept")
+            for sig in (signature_from_trace(trace), build_signature(trace, bounds)):
+                assert sig.raw.tobytes() == raw.tobytes()
+                assert sig.normalized.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+                assert not (sig.raw.flags.writeable or sig.normalized.flags.writeable)
+    return outcomes
+
+
 class TestSimulate:
     def test_channel_powers_square_like_python(self):
         # numpy's square rounds differently from C pow on ~1 in 1000 inputs
@@ -299,32 +334,47 @@ class TestExtract:
 
     def test_one_row_calls_match_per_trace_oracle(self, degraded_run):
         _, streams = degraded_run
-        outcomes = set()
-        for traces in streams.values():
-            for trace in traces:
-                start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
-                if start is None:
-                    outcomes.add("rejected")
-                    with pytest.raises(SegmentationError):
-                        signature_from_trace(trace)
-                    continue
-                bounds = segment_backscatter(trace)
-                assert bounds.t_start == start
-                raw = oracle.build_signature(trace.samples, start, trace.tag_code, 8,
-                                             trace.n_tags)
-                if not raw.any():
-                    outcomes.add("degenerate")
-                    for call in (lambda: signature_from_trace(trace),
-                                 lambda: build_signature(trace, bounds)):
-                        with pytest.raises(DegenerateSignatureError):
-                            call()
-                    continue
-                outcomes.add("kept")
-                for sig in (signature_from_trace(trace), build_signature(trace, bounds)):
-                    assert sig.raw.tobytes() == raw.tobytes()
-                    assert sig.normalized.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
-                    assert not (sig.raw.flags.writeable or sig.normalized.flags.writeable)
-        assert outcomes == {"rejected", "degenerate", "kept"}
+        assert _one_trace_outcomes(streams) == {"rejected", "degenerate", "kept"}
+
+    def test_one_trace_calls_never_stack(self, degraded_run, monkeypatch):
+        """The one-trace functions run the kernels on the trace's own 1-D
+        samples: routing them through a one-row TraceBatch fails here."""
+        def refuse(cls, traces):
+            raise AssertionError("a one-trace call stacked its trace")
+
+        monkeypatch.setattr(TraceBatch, "stack", classmethod(refuse))
+        _, streams = degraded_run
+        assert _one_trace_outcomes(streams) == {"rejected", "degenerate", "kept"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_rank_gives_the_same_bytes(self, degraded_run, data):
+        """_fast_segmentation on (R, N) rows, on each (1, N) row and on each
+        (N,) row, and locate_rows on the batch and on each trace, agree to
+        the byte.  The last row is one the bound cannot certify, so its 1-D
+        call re-runs it through np.correlate and must make its decisions."""
+        _, streams = degraded_run
+        pool = [trace for traces in streams.values() for trace in traces]
+        redone = [t for t in pool if not _fast_segmentation(t.samples, 8, 32, 512)[4]]
+        traces = (data.draw(st.lists(st.sampled_from(pool), max_size=5))
+                  + [data.draw(st.sampled_from(redone))])
+        rows = np.stack([trace.samples for trace in traces])
+        batch = _fast_segmentation(rows, 8, 32, 512)
+        located = locate_rows(_batch(traces))
+        for k, trace in enumerate(traces):
+            one_row = _fast_segmentation(rows[k:k + 1], 8, 32, 512)
+            alone = _fast_segmentation(trace.samples, 8, 32, 512)
+            for of_batch, of_row, of_trace in zip(batch, one_row, alone):
+                assert np.shape(of_trace) == ()
+                assert (of_batch[k].tobytes() == of_row[0].tobytes()
+                        == np.asarray(of_trace).tobytes())
+            for of_batch, of_trace in zip(located, locate_rows(trace)):
+                assert np.shape(of_trace) == ()
+                assert of_batch[k].tobytes() == np.asarray(of_trace).tobytes()
+        start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+        lags = np.correlate(oracle.moving_average(trace.samples, 9),
+                            np.repeat(trace.tag_code, 8).astype(np.float64), mode="valid")
+        assert locate_rows(trace)[:2] == (np.argmax(lags), start is not None)
 
     def test_locate_rows_matches_np_correlate(self, degraded_run):
         # the flat plateaus tie many lags, so some rows need np.correlate

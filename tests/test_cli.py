@@ -240,6 +240,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "labels.json: missing 'modulation'" in err
 
+    def test_dataset_rejects_an_out_of_range_tag(self, tmp_path, scenario_ini, capsys):
+        # a tag index beyond int16 once ended the command in an OverflowError
+        main(["simulate", "--config", scenario_ini, "--seed", "5",
+              "--out", str(tmp_path / "runs")])
+        path = tmp_path / "runs" / "scenario_000" / "trace_n0.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = "0.0,1e-06,70000"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["dataset", "--traces", str(tmp_path / "runs"), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trace_n0.csv: tag_schedule values" in err
+
     def test_experiment_rejects_scenario_config(self, tmp_path, scenario_ini,
                                                 capsys):
         rc = main(["sweep", "--config", scenario_ini, "--out", str(tmp_path)])

@@ -218,6 +218,18 @@ class TestTraceFiles:
         with pytest.raises(ConfigError, match=rf"trace_n0\.csv: .*{rule}"):
             read_run(tmp_path)
 
+    def test_out_of_range_tag_names_the_trace_file(self, tmp_path, four_identity_run,
+                                                   four_identity_scenario):
+        # 70000 does not fit the stored int16: it was an OverflowError
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n0.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",70000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"trace_n0\.csv: tag_schedule values "
+                                              r"must lie in 0\.\.n_tags"):
+            read_run(tmp_path)
+
     def test_short_line_names_file_and_line(self, tmp_path, four_identity_run,
                                             four_identity_scenario):
         write_run(tmp_path, four_identity_run, four_identity_scenario)

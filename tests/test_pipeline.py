@@ -135,13 +135,13 @@ def certified(trace):
 
 
 def assert_exact_decisions(traces):
-    """locate_rows on the batch and on each row, and segment_backscatter,
+    """locate_rows on the batch and on each trace, and segment_backscatter,
     against exact_decisions, down to the SegmentationError message."""
     starts, decodable, _, _ = locate_rows(TraceBatch.stack(traces))
     for k, trace in enumerate(traces):
         start, ok, peak, floor = exact_decisions(trace)
-        one_starts, one_ok, _, _ = locate_rows(TraceBatch.stack([trace]))
-        assert (starts[k], decodable[k]) == (one_starts[0], one_ok[0]) == (start, ok)
+        one_start, one_ok, _, _ = locate_rows(trace)
+        assert (starts[k], decodable[k]) == (one_start, one_ok) == (start, ok)
         if ok:
             assert segment_backscatter(trace).t_start == start
         else:
@@ -321,7 +321,7 @@ class TestSegmentation:
         trace = layout_trace(bits, spb, ambient * np.array(ratios), ambient, start)
         assert trace.scheduled_start() == start
         starts, decodable, _, _ = locate_rows(TraceBatch.stack([trace]))
-        assert (starts[0], decodable[0]) == (start, True)
+        assert (starts[0], decodable[0]) == locate_rows(trace)[:2] == (start, True)
         assert exact_decisions(trace)[:2] == (start, True)
 
     def test_bounds_validation(self):

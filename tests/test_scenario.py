@@ -450,6 +450,33 @@ class TestLayoutRule:
                 build()
 
 
+class TestScheduleValues:
+    """tag_schedule values are checked before the int16 cast, which would
+    raise OverflowError on a large Python int, wrap and truncate."""
+
+    @pytest.mark.parametrize("schedule", [
+        lambda n: [70000] + [0] * (n - 1),
+        lambda n: np.r_[np.int64(65537), np.zeros(n - 1, dtype=np.int64)],
+        lambda n: np.r_[1.5, np.zeros(n - 1)],
+    ], ids=["python-int-beyond-int16", "int64-wrapping-to-tag-1", "fraction-truncating-to-tag-1"])
+    def test_rejected_before_the_cast(self, schedule):
+        fields = _trace_fields(8, alternating_code(8))
+        n = fields["samples"].size
+        rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
+                    tag_schedule=[list(schedule(n)), [0] * n])
+        fields["tag_schedule"] = schedule(n)
+        for build in (lambda: ReceivedTrace(t_s=0.0, **fields),
+                      lambda: TraceBatch(t_s=[0.0, 1.0], **rows)):
+            with pytest.raises(ParameterError, match=r"tag_schedule values must lie in 0\.\.n_tags"):
+                build()
+
+    def test_integral_floats_are_tags(self):
+        fields = _trace_fields(8, alternating_code(8))
+        fields["tag_schedule"] = np.r_[1.0, np.zeros(fields["samples"].size - 1)]
+        trace = ReceivedTrace(t_s=0.0, **fields)
+        assert trace.tag_schedule.dtype == np.int16 and trace.tag_schedule[0] == 1
+
+
 class TestSimulateScenario:
     def test_ten_periods_ten_traces(self, four_identity_scenario, four_identity_run):
         assert four_identity_scenario.n_periods == 10
