@@ -264,14 +264,14 @@ def weighted_gradient(weights, bias, X, y, v):
 
 
 def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) -> LRModel:
-    """Fit the similarity model by maximum weighted likelihood.
-
-    ``samples`` is a TrainingSet, such as LabeledDataset.training_samples().
-    Full-batch gradient ascent from zero-initialized parameters.  The step
-    uses the gradient divided by the total sample weight, so the pinned
-    learning rate behaves identically at any corpus size; the maximizer is
-    unchanged by the scaling.  Raises TrainingDataError for fewer than 2
-    samples, a single class or a weight total that is not finite, and
+    """Fit the similarity model by fixed-step gradient ascent on the
+    weighted log-likelihood of a TrainingSet (LabeledDataset.training_samples()),
+    from zero until every scaled gradient component is below grad_tol or
+    max_iters steps have run; the stock fits stop at max_iters, short of
+    the maximum weighted likelihood.  The gradient is scaled by the total
+    sample weight, so the pinned learning rate behaves identically at any
+    corpus size.  Raises TrainingDataError for fewer than 2 samples, a
+    single class or a weight total that is not finite, and
     TrainingDivergenceError once the scores or the gradient stop being
     finite.  Deterministic: same samples and config give bit-identical
     models (for a fixed BLAS thread count).

@@ -11,7 +11,6 @@ must agree before a pair is flagged downstream.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,23 +161,17 @@ def distance_matrix(profiles) -> DistanceMatrix:
     # np.array stacks the equal-shape arrays as np.stack does
     windows = np.array([p.signatures for p in profiles])
     means = np.array([p.mean_vector for p in profiles])
-    f_idx, g_idx = _directed_pairs(n)
-    values = np.zeros((n, n, shape[0]), dtype=np.float64)
-    values[f_idx, g_idx] = adjusted_distances(windows[f_idx], windows[g_idx],
-                                              means[f_idx])
+    # the (N, N) grid, entry (i, j) from profile i to profile j; repeat
+    # costs less than np.broadcast_to's Python set-up at these sizes.  The
+    # diagonal comes out +0.0: bitwise-equal centered rows are zero, and a
+    # degenerate row's F-side substitution, 0.0, runs last
+    values = adjusted_distances(windows[:, None].repeat(n, axis=1),
+                                windows[None].repeat(n, axis=0),
+                                means[:, None].repeat(n, axis=1))
     # (N, N, L) float64 with a zero diagonal, over unique identities: what
     # DistanceMatrix would check
     values.setflags(write=False)
     return prevalidated(DistanceMatrix, identities=identities, values=values)
-
-
-@functools.lru_cache(maxsize=64)
-def _directed_pairs(n: int):
-    """(from, to) indices of the N(N-1) off-diagonal entries, row-major."""
-    f_idx, g_idx = np.nonzero(~np.eye(n, dtype=bool))
-    f_idx.setflags(write=False)
-    g_idx.setflags(write=False)
-    return f_idx, g_idx
 
 
 def baseline_distance(f, g, metric: str) -> float:

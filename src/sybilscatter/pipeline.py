@@ -113,6 +113,8 @@ class SignalProfile:
             raise ShapeError(f"signatures must be (L, K), got {rows.shape}")
         if mean.shape != (rows.shape[1],):
             raise ShapeError(f"mean_vector {mean.shape} does not match K={rows.shape[1]}")
+        if not (np.isfinite(rows).all() and np.isfinite(mean).all()):
+            raise ParameterError("profile rows and mean_vector must be finite")
         if np.any(rows < 0):
             raise ParameterError("profile rows must be nonnegative")
         norms = np.linalg.norm(rows, axis=1)
@@ -137,9 +139,6 @@ class SignalProfile:
     @property
     def n_tags(self) -> int:
         return int(self.signatures.shape[1])
-
-    def row(self, l: int) -> np.ndarray:
-        return self.signatures[l]
 
 
 @dataclass(frozen=True)
@@ -245,18 +244,20 @@ def _template(code_bytes: bytes, samples_per_bit: int) -> np.ndarray:
 
 
 def _median_rows(c) -> np.ndarray:
-    """np.median over the last axis, without its set-up cost.
+    """np.median over the last axis, without its set-up cost; partitions c
+    in place at the middle.
 
     The middle element of a row, or the mean of the two middle elements of
-    an even-length row, both as np.median takes them.  Unlike np.median it
-    does not turn a row holding NaN into NaN; locate_rows never needs it
-    to, since such a row's NaN peak fails every comparison anyway.
+    an even-length row, both as np.median takes them; the lower one is the
+    largest element below the middle.  Unlike np.median it does not turn a
+    row holding NaN into NaN; locate_rows never needs it to, since such a
+    row's NaN peak fails every comparison anyway.
     """
     mid = c.shape[-1] // 2
+    c.partition(mid, axis=-1)
     if c.shape[-1] % 2:
-        return np.partition(c, mid, axis=-1)[..., mid]
-    part = np.partition(c, (mid - 1, mid), axis=-1)
-    return (part[..., mid - 1] + part[..., mid]) / 2.0
+        return c[..., mid]
+    return (np.maximum.reduce(c[..., :mid], axis=-1) + c[..., mid]) / 2.0
 
 
 def _row_index(positions, lead: int):
@@ -273,6 +274,7 @@ def _segmentation(c):
     code is convincingly present, and the row is not decodable.
     """
     starts = c.argmax(axis=-1)
+    # read before _median_rows partitions c
     peaks = c[_row_index(starts, starts.ndim)]
     floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
@@ -435,9 +437,11 @@ def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
         c, total = _alternating_lags(x, samples_per_bit, n_runs, n - code_len + 1)
         bound = k_sum * total + k_first * x[..., 0] + k_abs
         starts, decodable, peaks, floors = _segmentation(c)
-        c[_row_index(starts, starts.ndim)] = -np.inf
-        runner_up = np.maximum.reduce(c, axis=-1)
-        certified = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
+        # _median_rows left the top two lags in the upper half, which holds
+        # two or more by the length rule: partitioned, its -2 is the runner-up
+        upper = c[..., c.shape[-1] // 2:]
+        upper.partition(-2, axis=-1)
+        certified = ((peaks - upper[..., -2] > 2.0 * bound) & (peaks > bound)
                      & (np.absolute(peaks - floors) > 4.0 * bound))
     return starts, decodable, peaks, floors, certified
 

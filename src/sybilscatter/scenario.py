@@ -319,7 +319,10 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
     dtypes, so the caller's arrays stay writeable; a 1-D schedule that
     follows its layout is the cached view instead (_layout_slice).  Rows
     are traces of equal length sharing one code.  Besides check_layout,
-    a trace must carry the alternating code and hold one code span.  A
+    a trace must carry the alternating code and hold one code span plus
+    two samples, that is three correlation lags: the lags are sums of
+    nonnegative products, so with one lag the decision floor is 3x the
+    peak and with two at least 1.5x, and such a trace never decodes.  A
     checked span is longer than the smoothing window.
     """
     samples = np.array(samples, dtype=np.float64)
@@ -336,10 +339,10 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
             f"samples {samples.shape} and tag_schedule {schedule.shape} "
             f"must be {ndim}-D arrays of equal shape")
     span = code.size * samples_per_bit
-    if samples.shape[-1] < span:
+    if samples.shape[-1] < span + 2:
         raise ParameterError(
             f"trace of {samples.shape[-1]} samples is too short: the rule is at "
-            f"least one code span, {span} samples")
+            f"least one code span plus two samples (three lags), {span + 2} samples")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("trace magnitudes must be finite")
     if np.any(samples < 0):
@@ -432,30 +435,6 @@ class TraceBatch(Sequence):
         object.__setattr__(self, "tag_code", code)
         _readonly(self, "t_s", t_s)
 
-    @classmethod
-    def stack(cls, traces) -> "TraceBatch":
-        """Rows of already validated traces of one identity and one layout."""
-        traces = list(traces)
-        if not traces:
-            raise ShapeError("need at least one trace to stack")
-        first = traces[0]
-        for trace in traces[1:]:
-            if (trace.samples.size != first.samples.size
-                    or trace.samples_per_bit != first.samples_per_bit
-                    or trace.n_tags != first.n_tags
-                    or trace.tag_code.size != first.tag_code.size):
-                raise ShapeError("stacked traces must share length, code and modulation")
-        samples = np.stack([t.samples for t in traces])
-        schedule = np.stack([t.tag_schedule for t in traces])
-        samples.flags.writeable = False
-        schedule.flags.writeable = False
-        return prevalidated(
-            cls, identity=first.identity, true_source_id=first.true_source_id,
-            t_s=np.array([t.t_s for t in traces], dtype=np.float64),
-            sample_rate_hz=first.sample_rate_hz, samples=samples,
-            tag_schedule=schedule, tag_code=first.tag_code,
-            samples_per_bit=first.samples_per_bit, n_tags=first.n_tags)
-
     def __len__(self) -> int:
         return int(self.samples.shape[0])
 
@@ -546,9 +525,8 @@ class ScenarioConfig:
 class ScenarioRun:
     """Output of simulate_scenario: per-identity trace streams plus truth.
 
-    ``traces`` maps each identity to a sequence of ReceivedTrace of one
-    layout, one per update period: a TraceBatch from the simulator and the
-    trace reader, any such sequence otherwise.
+    ``traces`` maps each identity to a TraceBatch, one row per update
+    period, as the simulator and the trace reader return it.
     """
 
     traces: dict

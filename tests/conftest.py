@@ -16,6 +16,7 @@ from sybilscatter import (
     Trajectory,
     simulate_scenario,
 )
+from sybilscatter.scenario import TraceBatch
 
 
 def parked(x, y, horizon_s, speed_mps=0.2):
@@ -63,6 +64,19 @@ def labeled_dataset(rows, sources):
         from_id=[names.index(i) for _, _, i, *_ in rows],
         to_id=[names.index(j) for _, _, _, j, *_ in rows],
         keys=tuple(codes), identities=tuple(names), sources=sources)
+
+
+def trace_batch(traces):
+    """The traces of one identity as one TraceBatch, built by the validated
+    constructor as a caller with its own arrays would build it."""
+    first = traces[0]
+    return TraceBatch(
+        identity=first.identity, true_source_id=first.true_source_id,
+        t_s=[t.t_s for t in traces], sample_rate_hz=first.sample_rate_hz,
+        samples=np.stack([t.samples for t in traces]),
+        tag_schedule=np.stack([t.tag_schedule for t in traces]),
+        tag_code=first.tag_code, samples_per_bit=first.samples_per_bit,
+        n_tags=first.n_tags)
 
 
 FOUR_ID_SPECS = (

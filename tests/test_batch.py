@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
+from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario, trace_batch
 from sybilscatter import (
     ChannelParams,
     DegenerateSignatureError,
@@ -49,6 +49,7 @@ from sybilscatter import (
     simulate_scenario,
     trace_seeds,
 )
+from sybilscatter import pipeline
 from sybilscatter.harness import DEFAULT_CORPUS_SPEC, DEFAULT_SEED, dataset_digest
 from sybilscatter.pipeline import (
     _fast_segmentation,
@@ -99,18 +100,6 @@ def degraded_run(corpus_scenario):
                 traces[k] = _flat(traces[k])
         streams[ident] = traces
     return run, streams
-
-
-def _batch(traces):
-    """The validated constructor, as a caller with its own arrays would use it."""
-    first = traces[0]
-    return TraceBatch(
-        identity=first.identity, true_source_id=first.true_source_id,
-        t_s=[t.t_s for t in traces], sample_rate_hz=first.sample_rate_hz,
-        samples=np.stack([t.samples for t in traces]),
-        tag_schedule=np.stack([t.tag_schedule for t in traces]),
-        tag_code=first.tag_code, samples_per_bit=first.samples_per_bit,
-        n_tags=first.n_tags)
 
 
 def _one_trace_outcomes(streams):
@@ -198,7 +187,7 @@ class TestSchedules:
 
     def test_rows_equal_the_batch_rows(self, four_identity_run, degraded_run):
         _, streams = degraded_run
-        for batch in [*four_identity_run.traces.values(), *map(_batch, streams.values())]:
+        for batch in [*four_identity_run.traces.values(), *map(trace_batch, streams.values())]:
             self._check_rows(batch)
 
     def test_one_layout_shares_one_array(self, four_identity_run, degraded_run):
@@ -278,10 +267,9 @@ class TestExtract:
         periods, _, _ = oracle.signatures(next(iter(streams.values())), 9)
         assert np.diff(periods).max() > 2 * PROFILE_LEN
 
-    @pytest.mark.parametrize("as_batch", [True, False])
-    def test_signatures_match_per_trace_oracle(self, degraded_run, as_batch):
+    def test_signatures_match_per_trace_oracle(self, degraded_run):
         run, streams = degraded_run
-        traces = {i: _batch(ts) if as_batch else tuple(ts) for i, ts in streams.items()}
+        traces = {i: trace_batch(ts) for i, ts in streams.items()}
         got = extract_signatures(ScenarioRun(traces, run.true_sources, run.seed))
         expected = self._expected(streams)
         assert list(got.periods) == [i for i, e in expected.items() if e[0]]
@@ -297,25 +285,24 @@ class TestExtract:
         for n_tags in (3, 5):
             config = make_scenario((("r0", ("n0",), (1.0, 0.4), None),),
                                    n_tags=n_tags, horizon_s=9.0)
-            traces = list(simulate_scenario(config, 21).traces["n0"])
-            got = extract_signatures(ScenarioRun({"n0": tuple(traces)}, {"n0": "r0"}, 21))
+            run = simulate_scenario(config, 21)
+            got = extract_signatures(run)
+            traces = list(run.traces["n0"])
             periods, raw, _ = oracle.signatures(traces, 9)
             assert len(periods) == len(traces)
             np.testing.assert_array_equal(got.periods["n0"], periods)
             np.testing.assert_array_equal(got.raw["n0"], np.vstack(raw))
 
-    def test_mixed_layouts_are_rejected(self):
-        # a stream is stacked into one TraceBatch: a longer trace in the
-        # middle of it, or a trace of another tag count, is a ShapeError
+    def test_streams_must_be_trace_batches(self):
+        # nothing stacks loose traces: a tuple or list stream is a
+        # ShapeError naming its identity, one layout or mixed
         config = make_scenario((("r0", ("n0",), (1.0, 0.4), None),), horizon_s=9.0)
         traces = list(simulate_scenario(config, 21).traces["n0"])
         longer = replace(traces[6], samples=np.pad(traces[6].samples, (0, 40)),
                          tag_schedule=np.pad(traces[6].tag_schedule, (0, 40)))
-        fewer_tags = replace(traces[6], tag_schedule=np.zeros_like(traces[6].tag_schedule),
-                             n_tags=3)
-        for odd in (longer, fewer_tags):
-            stream = tuple(traces[:6] + [odd] + traces[7:])
-            with pytest.raises(ShapeError, match="share length, code and modulation"):
+        for stream in (tuple(traces), traces, tuple(traces[:6] + [longer] + traces[7:])):
+            with pytest.raises(ShapeError, match=r"identity 'n0': traces must be a "
+                                                 rf"TraceBatch, got {type(stream).__name__}"):
                 extract_signatures(ScenarioRun({"n0": stream}, {"n0": "r0"}, 21))
 
     @settings(max_examples=30, deadline=None)
@@ -324,7 +311,7 @@ class TestExtract:
         """Scaling every sample by 2^e scales each lag, mean and norm
         exactly, so the kept rows and the unit signatures keep their bits."""
         _, streams = degraded_run
-        batch = _batch(list(streams.values())[which])
+        batch = trace_batch(list(streams.values())[which])
         scaled = replace(batch, samples=batch.samples * 2.0 ** exponent)
         kept, _, unit = signature_rows(batch)
         kept_scaled, _, unit_scaled = signature_rows(scaled)
@@ -336,14 +323,31 @@ class TestExtract:
         _, streams = degraded_run
         assert _one_trace_outcomes(streams) == {"rejected", "degenerate", "kept"}
 
-    def test_one_trace_calls_never_stack(self, degraded_run, monkeypatch):
-        """The one-trace functions run the kernels on the trace's own 1-D
-        samples: routing them through a one-row TraceBatch fails here."""
-        def refuse(cls, traces):
-            raise AssertionError("a one-trace call stacked its trace")
+    def test_one_trace_calls_run_on_the_trace_samples(self, degraded_run, monkeypatch):
+        """The one-trace functions hand the segmentation and extraction
+        kernels the trace's own (N,) samples, never a one-row batch."""
+        seen = []
 
-        monkeypatch.setattr(TraceBatch, "stack", classmethod(refuse))
+        def spy(name, samples_of):
+            kernel = getattr(pipeline, name)
+
+            def wrapper(first, *args):
+                seen.append((name, samples_of(first)))
+                return kernel(first, *args)
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        spy("_fast_segmentation", lambda x: x)
+        spy("reflection_rows", lambda trace: trace.samples)
         _, streams = degraded_run
+        for traces in streams.values():
+            for trace in traces:
+                seen.clear()
+                try:
+                    signature_from_trace(trace)
+                except (SegmentationError, DegenerateSignatureError):
+                    pass
+                assert seen and seen[0][0] == "_fast_segmentation"
+                assert all(samples is trace.samples for _, samples in seen)
         assert _one_trace_outcomes(streams) == {"rejected", "degenerate", "kept"}
 
     @settings(max_examples=40, deadline=None)
@@ -360,7 +364,7 @@ class TestExtract:
                   + [data.draw(st.sampled_from(redone))])
         rows = np.stack([trace.samples for trace in traces])
         batch = _fast_segmentation(rows, 8, 32, 512)
-        located = locate_rows(_batch(traces))
+        located = locate_rows(trace_batch(traces))
         for k, trace in enumerate(traces):
             one_row = _fast_segmentation(rows[k:k + 1], 8, 32, 512)
             alone = _fast_segmentation(trace.samples, 8, 32, 512)
@@ -381,7 +385,7 @@ class TestExtract:
         _, streams = degraded_run
         redone = 0
         for traces in streams.values():
-            batch = _batch(traces)
+            batch = trace_batch(traces)
             starts, decodable, _, _ = locate_rows(batch)
             redone += (~_fast_segmentation(batch.samples, 8, 32, 512)[4]).sum()
             template = np.repeat(traces[0].tag_code, 8).astype(np.float64)
@@ -401,7 +405,7 @@ class TestExtract:
     def test_scalar_calls_are_rows_of_the_batch(self, degraded_run):
         _, streams = degraded_run
         traces = streams[list(streams)[1]]
-        kept, raw, normed = signature_rows(_batch(traces))
+        kept, raw, normed = signature_rows(trace_batch(traces))
         by_row = dict(zip(kept.tolist(), range(kept.size)))
         for k, trace in enumerate(traces):
             start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
@@ -434,7 +438,7 @@ class TestWindows:
     def test_dataset_matches_per_pair_oracle(self, degraded_run, metric, normalized):
         run, streams = degraded_run
         scenario = extract_signatures(
-            ScenarioRun({i: tuple(t) for i, t in streams.items()}, run.true_sources,
+            ScenarioRun({i: trace_batch(t) for i, t in streams.items()}, run.true_sources,
                         run.seed))
         ds = build_dataset([scenario], PROFILE_LEN, normalized=normalized, metric=metric)
         oracle_streams = {}
@@ -622,10 +626,10 @@ class TestOnline:
                             ring_radius_m=1.0),
             Trajectory: dict(waypoints=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
                              speed_mps=1.0),
-            ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(70),
-                                tag_schedule=np.zeros(70, dtype=np.int16)),
-            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 70)),
-                             tag_schedule=np.zeros((2, 70), dtype=np.int16)),
+            ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(72),
+                                tag_schedule=np.zeros(72, dtype=np.int16)),
+            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 72)),
+                             tag_schedule=np.zeros((2, 72), dtype=np.int16)),
         }[cls]
         obj = cls(**kwargs)
         arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}

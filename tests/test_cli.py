@@ -253,6 +253,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trace_n0.csv: tag_schedule values" in err
 
+    def test_dataset_rejects_a_trace_of_one_code_span(self, tmp_path, scenario_ini, capsys):
+        # 512 samples are one lag of the stock code, which never decodes
+        main(["simulate", "--config", scenario_ini, "--seed", "5",
+              "--out", str(tmp_path / "runs")])
+        path = tmp_path / "runs" / "scenario_000" / "trace_n0.csv"
+        path.write_text("t_s,sample,tag_index\n" + "0.0,1e-06,0\n" * 512)
+        rc = main(["dataset", "--traces", str(tmp_path / "runs"), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trace_n0.csv: trace of 512 samples" in err
+
     def test_experiment_rejects_scenario_config(self, tmp_path, scenario_ini,
                                                 capsys):
         rc = main(["sweep", "--config", scenario_ini, "--out", str(tmp_path)])

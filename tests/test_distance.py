@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracle
 from sybilscatter import (
@@ -16,6 +19,7 @@ from sybilscatter import (
     distance_matrix,
 )
 from sybilscatter.distance import (
+    DEGENERATE_NORM_TOL,
     F_SIDE_DEGENERATE_DISTANCE,
     G_SIDE_DEGENERATE_DISTANCE,
 )
@@ -183,7 +187,7 @@ class TestProfileDistances:
         pf, pg, _ = self._profiles()
         values = baseline_distances(pf.signatures, pg.signatures, "euclidean")
         for l in range(pf.profile_len):
-            assert values[l] == baseline_distance(pf.row(l), pg.row(l), "euclidean")
+            assert values[l] == baseline_distance(pf.signatures[l], pg.signatures[l], "euclidean")
 
     def test_profile_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)
@@ -234,3 +238,78 @@ class TestDistanceMatrix:
         values = np.ones((2, 2, 3))  # nonzero diagonal
         with pytest.raises(ParameterError):
             DistanceMatrix(identities=("a", "b"), values=values)
+
+
+@st.composite
+def profile_sets(draw):
+    """2-7 profiles whose rows come from a small pool of unit vectors.
+
+    Profile 0 is constant, so each of its rows equals its mean, and profile
+    1 starts with that row, so d(0, 1) degenerates on both sides at l = 0;
+    with three or more profiles the last repeats an earlier one.
+    """
+    n = draw(st.integers(2, 7), label="profiles")
+    k = draw(st.integers(2, 5), label="K")
+    length = draw(st.integers(1, 4), label="L")
+    pool = draw(arrays(np.float64, (draw(st.integers(2, 4)), k),
+                       elements=st.floats(0.05, 1.0)), label="pool")
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    picks = [[0] * length] + [
+        draw(st.lists(st.integers(0, len(pool) - 1), min_size=length, max_size=length))
+        for _ in range(n - 1)]
+    picks[1][0] = 0
+    repeated = draw(st.integers(0, n - 2)) if n > 2 else None
+    if repeated is not None:
+        picks[-1] = picks[repeated]
+    profiles = [SignalProfile.from_rows(f"id{i}", pool[rows]) for i, rows in enumerate(picks)]
+    return profiles, repeated
+
+
+def _centered_norms(rows, mean):
+    """The norms _adjusted compares with DEGENERATE_NORM_TOL."""
+    centered = rows - mean
+    return np.sqrt(np.add.reduce(centered * centered, axis=-1))
+
+
+class TestDistanceMatrixProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=profile_sets())
+    def test_matrix_is_the_per_pair_distances(self, drawn):
+        profiles, repeated = drawn
+        values = distance_matrix(profiles).values
+        for i, f in enumerate(profiles):
+            for j, g in enumerate(profiles):
+                pair = adjusted_distances(f.signatures, g.signatures, f.mean_vector)
+                assert values[i, j].tobytes() == pair.tobytes()
+            assert values[i, i].tobytes() == np.zeros(f.profile_len).tobytes()
+        if repeated is not None:
+            assert not values[repeated, -1].any() and not values[-1, repeated].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=profile_sets())
+    def test_degenerate_substitutions(self, drawn):
+        profiles, _ = drawn
+        values = distance_matrix(profiles).values
+        for i, f in enumerate(profiles):
+            nf = _centered_norms(f.signatures, f.mean_vector)
+            for j, g in enumerate(profiles):
+                ng = _centered_norms(g.signatures, f.mean_vector)
+                f_side = nf < DEGENERATE_NORM_TOL
+                g_side = ~f_side & (ng < DEGENERATE_NORM_TOL)
+                assert np.all(values[i, j][f_side] == F_SIDE_DEGENERATE_DISTANCE)
+                assert np.all(values[i, j][g_side] == G_SIDE_DEGENERATE_DISTANCE)
+        # both sides collapse at d(0, 1)'s first row, and the F side wins
+        mean = profiles[0].mean_vector
+        assert _centered_norms(profiles[0].signatures[0], mean) < DEGENERATE_NORM_TOL
+        assert _centered_norms(profiles[1].signatures[0], mean) < DEGENERATE_NORM_TOL
+        assert values[0, 1, 0] == F_SIDE_DEGENERATE_DISTANCE
+
+    def test_directions_differ_in_general(self):
+        # d(F, G) centers on F's mean and d(G, F) on G's
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            profiles = [SignalProfile.from_rows(f"id{i}", unit_rows(rng, 4, 4))
+                        for i in range(2)]
+            values = distance_matrix(profiles).values
+            assert np.all(values[0, 1] != values[1, 0])
+

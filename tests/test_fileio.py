@@ -230,6 +230,19 @@ class TestTraceFiles:
                                               r"must lie in 0\.\.n_tags"):
             read_run(tmp_path)
 
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_trace_of_one_or_two_lags_names_the_trace_file(self, tmp_path, four_identity_run,
+                                                          four_identity_scenario, n):
+        write_run(tmp_path, four_identity_run, four_identity_scenario)
+        path = tmp_path / "trace_n0.csv"
+        path.write_text("t_s,sample,tag_index\n" + "0.0,1e-06,0\n" * n)
+        with pytest.raises(ConfigError, match=rf"trace_n0\.csv: trace of {n} samples is too "
+                                              r"short: the rule is at least one code span "
+                                              r"plus two samples \(three lags\), 514 samples"):
+            read_run(tmp_path)
+        path.write_text("t_s,sample,tag_index\n" + "0.0,1e-06,0\n" * 514)
+        assert read_run(tmp_path)[0]["n0"].samples.shape == (1, 514)
+
     def test_short_line_names_file_and_line(self, tmp_path, four_identity_run,
                                             four_identity_scenario):
         write_run(tmp_path, four_identity_run, four_identity_scenario)

@@ -33,12 +33,15 @@ from sybilscatter import (
     tag_reflection_powers,
 )
 
-from conftest import make_scenario
+from conftest import make_scenario, trace_batch
+from sybilscatter import pipeline
 from sybilscatter.pipeline import (
     _alternating_lags,
+    _correlate_rows,
     _error_bound,
     _fast_segmentation,
     _median_rows,
+    _segmentation,
     _smooth_rows,
     _smoothing_bounds,
     _tag_gathers,
@@ -46,7 +49,7 @@ from sybilscatter.pipeline import (
     expand_code,
     locate_rows,
 )
-from sybilscatter.scenario import TraceBatch, check_layout
+from sybilscatter.scenario import check_layout
 
 
 def _accepted(bits, spb, n_tags):
@@ -137,7 +140,7 @@ def certified(trace):
 def assert_exact_decisions(traces):
     """locate_rows on the batch and on each trace, and segment_backscatter,
     against exact_decisions, down to the SegmentationError message."""
-    starts, decodable, _, _ = locate_rows(TraceBatch.stack(traces))
+    starts, decodable, _, _ = locate_rows(trace_batch(traces))
     for k, trace in enumerate(traces):
         start, ok, peak, floor = exact_decisions(trace)
         one_start, one_ok, _, _ = locate_rows(trace)
@@ -320,7 +323,7 @@ class TestSegmentation:
         start = data.draw(st.integers(0, 4 * bits * spb), label="start")
         trace = layout_trace(bits, spb, ambient * np.array(ratios), ambient, start)
         assert trace.scheduled_start() == start
-        starts, decodable, _, _ = locate_rows(TraceBatch.stack([trace]))
+        starts, decodable, _, _ = locate_rows(trace_batch([trace]))
         assert (starts[0], decodable[0]) == locate_rows(trace)[:2] == (start, True)
         assert exact_decisions(trace)[:2] == (start, True)
 
@@ -419,6 +422,64 @@ class TestCertifiedSegmentation:
         k_sum, k_first, k_abs = _error_bound(n, spb, runs, bits * spb)
         bound = k_sum * total[0] + k_first * x[0] + k_abs
         assert np.all(np.abs(lags[0] - exact) <= bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_lags=st.sampled_from([3, 4, 5, 8, 33, 2048, 2049]), rows=st.integers(0, 4),
+           steps=st.booleans(), special_share=st.sampled_from([0.0, 0.01, 0.3]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_runner_up_is_read_from_the_median_partition(self, n_lags, rows, steps,
+                                                         special_share, seed, data):
+        """_fast_segmentation's runner-up, c[..., -2] once the upper half of
+        _median_rows' partition is partitioned, and its certified flag
+        against the form that wrote -inf at the argmax and took the max, on
+        (R, N) and (N,) rows of lags with duplicated peaks, NaN and
+        infinities, and odd and even lag counts up to the stock 2,049."""
+        lead = (rows,) if rows else ()
+        rng = np.random.default_rng(seed)
+        # 0.1 steps tie many lags, the peak among them; normal lags rarely tie
+        c = (rng.integers(-3, 4, lead + (n_lags,)) * 0.1 if steps
+             else rng.normal(size=lead + (n_lags,)))
+        special = rng.random(c.shape) < special_share
+        c[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+        # the largest totals put the bound near the gaps between lags
+        total = np.asarray(data.draw(arrays(
+            np.float64, lead, elements=st.sampled_from([0.0, 1.0, 1e7, 1e8]))))
+        x = np.zeros(lead + (511 + n_lags,))  # the stock 512-sample code span
+        k_sum, _, k_abs = _error_bound(x.shape[-1], 8, 32, 512)
+        bound = k_sum * total + k_abs
+        with np.errstate(invalid="ignore"):
+            starts = c.argmax(axis=-1)[..., None]
+            peaks = np.take_along_axis(c, starts, axis=-1)[..., 0]
+            knocked = c.copy()
+            np.put_along_axis(knocked, starts, -np.inf, axis=-1)
+            runner_up = np.maximum.reduce(knocked, axis=-1)
+            ordered = np.sort(c, axis=-1)  # NaN last, as np.partition puts it
+            mid = n_lags // 2
+            median = (ordered[..., mid] if n_lags % 2
+                      else (ordered[..., mid - 1] + ordered[..., mid]) / 2.0)
+            expected = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
+                        & (np.absolute(peaks - 3.0 * median) > 4.0 * bound))
+        lags = c.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_alternating_lags", lambda *args: (lags, total))
+            *_, got = _fast_segmentation(x, 8, 32, 512)
+        assert np.shape(got) == lead
+        assert np.asarray(got).tobytes() == expected.tobytes()
+        # a NaN lag is the argmax, so such a row certifies nothing
+        clean = ~np.isnan(peaks)
+        assert not np.any(np.asarray(got)[~clean])
+        assert lags[..., -2][clean].tobytes() == runner_up[clean].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(extra=st.integers(0, 1), data=st.data())
+    def test_one_or_two_lags_never_decode(self, extra, data):
+        # the length rule's reason: np.correlate's lags of a nonnegative
+        # row are nonnegative, so the floor is 3x the only lag, or 1.5x
+        # the sum of the two
+        x = data.draw(arrays(np.float64, (4, 70 + extra), elements=st.floats(0.0, 1e6)))
+        lags = _correlate_rows(_smooth_rows(x, 9), expand_code(alternating_code(14), 5))
+        assert lags.shape == (4, 1 + extra)
+        assert not _segmentation(lags)[1].any()
 
 
 class TestExtractReflection:
@@ -545,6 +606,16 @@ class TestSignalProfile:
         with pytest.raises(ParameterError):
             SignalProfile(identity="a", signatures=rows,
                           mean_vector=np.array([0.9, 0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_and_means_rejected(self, bad):
+        # a NaN row passed every comparison of the other checks, and the
+        # distance matrix's diagonal is zero only for finite rows
+        rows = np.array([[0.6, 0.8], [bad, 0.8]])
+        mean = np.array([bad, 0.8])
+        for signatures, mean_vector in ((rows, mean), (rows[:1], mean)):
+            with pytest.raises(ParameterError, match="must be finite"):
+                SignalProfile(identity="a", signatures=signatures, mean_vector=mean_vector)
 
 
 class TestProfileWindows:

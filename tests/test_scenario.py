@@ -332,7 +332,7 @@ REJECTED_SPB = (1, 2, 3, 4)
 SPB_RULE = r"mis-segments the alternating code: the rule is samples_per_bit > 4"
 CODE_BITS_RULE = r"the rule is code_bits >= 7 n_tags"
 CODE_RULE = r"tag_code is not the alternating code: the rule is tag_code = 1, 0, 1, 0"
-LENGTH_RULE = r"too short: the rule is at least one code span"
+LENGTH_RULE = r"too short: the rule is at least one code span plus two samples \(three lags\)"
 
 
 def _trace_fields(spb, code, n_tags=1, n=None):
@@ -410,13 +410,26 @@ class TestLayoutRule:
                 build()
 
     def test_traces_reject_fewer_samples_than_the_code_spans(self):
-        for n in (8, 319):
+        # a 320-sample span needs 322 samples, three lags
+        for n in (8, 319, 320, 321):
             for build in _trace_constructors(64, 5, 1, n=n):
                 with pytest.raises(ParameterError, match=rf"trace of {n} samples is "
-                                                         + LENGTH_RULE):
+                                                         + LENGTH_RULE + ", 322 samples"):
                     build()
-        for build in _trace_constructors(64, 5, 1, n=320):
+        for build in _trace_constructors(64, 5, 1, n=322):
             build()
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_stock_layout_rejects_one_and_two_lags(self, n):
+        # one and two lags of the stock 64-bit, 8-per-bit code never decode
+        for build in _trace_constructors(64, 8, 4, n=n):
+            with pytest.raises(ParameterError, match=rf"trace of {n} samples is "
+                                                     + LENGTH_RULE + ", 514 samples"):
+                build()
+
+    def test_stock_layout_accepts_three_lags(self):
+        for build in _trace_constructors(64, 8, 4, n=514):
+            assert build().samples.shape[-1] == 514
 
     def test_traces_reject_no_tags(self):
         for build in _trace_constructors(8, 8, 0):
@@ -444,7 +457,7 @@ class TestLayoutRule:
         for build in _trace_constructors(bits, spb, 1, code=code):
             with pytest.raises(ParameterError, match=CODE_RULE):
                 build()
-        short = data.draw(st.integers(0, bits * spb - 1))
+        short = data.draw(st.integers(0, bits * spb + 1))
         for build in _trace_constructors(bits, spb, 1, n=short):
             with pytest.raises(ParameterError, match=LENGTH_RULE):
                 build()
