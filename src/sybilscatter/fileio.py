@@ -119,7 +119,7 @@ def read_trace_csv(path, identity: str, labels: dict):
     """One identity's traces as a TraceBatch, or None for a file without
     a trace; ConfigError names path:line for a malformed line or a
     non-finite value, and the file for traces of unequal length or a
-    layout TraceBatch rejects."""
+    layout or tag schedule TraceBatch rejects."""
     times, rows, tags = [], [], []  # per trace: t_s, samples, tag indices
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip()

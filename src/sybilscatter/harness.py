@@ -240,7 +240,7 @@ def corpus_signatures(configs, seeds) -> list:
         raise ParameterError("configs and seeds must be aligned")
     out = []
     for idx, (config, seed) in enumerate(zip(configs, seeds)):
-        # the previous run lives on here; freeing it first saves 4 MB but re-faults pages
+        # the previous run lives on here; freeing it first saves 3 MB but re-faults pages
         run = simulate_scenario(config, seed)
         out.append(extract_signatures(run, config_index=idx))
     return out

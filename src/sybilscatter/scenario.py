@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -213,8 +213,7 @@ class Trajectory:
         return float(self.waypoints[-1, 0])
 
     @classmethod
-    def from_path(cls, points, speed_mps: float, t0: float = 0.0,
-                  dwell_s: float = 0.0) -> "Trajectory":
+    def from_path(cls, points, speed_mps: float, dwell_s: float = 0.0) -> "Trajectory":
         """Build waypoint times from cumulative path length at constant speed.
 
         ``dwell_s`` inserts a hold at the final point, which is convenient for
@@ -225,7 +224,7 @@ class Trajectory:
             raise TrajectoryError(f"points must be (n, 2), got {pts.shape}")
         _positive("speed_mps", speed_mps)
         seg = np.hypot(*np.diff(pts, axis=0).T) if pts.shape[0] > 1 else np.array([])
-        times = t0 + np.concatenate([[0.0], np.cumsum(seg)]) / speed_mps
+        times = np.concatenate([[0.0], np.cumsum(seg)]) / speed_mps
         wp = np.column_stack([times, pts])
         if dwell_s > 0:
             wp = np.vstack([wp, [times[-1] + dwell_s, pts[-1, 0], pts[-1, 1]]])
@@ -295,35 +294,29 @@ def _tag_layout(n_bits: int, samples_per_bit: int, n_tags: int, n: int) -> np.nd
     return layout
 
 
-def _layout_slice(schedule, n_bits: int, samples_per_bit: int, n_tags: int):
-    """The slice of the cached _tag_layout equal to a validated 1-D
-    schedule of a checked layout, or None if the schedule does not follow
-    it (uneven blocks, a stray tag value, a region cut off at the end).
-    Traces keep that view instead of a copy of their own, since the
-    pipeline never reads the schedule."""
-    n = schedule.size
-    start = int((schedule != 0).argmax())
-    if not schedule[start]:  # all guard
-        start = n
-    elif start > n - n_bits * samples_per_bit:
-        return None
-    view = _tag_layout(n_bits, samples_per_bit, n_tags, n)[n - start:2 * n - start]
-    return view if view.tobytes() == schedule.tobytes() else None
+def _layout_schedule(trace, start: int) -> np.ndarray:
+    """The schedule of a trace (or of a batch's rows) whose region starts at
+    sample ``start``, n for none: a read-only view of the cached _tag_layout."""
+    n = trace.samples.shape[-1]
+    layout = _tag_layout(trace.tag_code.size, trace.samples_per_bit, trace.n_tags, n)
+    return layout[n - start:2 * n - start]
 
 
 def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
                   sample_rate_hz, ndim):
     """Validate the arrays of one trace (ndim 1) or of a row batch (ndim 2).
 
-    Returns samples, schedule and code as read-only copies in the stored
-    dtypes, so the caller's arrays stay writeable; a 1-D schedule that
-    follows its layout is the cached view instead (_layout_slice).  Rows
-    are traces of equal length sharing one code.  Besides check_layout,
-    a trace must carry the alternating code and hold one code span plus
-    two samples, that is three correlation lags: the lags are sums of
-    nonnegative products, so with one lag the decision floor is 3x the
-    peak and with two at least 1.5x, and such a trace never decodes.  A
-    checked span is longer than the smoothing window.
+    Returns samples and code as read-only copies in the stored dtypes, so
+    the caller's arrays stay writeable, and each row's region start (n for
+    an all-guard row) in place of the schedule.  Rows are traces of equal
+    length sharing one code.  Besides check_layout, a trace must carry the
+    alternating code and hold one code span plus two samples, that is three
+    correlation lags: the lags are sums of nonnegative products, so with
+    one lag the decision floor is 3x the peak and with two at least 1.5x,
+    and such a trace never decodes.  A checked span is longer than the
+    smoothing window.  Last, every schedule row must be the layout's
+    schedule at its first tagged sample (_tag_layout), so the start alone
+    is its ground truth; being equal to it, the values are tags 0..n_tags.
     """
     samples = np.array(samples, dtype=np.float64)
     schedule = np.asarray(tag_schedule)
@@ -338,28 +331,29 @@ def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
         raise ShapeError(
             f"samples {samples.shape} and tag_schedule {schedule.shape} "
             f"must be {ndim}-D arrays of equal shape")
+    n = samples.shape[-1]
     span = code.size * samples_per_bit
-    if samples.shape[-1] < span + 2:
+    if n < span + 2:
         raise ParameterError(
-            f"trace of {samples.shape[-1]} samples is too short: the rule is at "
+            f"trace of {n} samples is too short: the rule is at "
             f"least one code span plus two samples (three lags), {span + 2} samples")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("trace magnitudes must be finite")
     if np.any(samples < 0):
         raise ParameterError("trace magnitudes must be nonnegative")
-    # before the int16 cast, which would raise OverflowError on a large
-    # Python int, wrap 65537 to 1 and truncate 1.5 to 1
-    if schedule.size and not (schedule.min() >= 0 and schedule.max() <= n_tags
-                              and np.all(schedule % 1 == 0)):
-        raise ParameterError("tag_schedule values must lie in 0..n_tags")
-    schedule = np.array(schedule, dtype=np.int16)
-    if ndim == 1:
-        view = _layout_slice(schedule, code.size, samples_per_bit, n_tags)
-        if view is not None:
-            schedule = view
-    for arr in (samples, schedule, code):
+    tagged = schedule != 0
+    starts = np.where(tagged.any(axis=-1), tagged.argmax(axis=-1), n)
+    layout = _tag_layout(code.size, samples_per_bit, n_tags, n)
+    if not all(np.array_equal(row, layout[n - s:2 * n - s])
+               for row, s in zip(schedule.reshape(-1, n), starts.reshape(-1))):
+        raise ParameterError(
+            "tag_schedule does not follow the layout: the rule is a row of "
+            f"zeros, or tags 1..{n_tags} over their code blocks "
+            "(tag_block_bit_spans) from the row's first tagged sample on, "
+            "cut off only by the trace end")
+    for arr in (samples, starts, code):
         arr.flags.writeable = False
-    return samples, schedule, code
+    return samples, starts, code
 
 
 @dataclass(frozen=True)
@@ -369,8 +363,8 @@ class ReceivedTrace:
     ``tag_schedule`` annotates each sample with the tag block it belongs to
     (1..K over the backscattered region, 0 over the ambient-only guards);
     ``tag_code`` is the known M-bit modulation pattern shared by all tags.
-    A schedule that follows the simulator's layout is stored as a
-    read-only view of one array cached per layout, any other as a copy.
+    The schedule must follow the simulator's layout (_trace_arrays) and is
+    stored as a read-only view of one array cached per layout.
     """
 
     identity: str
@@ -384,12 +378,12 @@ class ReceivedTrace:
     n_tags: int
 
     def __post_init__(self):
-        samples, schedule, code = _trace_arrays(
+        samples, start, code = _trace_arrays(
             self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
             self.n_tags, self.sample_rate_hz, ndim=1)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "tag_schedule", schedule)
         object.__setattr__(self, "tag_code", code)
+        object.__setattr__(self, "tag_schedule", _layout_schedule(self, int(start)))
 
     @property
     def code_span(self) -> int:
@@ -406,10 +400,12 @@ class ReceivedTrace:
 class TraceBatch(Sequence):
     """Every trace of one identity as one array, one row per trace.
 
-    Row k of ``samples`` and ``tag_schedule`` is the trace announced at
-    ``t_s[k]``; all rows share the code, the modulation and the tag count.
-    The batch is validated once as a whole.  As a sequence it yields
-    ReceivedTrace objects; see ``__getitem__``.
+    Row k of ``samples`` is the trace announced at ``t_s[k]``; all rows
+    share the code, the modulation and the tag count.  The batch is
+    validated once as a whole.  The ``tag_schedule`` rows it is built from
+    follow the layout (_trace_arrays), so it keeps only ``region_starts``,
+    each row's first tagged sample (the row length for none).  As a
+    sequence it yields ReceivedTrace objects; see ``__getitem__``.
     """
 
     identity: str
@@ -417,21 +413,22 @@ class TraceBatch(Sequence):
     t_s: np.ndarray
     sample_rate_hz: float
     samples: np.ndarray
-    tag_schedule: np.ndarray
+    tag_schedule: InitVar[np.ndarray]
     tag_code: np.ndarray
     samples_per_bit: int
     n_tags: int
+    region_starts: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        samples, schedule, code = _trace_arrays(
-            self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
+    def __post_init__(self, tag_schedule):
+        samples, starts, code = _trace_arrays(
+            self.samples, tag_schedule, self.tag_code, self.samples_per_bit,
             self.n_tags, self.sample_rate_hz, ndim=2)
         t_s = np.array(self.t_s, dtype=np.float64)
         if t_s.shape != samples.shape[:1]:
             raise ShapeError(f"t_s {t_s.shape} must hold one time per row of "
                              f"samples {samples.shape}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "tag_schedule", schedule)
+        object.__setattr__(self, "region_starts", starts)
         object.__setattr__(self, "tag_code", code)
         _readonly(self, "t_s", t_s)
 
@@ -444,25 +441,20 @@ class TraceBatch(Sequence):
         A row view would pin the whole batch for as long as any one trace
         taken from it is kept; a consumer that keeps a subset of the traces
         (a receiver dropping lost announcements) would then hold every row.
-        The schedule is the layout's cached view (_layout_slice), or a copy
-        of the row if it does not follow the layout.
+        The schedule is the layout's cached view at the row's region start.
         """
         if isinstance(k, slice):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         k = range(len(self))[k]
         samples = self.samples[k].copy()
         samples.flags.writeable = False
-        schedule = _layout_slice(self.tag_schedule[k], self.tag_code.size,
-                                 self.samples_per_bit, self.n_tags)
-        if schedule is None:
-            schedule = self.tag_schedule[k].copy()
-            schedule.flags.writeable = False
         return prevalidated(
             ReceivedTrace, identity=self.identity,
             true_source_id=self.true_source_id, t_s=float(self.t_s[k]),
             sample_rate_hz=self.sample_rate_hz, samples=samples,
-            tag_schedule=schedule, tag_code=self.tag_code,
-            samples_per_bit=self.samples_per_bit, n_tags=self.n_tags)
+            tag_schedule=_layout_schedule(self, int(self.region_starts[k])),
+            tag_code=self.tag_code, samples_per_bit=self.samples_per_bit,
+            n_tags=self.n_tags)
 
 
 @dataclass(frozen=True)
@@ -674,13 +666,9 @@ def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str
     # reproducible on its own
     starts = np.array([rng.integers(MIN_GUARD_SPANS * code_span,
                                     (TRACE_SPANS - 2 * MIN_GUARD_SPANS) * code_span + 1)
-                       for rng in rngs], dtype=np.intp).reshape(n, 1)
+                       for rng in rngs], dtype=np.intp)
     samples = np.full((n, total), scenario.ambient_w, dtype=np.float64)
-    schedule = np.zeros((n, total), dtype=np.int16)
-    rows = np.arange(n)[:, None]
-    cols = starts + np.arange(code_span)
-    samples[rows, cols] = region
-    schedule[rows, cols] = tag_of
+    samples[np.arange(n)[:, None], starts[:, None] + np.arange(code_span)] = region
     if scenario.snr_db is not None:
         sigma = powers.max(axis=1) * 10.0 ** (-scenario.snr_db / 20.0)
         # the draws of rng.normal(0.0, row_sigma, total), which adds 0.0 to
@@ -690,14 +678,14 @@ def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str
             if row_sigma > 0:
                 row += rng.standard_normal(total) * row_sigma
     np.maximum(samples, 0.0, out=samples)
-    for arr in (samples, schedule, t_s):
+    for arr in (samples, starts, t_s):
         arr.flags.writeable = False
     # finite and nonnegative by construction from a validated config
     return prevalidated(
         TraceBatch, identity=identity, true_source_id=agent.true_source_id,
         t_s=t_s, sample_rate_hz=scenario.sample_rate_hz, samples=samples,
-        tag_schedule=schedule, tag_code=code, samples_per_bit=spb,
-        n_tags=scenario.tag_layout.n_tags)
+        tag_code=code, samples_per_bit=spb, n_tags=scenario.tag_layout.n_tags,
+        region_starts=starts)
 
 
 def synthesize_trace(scenario: ScenarioConfig, agent: RobotAgent, identity: str,

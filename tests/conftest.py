@@ -66,6 +66,10 @@ def labeled_dataset(rows, sources):
         keys=tuple(codes), identities=tuple(names), sources=sources)
 
 
+# the message of the tag schedule rule of ReceivedTrace and TraceBatch
+SCHEDULE_RULE = r"tag_schedule does not follow the layout: the rule is a row of zeros"
+
+
 def trace_batch(traces):
     """The traces of one identity as one TraceBatch, built by the validated
     constructor as a caller with its own arrays would build it."""

@@ -173,17 +173,21 @@ class TestSimulate:
 
 
 class TestSchedules:
-    """A schedule that follows its layout is a view of one read-only array
-    cached per layout; any other schedule is a private copy."""
+    """Every schedule follows its layout and is a view of one read-only
+    array cached per layout; a batch keeps only each row's region start."""
 
     def _check_rows(self, batch):
-        for k, trace in enumerate(batch):
-            row = batch.tag_schedule[k]
-            assert trace.tag_schedule.dtype == row.dtype
-            assert trace.tag_schedule.tobytes() == row.tobytes()
+        layout = _tag_layout(batch.tag_code.size, batch.samples_per_bit, batch.n_tags,
+                             batch.samples.shape[1])
+        assert batch.region_starts.dtype == np.intp
+        assert batch.region_starts.shape == (len(batch),)
+        assert not batch.region_starts.flags.writeable
+        for trace, start in zip(batch, batch.region_starts):
+            assert trace.tag_schedule.dtype == np.int16
             assert not trace.tag_schedule.flags.writeable
-            nonzero = np.flatnonzero(row)
-            assert trace.scheduled_start() == (int(nonzero[0]) if nonzero.size else None)
+            assert np.shares_memory(trace.tag_schedule, layout)
+            got = trace.scheduled_start()
+            assert (len(trace.samples) if got is None else got) == start
 
     def test_rows_equal_the_batch_rows(self, four_identity_run, degraded_run):
         _, streams = degraded_run
@@ -196,7 +200,7 @@ class TestSchedules:
         first, other = batch[0], four_identity_run.traces["n2"][7]
         assert first.scheduled_start() != other.scheduled_start()
         assert np.shares_memory(first.tag_schedule, other.tag_schedule)
-        assert not np.shares_memory(first.tag_schedule, batch.tag_schedule)
+        assert not hasattr(batch, "tag_schedule")
         # the corpus scenario has the same layout: 4 tags, 64 bits, 8 samples each
         ident = next(iter(streams))
         guard_only = streams[ident][OUTAGE[0]]
@@ -205,26 +209,6 @@ class TestSchedules:
         assert built.scheduled_start() is not None
         for trace in (guard_only, built):
             assert np.shares_memory(trace.tag_schedule, first.tag_schedule)
-
-    def test_other_schedules_get_a_private_copy(self, four_identity_run):
-        batch = four_identity_run.traces["n0"]
-        trace = batch[0]
-        start, n = trace.scheduled_start(), trace.samples.size
-        uneven = trace.tag_schedule.copy()
-        uneven[start + 128] = 1  # tag 1's block one sample longer, tag 2's shorter
-        stray = trace.tag_schedule.copy()
-        stray[start + 5] = 3
-        cut_off = np.zeros(n, dtype=np.int16)
-        cut_off[n - 100:] = trace.tag_schedule[start:start + 100]
-        rows = np.stack([uneven, stray, cut_off])
-        odd = replace(batch, t_s=batch.t_s[:3], samples=batch.samples[:3], tag_schedule=rows)
-        self._check_rows(odd)
-        for k, row in enumerate(rows):
-            for got in (odd[k], replace(trace, tag_schedule=row)):
-                np.testing.assert_array_equal(got.tag_schedule, row)
-                assert got.scheduled_start() == np.flatnonzero(row)[0]
-                for other in (trace.tag_schedule, odd.tag_schedule, row):
-                    assert not np.shares_memory(got.tag_schedule, other)
 
     def test_cached_layout_is_read_only(self):
         layout = _tag_layout(64, 8, 4, 2560)
@@ -312,7 +296,8 @@ class TestExtract:
         exactly, so the kept rows and the unit signatures keep their bits."""
         _, streams = degraded_run
         batch = trace_batch(list(streams.values())[which])
-        scaled = replace(batch, samples=batch.samples * 2.0 ** exponent)
+        scaled = replace(batch, samples=batch.samples * 2.0 ** exponent,
+                         tag_schedule=np.stack([t.tag_schedule for t in batch]))
         kept, _, unit = signature_rows(batch)
         kept_scaled, _, unit_scaled = signature_rows(scaled)
         assert kept.size < len(batch)
@@ -632,6 +617,10 @@ class TestOnline:
                              tag_schedule=np.zeros((2, 72), dtype=np.int16)),
         }[cls]
         obj = cls(**kwargs)
+        if cls is TraceBatch:  # read into region_starts, the schedule is not kept
+            assert not hasattr(obj, "tag_schedule")
+            assert not obj.region_starts.flags.writeable
+            del kwargs["tag_schedule"]
         arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
         for name, given in arrays.items():
             own = getattr(obj, name)
@@ -660,15 +649,29 @@ class TestDigests:
         ds = generate_dataset(configs, seeds, n_tags=4, profile_len=10, **options)
         assert dataset_digest(ds) == digest
 
-    def test_every_row_is_certified(self, corpus):
+    @pytest.fixture(scope="class")
+    def batches(self, corpus):
+        return [batch for config, seed in zip(*corpus)
+                for batch in simulate_scenario(config, seed).traces.values()]
+
+    def test_every_row_is_certified(self, batches):
         """No stock row needs np.correlate: a change that sends them there
         fails here, not only in the benchmark's timings."""
         rows = 0
-        for config, seed in zip(*corpus):
-            for batch in simulate_scenario(config, seed).traces.values():
-                *_, certified = _fast_segmentation(
-                    batch.samples, batch.samples_per_bit, (batch.tag_code.size + 1) // 2,
-                    batch.tag_code.size * batch.samples_per_bit)
-                assert certified.all()
-                rows += len(batch)
+        for batch in batches:
+            *_, certified = _fast_segmentation(
+                batch.samples, batch.samples_per_bit, (batch.tag_code.size + 1) // 2,
+                batch.tag_code.size * batch.samples_per_bit)
+            assert certified.all()
+            rows += len(batch)
+        assert rows == 500
+
+    def test_every_row_is_a_layout_view(self, batches):
+        layout = _tag_layout(64, 8, 4, 2560)
+        rows = 0
+        for batch in batches:
+            for k, trace in enumerate(batch):
+                assert np.shares_memory(trace.tag_schedule, layout)
+                assert batch.region_starts[k] == trace.scheduled_start()
+                rows += 1
         assert rows == 500

@@ -251,7 +251,8 @@ class TestErrors:
         rc = main(["dataset", "--traces", str(tmp_path / "runs"), "--out", str(tmp_path / "ds")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "trace_n0.csv: tag_schedule values" in err
+        assert err.startswith("error: ")
+        assert "trace_n0.csv: tag_schedule does not follow the layout" in err
 
     def test_dataset_rejects_a_trace_of_one_code_span(self, tmp_path, scenario_ini, capsys):
         # 512 samples are one lag of the stock code, which never decodes

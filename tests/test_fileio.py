@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import labeled_dataset
+from conftest import SCHEDULE_RULE, labeled_dataset
 
 from sybilscatter import (
     ConfigError,
@@ -226,8 +226,7 @@ class TestTraceFiles:
         lines = path.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + ",70000"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match=r"trace_n0\.csv: tag_schedule values "
-                                              r"must lie in 0\.\.n_tags"):
+        with pytest.raises(ConfigError, match=r"trace_n0\.csv: " + SCHEDULE_RULE):
             read_run(tmp_path)
 
     @pytest.mark.parametrize("n", [512, 513])

@@ -66,7 +66,7 @@ ACCEPTED_SPB = [spb for spb in range(1, 17) if _accepted(64, spb, 1)]
 
 def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
                    ambient=1e-6):
-    """Trace with an exactly known layout, no noise."""
+    """Trace with an exactly known layout, no noise, every tag at one power."""
     code = alternating_code(bits)
     span = bits * spb
     total = 5 * span
@@ -74,7 +74,8 @@ def handmade_trace(prefix_spans=0, n_tags=1, bits=64, spb=8, power=5e-5,
     samples = np.full(total, ambient)
     samples[start:start + span] += power * np.repeat(code, spb)
     schedule = np.zeros(total, dtype=np.int16)
-    schedule[start:start + span] = 1
+    for tag, (b0, b1) in enumerate(tag_block_bit_spans(bits, n_tags)):
+        schedule[start + b0 * spb:start + b1 * spb] = tag + 1
     return ReceivedTrace(identity="x", true_source_id="sx", t_s=0.0,
                          sample_rate_hz=8000.0, samples=samples,
                          tag_schedule=schedule, tag_code=code,

@@ -29,8 +29,9 @@ from sybilscatter import (
     trace_seeds,
 )
 
-from conftest import FOUR_ID_SPECS, make_scenario, parked
-from sybilscatter.scenario import TraceBatch
+from conftest import FOUR_ID_SPECS, SCHEDULE_RULE, make_scenario, parked
+from sybilscatter.fileio import TRACE_HEADER, read_trace_csv
+from sybilscatter.scenario import TraceBatch, _tag_layout
 
 # Hand-evaluated reflection budget, pinned before the implementation:
 # P_t=1, G_t=G_r=1, lam=0.125, d_t=2, d_r=0.12, transfer=1.
@@ -312,7 +313,7 @@ class TestSynthesizeTrace:
         with pytest.raises(ParameterError, match="nonnegative"):
             ReceivedTrace(samples=-np.ones(60), tag_schedule=np.zeros(60, dtype=int),
                           **good)
-        with pytest.raises(ParameterError, match="0..n_tags"):  # beyond n_tags
+        with pytest.raises(ParameterError, match=SCHEDULE_RULE):  # beyond n_tags
             ReceivedTrace(samples=np.ones(60), tag_schedule=np.full(60, 3), **good)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -463,31 +464,99 @@ class TestLayoutRule:
                 build()
 
 
-class TestScheduleValues:
-    """tag_schedule values are checked before the int16 cast, which would
-    raise OverflowError on a large Python int, wrap and truncate."""
+# the stock layout: 4 tags over 64 bits of 8 samples, a 2,560-sample trace
+STOCK = 2560
+REGION = 700  # the region start of the malformed schedules below
 
-    @pytest.mark.parametrize("schedule", [
-        lambda n: [70000] + [0] * (n - 1),
-        lambda n: np.r_[np.int64(65537), np.zeros(n - 1, dtype=np.int64)],
-        lambda n: np.r_[1.5, np.zeros(n - 1)],
-    ], ids=["python-int-beyond-int16", "int64-wrapping-to-tag-1", "fraction-truncating-to-tag-1"])
-    def test_rejected_before_the_cast(self, schedule):
-        fields = _trace_fields(8, alternating_code(8))
-        n = fields["samples"].size
-        rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
-                    tag_schedule=[list(schedule(n)), [0] * n])
-        fields["tag_schedule"] = schedule(n)
-        for build in (lambda: ReceivedTrace(t_s=0.0, **fields),
-                      lambda: TraceBatch(t_s=[0.0, 1.0], **rows)):
-            with pytest.raises(ParameterError, match=r"tag_schedule values must lie in 0\.\.n_tags"):
+
+def _stock_schedule(start, dtype=np.int16):
+    return _tag_layout(64, 8, 4, STOCK)[STOCK - start:2 * STOCK - start].astype(dtype)
+
+
+def _with(values, dtype=np.int16):
+    """The stock schedule at REGION with values[i] written at REGION + i."""
+    schedule = _stock_schedule(REGION, dtype)
+    for i, value in values.items():
+        schedule[REGION + i] = value
+    return schedule
+
+
+# each a whole schedule, and whether a trace CSV can hold it: the reader
+# parses a tag with int(), so 1.5 and nan are malformed lines there
+MALFORMED = {
+    "python-int-beyond-int16": (_with({5: 70000}, object).tolist(), True),
+    "int64-wrapping-to-tag-1": (_with({0: 65537}, np.int64), True),
+    "fraction-truncating-to-tag-1": (_with({0: 1.5}, np.float64), False),
+    "python-int-beyond-int64": (_with({5: 2 ** 70}, object).tolist(), True),
+    "nan": (_with({5: np.nan}, np.float64), False),
+    "beyond-n-tags": (_with({1000: 5}), True),
+    "uneven-blocks": (_with({128: 1}), True),  # tag 1 one sample longer, tag 2 shorter
+    "stray-value": (_with({5: 3}), True),
+    "region-begins-mid-block": (_with({0: 0, 1: 0, 2: 0}), True),
+    "region-begins-at-tag-2": (_with(dict.fromkeys(range(128), 0)), True),
+}
+
+
+def _schedule_constructors(schedule, tmp_path=None):
+    """ReceivedTrace, TraceBatch and, given tmp_path, read_trace_csv on one
+    stock-layout schedule, each returning what it builds."""
+    fields = _trace_fields(8, alternating_code(64), n_tags=4)
+    rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
+                tag_schedule=[list(schedule), [0] * STOCK])
+    fields["tag_schedule"] = schedule
+    builds = [lambda: ReceivedTrace(t_s=0.0, **fields),
+              lambda: TraceBatch(t_s=[0.0, 1.0], **rows)]
+    if tmp_path is not None:
+        path = tmp_path / "trace_x.csv"
+        path.write_text(f"{TRACE_HEADER}\n" + "".join(f"0.0,1.0,{tag}\n" for tag in schedule))
+        labels = {"identities": {"x": "s"},
+                  "modulation": {"code_bits": 64, "samples_per_bit": 8,
+                                 "sample_rate_hz": 100.0, "n_tags": 4}}
+        builds.append(lambda: read_trace_csv(path, "x", labels))
+    return builds
+
+
+class TestScheduleValues:
+    """One rule holds for every tag_schedule row: it is all guard, or the
+    layout's schedule from its first tagged sample on (_tag_layout).  The
+    row is compared in its own dtype before any int16 form of it exists,
+    so nothing raises OverflowError, wraps or truncates."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejected_before_the_cast(self, tmp_path, case):
+        schedule, in_csv = MALFORMED[case]
+        *constructors, read = _schedule_constructors(schedule, tmp_path)
+        for build in constructors:
+            with pytest.raises(ParameterError, match=SCHEDULE_RULE):
                 build()
+        rule = " " + SCHEDULE_RULE if in_csv else r"\d+: malformed trace line"
+        with pytest.raises(ConfigError, match=r"trace_x\.csv:" + rule):
+            read()
+
+    def test_every_start_of_the_stock_layout_is_accepted(self, tmp_path):
+        """Every start 0..n - 1, a region cut off at the trace end included,
+        and the all-guard schedule (start n)."""
+        layout = _tag_layout(64, 8, 4, STOCK)
+        fields = _trace_fields(8, alternating_code(64), n_tags=4)
+        for start in range(STOCK + 1):
+            fields["tag_schedule"] = _stock_schedule(start)
+            trace = ReceivedTrace(t_s=0.0, **fields)
+            assert np.shares_memory(trace.tag_schedule, layout)
+            assert trace.scheduled_start() == (None if start == STOCK else start)
+        for starts in np.array_split(np.arange(STOCK + 1), 16):
+            batch = TraceBatch(t_s=starts * 1.0, **dict(
+                fields, samples=np.ones((starts.size, STOCK)),
+                tag_schedule=np.stack([_stock_schedule(s) for s in starts])))
+            np.testing.assert_array_equal(batch.region_starts, starts)
+        *_, read = _schedule_constructors(_stock_schedule(STOCK - 100), tmp_path)
+        assert read().region_starts.tolist() == [STOCK - 100]
 
     def test_integral_floats_are_tags(self):
-        fields = _trace_fields(8, alternating_code(8))
-        fields["tag_schedule"] = np.r_[1.0, np.zeros(fields["samples"].size - 1)]
+        fields = _trace_fields(8, alternating_code(64), n_tags=4)
+        fields["tag_schedule"] = _stock_schedule(REGION, np.float64)
         trace = ReceivedTrace(t_s=0.0, **fields)
-        assert trace.tag_schedule.dtype == np.int16 and trace.tag_schedule[0] == 1
+        assert trace.tag_schedule.dtype == np.int16 and trace.scheduled_start() == REGION
+        np.testing.assert_array_equal(trace.tag_schedule, fields["tag_schedule"])
 
 
 class TestSimulateScenario:
