@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +99,17 @@ class TrainingConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # NaN fails both comparisons; an infinite grad_tol would stop every
+        # fit at the all-zero model
+        if not (0 < self.learning_rate < math.inf):
+            raise ParameterError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ParameterError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.grad_tol > 0):
-            raise ParameterError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not (0 < self.grad_tol < math.inf):
+            raise ParameterError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +168,11 @@ class Verdict:
 
 
 class _Workspace:
-    """Work vectors of the logistic and gradient kernels, for scores of one
-    shape.  A fit allocates one and reuses it every iteration."""
+    """Work vectors of the logistic kernel, for scores of one shape."""
 
     def __init__(self, shape):
-        # |z|, -|z|, exp(-|z|), 1 + exp(-|z|), then the gradient's residual
+        # |z|, -|z|, exp(-|z|), 1 + exp(-|z|); the trainer then reuses it
+        # for the residual
         self.e = np.empty(shape)
         self.c = np.empty(shape)  # g(z) - 1/2
 
@@ -193,21 +199,64 @@ class _Workspace:
         np.copysign(c, z, out=c)
         return largest
 
-    def gradient(self, z, XT, h, v, grad_w):
-        """Write X^T r to grad_w for r = v * (y - g(z)), given h = y - 1/2;
-        return (sum of r, max |z|).
 
-        For 0/1 labels y - g(z) is exact in either form, so h - (g(z) - 1/2)
-        has its bits.  X^T r is one BLAS dgemv on the transposed view of the
-        C-contiguous design, and the sum is numpy's pairwise one, as np.sum
-        takes it.
+# OpenBLAS runs a dgemv of 460,800 or more matrix elements on several
+# threads, and their split changes the order of the gradient's sums and of
+# the scores' in the rows at the end of each thread's share.  So the
+# trainer's products run on column blocks of at most this many elements,
+# one thread each, and the gradient sums the blocks in order: 8,192
+# samples of the stock (11, N) design.
+_BLOCK_ELEMENTS = 11 * 8192
+
+
+class _Ascent:
+    """The (L + 1, N) design of a fit and the work vectors of its gradient.
+
+    The design holds the columns of X as rows, then a row of ones, so the
+    parameters are one vector theta = (w, b) and the bias is its last
+    component.  The design is built and every work vector allocated once
+    per fit; an iteration rewrites the vectors in place.
+    """
+
+    def __init__(self, X, y, v):
+        n, dim = X.shape
+        design = np.empty((dim + 1, n))
+        design[:dim] = X.T
+        design[dim] = 1.0
+        self.h = np.subtract(y, 0.5)
+        self.v = v
+        self.z = np.empty(n)
+        self.work = _Workspace(n)
+        self.grad = np.empty(dim + 1)
+        self.part = np.empty(dim + 1)
+        # (design, z, r) views of each column block; the residual r is
+        # written to the workspace's e.  No samples make one empty block,
+        # whose gradient is zero.
+        width = max(1, _BLOCK_ELEMENTS // (dim + 1))
+        self.blocks = [(design[:, k:k + width], self.z[k:k + width],
+                        self.work.e[k:k + width]) for k in range(0, max(n, 1), width)]
+
+    def gradient(self, theta) -> float:
+        """Write design r to self.grad for r = v * (y - g(theta . design));
+        return max |z|, as _Workspace.logistic does.
+
+        The scores and the gradient are one dgemv per column block, and the
+        blocks' gradients are added in order.  np.matmul takes a block as
+        the strided view it is (np.dot would copy it).  For 0/1 labels
+        y - g(z) is exact in either form, so (y - 1/2) - (g(z) - 1/2) has
+        its bits.
         """
-        largest = self.logistic(z)
-        r = self.e
-        np.subtract(h, self.c, out=r)
-        np.multiply(v, r, out=r)
-        np.dot(XT, r, out=grad_w)
-        return np.add.reduce(r), largest
+        grad, work = self.grad, self.work
+        for design, z, _ in self.blocks:
+            np.matmul(theta, design, out=z)
+        largest = work.logistic(self.z)
+        np.subtract(self.h, work.c, out=work.e)
+        np.multiply(self.v, work.e, out=work.e)
+        (design, _, r), *rest = self.blocks
+        np.matmul(design, r, out=grad)
+        for design, _, r in rest:
+            np.add(grad, np.matmul(design, r, out=self.part), out=grad)
+        return largest
 
 
 def sigmoid(z):
@@ -235,7 +284,7 @@ def compute_class_weights(labels) -> dict:
     return {0: n / (2.0 * n_neg), 1: n / (2.0 * n_pos)}
 
 
-def _design(data: TrainingSet) -> TrainingSet:
+def _trainable(data: TrainingSet) -> TrainingSet:
     """``data``, once it holds at least 2 samples of both classes."""
     if len(data) < 2:
         raise TrainingDataError(f"need at least 2 training samples, got {len(data)}")
@@ -255,12 +304,11 @@ def weighted_log_likelihood(weights, bias, X, y, v) -> float:
 
 
 def weighted_gradient(weights, bias, X, y, v):
-    """Analytic gradient of weighted_log_likelihood in (weights, bias)."""
-    X = np.asarray(X, dtype=np.float64)
-    z = X @ weights + bias
-    grad_w = np.empty(X.shape[1])
-    grad_b, _ = _Workspace(z.shape).gradient(z, X.T, np.subtract(y, 0.5), v, grad_w)
-    return grad_w, float(grad_b)
+    """Analytic gradient of weighted_log_likelihood in (weights, bias), as
+    train_mwle computes it."""
+    fit = _Ascent(np.asarray(X, dtype=np.float64), y, v)
+    fit.gradient(np.append(np.asarray(weights, dtype=np.float64), bias))
+    return fit.grad[:-1], float(fit.grad[-1])
 
 
 def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) -> LRModel:
@@ -274,50 +322,42 @@ def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) 
     single class or a weight total that is not finite, and
     TrainingDivergenceError once the scores or the gradient stop being
     finite.  Deterministic: same samples and config give bit-identical
-    models (for a fixed BLAS thread count).
+    models at any BLAS thread count, because every product runs on one
+    thread (see _BLOCK_ELEMENTS).
 
-    Every vector an iteration needs is allocated once per fit and written
-    in place.  The two BLAS products are the dgemv calls X @ w and X.T @ r
-    make, and every other step is the same ufunc or exact (see _Workspace),
-    so the iterates have the bits of the allocating form.
+    The parameters are one vector theta = (w, b) over the (L + 1, N)
+    design of _Ascent, built once per fit.  Every vector an iteration
+    needs is allocated once and written in place, and every step is the
+    same BLAS call, ufunc or exact (see _Workspace) as in the allocating
+    form, so the iterates have its bits.
     """
-    data = _design(samples)
-    X, v = data.X, data.v
-    XT = X.T
-    h = data.y - 0.5
+    data = _trainable(samples)
     with np.errstate(over="ignore"):
-        total_weight = float(v.sum())
+        total_weight = float(data.v.sum())
     if not math.isfinite(total_weight):
         # finite weights can still overflow their total, and every scaled
         # gradient would then read 0 or NaN
         raise TrainingDataError("the sample weights' total overflows")
     lr = config.learning_rate
-    work = _Workspace(len(data))
-    z = np.empty(len(data))
-    w = np.zeros(X.shape[1])
-    grad_w = np.empty_like(w)
-    step = np.empty_like(w)
-    b = 0.0
+    fit = _Ascent(data.X, data.y, data.v)
+    grad = fit.grad
+    theta = np.zeros_like(grad)
+    step = np.empty_like(grad)
     # overflow is caught below and raised as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
-            np.dot(X, w, out=z)
-            np.add(z, b, out=z)
-            grad_b, largest = work.gradient(z, XT, h, v, grad_w)
-            if not math.isfinite(largest):
+            if not math.isfinite(fit.gradient(theta)):
                 raise TrainingDivergenceError("scores became non-finite during training")
-            np.divide(grad_w, total_weight, out=grad_w)
-            grad_b = float(grad_b) / total_weight
+            np.divide(grad, total_weight, out=grad)
             # maximum.reduce propagates NaN from any component
-            steepest = float(np.maximum.reduce(np.absolute(grad_w, out=step),
+            steepest = float(np.maximum.reduce(np.absolute(grad, out=step),
                                                axis=None, initial=0.0))
-            if not (math.isfinite(steepest) and math.isfinite(grad_b)):
+            if not math.isfinite(steepest):
                 raise TrainingDivergenceError("gradient became non-finite during training")
-            if max(steepest, abs(grad_b)) < config.grad_tol:
+            if steepest < config.grad_tol:
                 break
-            np.add(w, np.multiply(grad_w, lr, out=step), out=w)
-            b = b + lr * grad_b
-    return LRModel(weights=w, bias=b)
+            np.add(theta, np.multiply(grad, lr, out=step), out=theta)
+    return LRModel(weights=theta[:-1], bias=theta[-1])
 
 
 def similarity_scores(model: LRModel, X) -> np.ndarray:

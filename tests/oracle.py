@@ -11,6 +11,7 @@ from collections import deque, namedtuple
 import numpy as np
 
 from sybilscatter.detector import (
+    _BLOCK_ELEMENTS,
     SimilarityMatrix,
     detect_sybil,
     weighted_log_likelihood,
@@ -462,23 +463,30 @@ def sigmoid(z):
 
 
 def weighted_gradient(weights, bias, X, y, v):
-    r = v * (y - sigmoid(X @ weights + bias))
-    return X.T @ r, float(np.sum(r))
+    """The gradient with fresh arrays over the C-contiguous (L + 1, N)
+    design: scores and design r one product per column block, the blocks'
+    gradients summed in order."""
+    design = np.ascontiguousarray(np.vstack([X.T, np.ones(len(X))]))
+    width = max(1, _BLOCK_ELEMENTS // design.shape[0])
+    blocks = [slice(lo, lo + width) for lo in range(0, len(X), width)]
+    z = np.concatenate([np.append(weights, bias) @ design[:, blk] for blk in blocks])
+    r = v * (y - sigmoid(z))
+    grad = design[:, blocks[0]] @ r[blocks[0]]
+    for blk in blocks[1:]:
+        grad = grad + design[:, blk] @ r[blk]
+    return grad[:-1], float(grad[-1])
 
 
 def train_mwle(X, y, v, config):
-    """Gradient ascent that evaluates the objective every step."""
+    """Gradient ascent on theta = (w, b) that evaluates the objective every step."""
     total_weight = float(v.sum())
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
+    theta = np.zeros(X.shape[1] + 1, dtype=np.float64)
     for _ in range(config.max_iters):
-        if not np.isfinite(weighted_log_likelihood(w, b, X, y, v)):
+        if not np.isfinite(weighted_log_likelihood(theta[:-1], theta[-1], X, y, v)):
             raise RuntimeError("objective became non-finite")
-        grad_w, grad_b = weighted_gradient(w, b, X, y, v)
-        grad_w /= total_weight
-        grad_b /= total_weight
-        if max(float(np.abs(grad_w).max()), abs(grad_b)) < config.grad_tol:
+        grad_w, grad_b = weighted_gradient(theta[:-1], theta[-1], X, y, v)
+        grad = np.append(grad_w, grad_b) / total_weight
+        if float(np.abs(grad).max()) < config.grad_tol:
             break
-        w = w + config.learning_rate * grad_w
-        b = b + config.learning_rate * grad_b
-    return w, b
+        theta = theta + config.learning_rate * grad
+    return theta[:-1], float(theta[-1])

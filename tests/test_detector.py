@@ -1,9 +1,15 @@
 """Similarity model: sigmoid, weighted training, verdicts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracle
+import sybilscatter
 from conftest import labeled_dataset
 from sybilscatter import (
     DistanceMatrix,
@@ -26,6 +32,20 @@ from sybilscatter import (
     weighted_log_likelihood,
 )
 from sybilscatter.detector import similarity_scores
+
+
+# Trains two 10-column sets for a few steps; prints one hash of each model.
+THREADED_FITS = """
+import hashlib
+import numpy as np
+from sybilscatter import TrainingConfig, TrainingSet, train_mwle
+rng = np.random.default_rng(29)
+for n in (50960, 45865):
+    y = (rng.random(n) < 0.25).astype(float)
+    X = rng.random((n, 10)) + 0.4 * (1 - y[:, None])
+    model = train_mwle(TrainingSet(X=X, y=y, v=np.ones(n)), TrainingConfig(max_iters=5))
+    print(hashlib.sha256(model.weights.tobytes() + np.float64(model.bias).tobytes()).hexdigest())
+"""
 
 
 def toy_set(rng, n=40, dim=3, weight=1.0):
@@ -191,14 +211,20 @@ class TestGradient:
 
     def test_matches_the_allocating_formula_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        X = rng.random((3000, 10))
-        y = (rng.random(3000) < 0.3).astype(np.float64)
-        v = rng.random(3000) + 0.5
-        w, b = rng.normal(size=10), 0.3
-        grad_w, grad_b = weighted_gradient(w, b, X, y, v)
-        want_w, want_b = oracle.weighted_gradient(w, b, X, y, v)
-        assert grad_w.tobytes() == want_w.tobytes()
-        assert grad_b == want_b
+        for n in [3000, 20000]:  # one column block, and three
+            X = rng.random((n, 10))
+            y = (rng.random(n) < 0.3).astype(np.float64)
+            v = rng.random(n) + 0.5
+            w, b = rng.normal(size=10), 0.3
+            grad_w, grad_b = weighted_gradient(w, b, X, y, v)
+            want_w, want_b = oracle.weighted_gradient(w, b, X, y, v)
+            assert grad_w.tobytes() == want_w.tobytes()
+            assert grad_b == want_b
+
+    def test_no_samples_give_a_zero_gradient(self):
+        grad_w, grad_b = weighted_gradient(np.ones(3), 0.5, np.zeros((0, 3)),
+                                           np.zeros(0), np.zeros(0))
+        assert grad_w.tolist() == [0.0, 0.0, 0.0] and grad_b == 0.0
 
     def test_likelihood_finite_at_extreme_scores(self):
         X = np.array([[100.0], [-100.0]])
@@ -308,6 +334,47 @@ class TestTrainMWLE:
         data = TrainingSet(X=X, y=labels, v=[weights[c] for c in labels])
         self._assert_matches_oracle(data, TrainingConfig(max_iters=150))
 
+    def test_several_column_blocks_match_oracle(self):
+        # 20,000 rows of 11 design rows are three blocks: pins their order
+        rng = np.random.default_rng(30)
+        labels = (rng.random(20000) < 0.25).astype(int)
+        weights = compute_class_weights(labels)
+        X = rng.random((20000, 10)) + 0.4 * (1 - labels[:, None])
+        data = TrainingSet(X=X, y=labels, v=[weights[c] for c in labels])
+        self._assert_matches_oracle(data, TrainingConfig(max_iters=20))
+
+    def test_one_step_is_the_public_gradient(self):
+        # from zero, one step is lr times the scaled gradient that
+        # weighted_gradient returns: the trainer has no other kernel
+        rng = np.random.default_rng(31)
+        labels = (rng.random(20000) < 0.3).astype(int)
+        weights = compute_class_weights(labels)
+        X = rng.random((20000, 10)) + 0.3 * labels[:, None]
+        data = TrainingSet(X=X, y=labels, v=[weights[c] for c in labels])
+        config = TrainingConfig(max_iters=1)
+        model = train_mwle(data, config)
+        grad_w, grad_b = weighted_gradient(np.zeros(10), 0.0, data.X, data.y, data.v)
+        total = float(data.v.sum())
+        lr = config.learning_rate
+        assert model.weights.tobytes() == (lr * (grad_w / total)).tobytes()
+        assert model.bias == lr * (grad_b / total)
+
+    def test_model_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS threads a dgemv of 460,800 elements or more.  50,960 rows
+        # is `sybilscatter train` on the default dataset; at 45,865 rows a
+        # single dgemv of the scores also splits unevenly across threads
+        def fit(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=str(Path(sybilscatter.__file__).resolve().parents[1]))
+            done = subprocess.run([sys.executable, "-c", THREADED_FITS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.split()
+
+        one, two = fit(1), fit(2)
+        assert len(one) == 2
+        assert one == two
+
     def test_array_set_and_sample_list_give_identical_models(self):
         # a set built from per-sample Python lists holds the same arrays
         data = toy_set(np.random.default_rng(28), n=60, dim=5, weight=1.5)
@@ -371,6 +438,21 @@ class TestTrainMWLE:
     def test_training_sample_rejects_bad_weight(self, bad):
         with pytest.raises(ParameterError, match="weight"):
             TrainingSet(X=[[0.1]], y=[1], v=[bad])
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("learning_rate", 0.0), ("learning_rate", np.inf), ("learning_rate", np.nan),
+        ("grad_tol", -1e-8), ("grad_tol", np.inf), ("grad_tol", np.nan),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True), ("max_iters", "10")])
+    def test_rejects_bad_values(self, field, bad):
+        # an infinite grad_tol would stop every fit at the all-zero model,
+        # and a fractional max_iters would escape range() as a TypeError
+        with pytest.raises(ParameterError, match=field):
+            TrainingConfig(**{field: bad})
+
+    def test_numpy_integer_iterations_accepted(self):
+        assert TrainingConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestTrainingSet:
