@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,29 +142,35 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Pair flags and the per-identity fake/legit split they induce."""
+    """Pair flags among identities and the fake/legit split they induce.
+
+    The constructor takes the threshold, in (0, 1), the identities judged
+    and the flagged pairs, each two distinct identities and stored sorted.
+    The fake identities are the pair members and the legitimate ones the
+    rest.
+    """
 
     threshold: float
+    identities: frozenset
     sybil_pairs: frozenset
-    fake_identities: frozenset
-    legit_identities: frozenset
+    fake_identities: frozenset = field(init=False)
+    legit_identities: frozenset = field(init=False)
 
     def __post_init__(self):
+        threshold = float(self.threshold)
+        if not (0.0 < threshold < 1.0):
+            raise ParameterError(f"threshold must lie in (0, 1), got {threshold}")
+        ids = frozenset(self.identities)
         pairs = frozenset(tuple(sorted(p)) for p in self.sybil_pairs)
-        fake = frozenset(self.fake_identities)
-        legit = frozenset(self.legit_identities)
-        if fake & legit:
-            raise ParameterError(f"identities marked both fake and legit: {sorted(fake & legit)}")
-        members = {i for pair in pairs for i in pair}
-        if members != fake:
-            raise ParameterError("fake_identities must be exactly the flagged-pair members")
-        object.__setattr__(self, "sybil_pairs", pairs)
-        object.__setattr__(self, "fake_identities", fake)
-        object.__setattr__(self, "legit_identities", legit)
-
-    @property
-    def identities(self) -> frozenset:
-        return self.fake_identities | self.legit_identities
+        for pair in sorted(pairs):
+            if len(pair) != 2 or pair[0] == pair[1] or not ids.issuperset(pair):
+                raise ParameterError(
+                    f"sybil pair {pair} must be two distinct members of the identities")
+        fake = frozenset(i for pair in pairs for i in pair)
+        for name, value in (("threshold", threshold), ("identities", ids),
+                            ("sybil_pairs", pairs), ("fake_identities", fake),
+                            ("legit_identities", ids - fake)):
+            object.__setattr__(self, name, value)
 
 
 class _Workspace:
@@ -402,8 +408,8 @@ def detect_sybil(similarities: SimilarityMatrix, sigma: float = DEFAULT_THRESHOL
     Every member of at least one flagged pair is ruled fake; the rest are
     legitimate.  Components are deliberately not merged: verdicts are per
     identity, not per inferred attacker.  The Verdict is built without its
-    checks: each pair is stored sorted, the fake identities are exactly the
-    pair members and the legitimate ones the rest.
+    checks, which hold by construction: sigma is checked here, and each
+    pair is two distinct identities, stored sorted.
     """
     if not (0.0 < sigma < 1.0):
         raise ParameterError(f"sigma must lie in (0, 1), got {sigma}")
@@ -414,8 +420,9 @@ def detect_sybil(similarities: SimilarityMatrix, sigma: float = DEFAULT_THRESHOL
     pairs = frozenset(tuple(sorted((ids[i], ids[j])))
                       for i, j in zip(first.tolist(), second.tolist()))
     fake = frozenset(i for pair in pairs for i in pair)
-    return prevalidated(Verdict, threshold=float(sigma), sybil_pairs=pairs,
-                        fake_identities=fake, legit_identities=frozenset(ids) - fake)
+    judged = frozenset(ids)
+    return prevalidated(Verdict, threshold=float(sigma), identities=judged,
+                        sybil_pairs=pairs, fake_identities=fake, legit_identities=judged - fake)
 
 
 @functools.lru_cache(maxsize=64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,31 +59,16 @@ def _readonly_arrays(*arrays):
 class MultipathSignature:
     """Per-tag reflected powers and their unit-norm form.
 
-    The constructor checks everything a SignalProfile row needs (finite,
-    nonnegative, unit norm), so a ProfileAssembler trusts its signatures.
+    The constructor takes the raw powers (1-D, finite, nonnegative) and
+    derives ``normalized`` from them, so every signature is a valid
+    SignalProfile row and a ProfileAssembler trusts its signatures.
     """
 
     raw: np.ndarray
-    normalized: np.ndarray
+    normalized: np.ndarray = field(init=False)
 
     def __post_init__(self):
         raw = np.array(self.raw, dtype=np.float64)
-        normed = np.array(self.normalized, dtype=np.float64)
-        if raw.ndim != 1 or normed.shape != raw.shape:
-            raise ShapeError(f"raw {raw.shape} and normalized {normed.shape} must match")
-        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(normed))):
-            raise ParameterError("signature powers must be finite")
-        if np.any(raw < 0) or np.any(normed < 0):
-            raise ParameterError("reflected powers must be nonnegative")
-        if abs(np.linalg.norm(normed) - 1.0) > 1e-9:
-            raise ParameterError("normalized signature must have unit L2 norm")
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "normalized", normed)
-        _readonly_arrays(raw, normed)
-
-    @classmethod
-    def from_raw(cls, raw) -> "MultipathSignature":
-        raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 1:
             raise ShapeError(f"raw must be a 1-D vector, got {raw.shape}")
         if np.any(raw < 0):
@@ -91,7 +76,15 @@ class MultipathSignature:
         norm = row_norms(raw)
         if norm == 0.0:
             raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
-        return cls(raw=raw, normalized=raw / norm)
+        if not np.isfinite(norm):  # a NaN or inf power, or squares that overflow
+            raise ParameterError("signature powers and their squared sum must be finite")
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "normalized", raw / norm)
+        _readonly_arrays(raw, self.normalized)
+
+    @classmethod
+    def from_raw(cls, raw) -> "MultipathSignature":
+        return cls(raw=raw)
 
     @property
     def n_tags(self) -> int:
@@ -100,37 +93,35 @@ class MultipathSignature:
 
 @dataclass(frozen=True)
 class SignalProfile:
-    """L successive normalized signatures for one identity, plus their mean."""
+    """L successive normalized signatures for one identity, plus their mean.
+
+    The constructor takes the (L, K) rows, L >= 1, each finite,
+    nonnegative and of unit norm, and derives ``mean_vector`` from them.
+    """
 
     identity: str
     signatures: np.ndarray
-    mean_vector: np.ndarray
+    mean_vector: np.ndarray = field(init=False)
 
     def __post_init__(self):
         rows = np.array(self.signatures, dtype=np.float64)
-        mean = np.array(self.mean_vector, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ShapeError(f"signatures must be (L, K), got {rows.shape}")
-        if mean.shape != (rows.shape[1],):
-            raise ShapeError(f"mean_vector {mean.shape} does not match K={rows.shape[1]}")
-        if not (np.isfinite(rows).all() and np.isfinite(mean).all()):
-            raise ParameterError("profile rows and mean_vector must be finite")
+        if rows.ndim != 2 or rows.shape[0] == 0:
+            raise ShapeError(f"signatures must be (L, K) with L >= 1, got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ParameterError("profile rows must be finite")
         if np.any(rows < 0):
             raise ParameterError("profile rows must be nonnegative")
         norms = np.linalg.norm(rows, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ParameterError("every profile row must have unit L2 norm")
-        if np.any(np.abs(rows.mean(axis=0) - mean) > 1e-9):
-            raise ParameterError("mean_vector must equal the arithmetic mean of the rows")
-        rows.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "signatures", rows)
-        object.__setattr__(self, "mean_vector", mean)
+        # the sum over axis 0 divided by L, as ndarray.mean computes it
+        object.__setattr__(self, "mean_vector", np.add.reduce(rows, axis=0) / rows.shape[0])
+        _readonly_arrays(rows, self.mean_vector)
 
     @classmethod
     def from_rows(cls, identity: str, rows) -> "SignalProfile":
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        return cls(identity=identity, signatures=rows, mean_vector=rows.mean(axis=0))
+        return cls(identity=identity, signatures=np.atleast_2d(rows))
 
     @property
     def profile_len(self) -> int:
@@ -692,10 +683,8 @@ class ProfileAssembler:
                                        self.max_age_periods):
             self._window.popleft()
         if len(self._window) == self.profile_len:
-            # rows of validated signatures: unit norm, and their mean by
-            # construction, so SignalProfile's checks would add nothing.
-            # np.array stacks as np.vstack does, and the mean is its sum
-            # over axis 0 divided by L, as ndarray.mean computes it
+            # rows of validated signatures, so SignalProfile's checks would
+            # add nothing; the mean is derived as SignalProfile derives it
             rows = np.array([sig.normalized for _, sig in self._window])
             mean = np.add.reduce(rows, axis=0) / self.profile_len
             rows, mean = _readonly_arrays(rows, mean)

@@ -9,7 +9,7 @@ but reflect on no tag.  The digest pins come from the per-trace code.
 """
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -485,15 +485,15 @@ class TestOnline:
                 assert verdict.legit_identities == legit
                 assert verdict.threshold == sigma
 
-    def test_loop_objects_match_the_validating_constructors(self, degraded_run):
-        """The online loop on the degraded fixture builds its distance and
-        similarity matrices and its verdicts without their constructors'
-        checks; each equals, byte for byte, what the checking constructor
-        makes of the oracle's values."""
+    @pytest.fixture(scope="class")
+    def online_loop(self, degraded_run):
+        """The online loop over the degraded fixture: every kept trace's
+        signature, every full window's profile, and the distance and
+        similarity matrices and verdict of each period with two or more."""
         _, streams = degraded_run
         model = LRModel(weights=np.full(PROFILE_LEN, -1.0), bias=3.0)
         assemblers = {ident: ProfileAssembler(ident, PROFILE_LEN) for ident in streams}
-        checked = flagged = 0
+        signatures, windows, periods = [], [], []
         for period in range(len(next(iter(streams.values())))):
             profiles = []
             for ident, traces in streams.items():
@@ -501,36 +501,73 @@ class TestOnline:
                     signature = signature_from_trace(traces[period])
                 except (SegmentationError, DegenerateSignatureError):
                     continue
+                signatures.append(signature)
                 profile = assemblers[ident].push(period, signature)
                 if profile is not None:
                     profiles.append(profile)
-            if len(profiles) < 2:
-                continue
-            distances = distance_matrix(profiles)
+            windows += profiles
+            if len(profiles) >= 2:
+                distances = distance_matrix(profiles)
+                sims = similarity_matrix(model, distances)
+                periods.append((profiles, distances, sims, detect_sybil(sims)))
+        return model, signatures, windows, periods
+
+    def test_loop_objects_match_the_validating_constructors(self, online_loop):
+        """The online loop on the degraded fixture builds its distance and
+        similarity matrices and its verdicts without their constructors'
+        checks; each equals, byte for byte, what the checking constructor
+        makes of the oracle's values."""
+        model, _, _, periods = online_loop
+        for profiles, distances, sims, verdict in periods:
             want = DistanceMatrix(identities=[p.identity for p in profiles],
                                   values=oracle.distance_matrix(profiles))
             assert distances.identities == want.identities
             assert distances.values.dtype == want.values.dtype
             assert distances.values.tobytes() == want.values.tobytes()
             assert not distances.values.flags.writeable
-            sims = similarity_matrix(model, distances)
             want_sims = SimilarityMatrix(
                 identities=want.identities,
                 probs=oracle.similarity_probs(model, want.values))
             assert sims.identities == want_sims.identities
             assert sims.probs.tobytes() == want_sims.probs.tobytes()
             assert not sims.probs.flags.writeable
-            verdict = detect_sybil(sims)
             pairs, fake, legit = oracle.pair_rule(want_sims.identities,
                                                   want_sims.probs, 0.5)
-            want_verdict = Verdict(threshold=0.5, sybil_pairs=frozenset(pairs),
-                                   fake_identities=frozenset(fake),
-                                   legit_identities=frozenset(legit))
+            want_verdict = Verdict(threshold=0.5, identities=frozenset(want.identities),
+                                   sybil_pairs=frozenset(pairs))
+            assert want_verdict.fake_identities == fake
+            assert want_verdict.legit_identities == legit
             assert verdict == want_verdict
-            checked += 1
-            flagged += bool(verdict.sybil_pairs)
+        flagged = sum(bool(verdict.sybil_pairs) for *_, verdict in periods)
         # the fixture reaches both outcomes of the pair rule
-        assert checked > 10 and 0 < flagged < checked
+        assert len(periods) > 10 and 0 < flagged < len(periods)
+
+    def test_public_constructors_derive_the_loop_fields(self, online_loop):
+        """Each result type the loop builds without its checks takes only
+        its ground truth in its public constructor, and what that
+        constructor derives equals, byte for byte, what the loop built:
+        the unit signature of every kept trace, the mean of every full
+        window and the fake/legit split of every period's verdict."""
+        _, signatures, windows, periods = online_loop
+        for signature in signatures:
+            built = MultipathSignature(raw=signature.raw)
+            assert built.raw.tobytes() == signature.raw.tobytes()
+            assert built.normalized.tobytes() == signature.normalized.tobytes()
+        for profile, other in zip(windows, windows[1:] + windows[:1]):
+            built = SignalProfile(identity=profile.identity, signatures=profile.signatures)
+            assert built.signatures.tobytes() == profile.signatures.tobytes()
+            assert built.mean_vector.tobytes() == profile.mean_vector.tobytes()
+            # replace runs the constructor, so the mean follows the new rows
+            moved = replace(profile, signatures=other.signatures)
+            assert moved.identity == profile.identity
+            assert moved.mean_vector.tobytes() == other.mean_vector.tobytes()
+        for *_, verdict in periods:
+            built = Verdict(threshold=verdict.threshold, identities=verdict.identities,
+                            sybil_pairs=verdict.sybil_pairs)
+            assert built.fake_identities == verdict.fake_identities
+            assert built.legit_identities == verdict.legit_identities
+            assert built == verdict
+        assert len(signatures) > len(windows) > len(periods) > 10
 
     def test_public_constructors_still_validate(self):
         values = np.zeros((2, 2, 3))
@@ -545,13 +582,13 @@ class TestOnline:
         with pytest.raises(ParameterError, match="diagonal"):
             SimilarityMatrix(identities=("a", "b"),
                              probs=np.array([[0.3, 0.1], [0.2, 0.0]]))
-        with pytest.raises(ParameterError, match="both fake and legit"):
-            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
-                    fake_identities=frozenset({"a", "b"}),
-                    legit_identities=frozenset({"b"}))
-        with pytest.raises(ParameterError, match="flagged-pair members"):
-            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
-                    fake_identities=frozenset({"a"}), legit_identities=frozenset())
+        with pytest.raises(ParameterError, match="distinct members"):
+            Verdict(threshold=0.5, identities=frozenset({"a"}),
+                    sybil_pairs=frozenset({("a", "b")}))
+        with pytest.raises(ParameterError, match="unit L2 norm"):
+            SignalProfile(identity="a", signatures=np.array([[0.6, 0.6]]))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            MultipathSignature(raw=np.array([0.6, -0.8]))
 
     def test_distance_matrix_rejects_repeated_identities(self):
         profiles = self._profiles(2)
@@ -604,9 +641,8 @@ class TestOnline:
             SimilarityMatrix: dict(identities=("a", "b"),
                                    probs=np.array([[0.0, 0.2], [0.3, 0.0]])),
             LRModel: dict(weights=np.array([1.0, 2.0]), bias=0.5),
-            MultipathSignature: dict(raw=unit.copy(), normalized=unit.copy()),
-            SignalProfile: dict(identity="n0", signatures=np.array([unit, unit]),
-                                mean_vector=unit.copy()),
+            MultipathSignature: dict(raw=unit.copy()),
+            SignalProfile: dict(identity="n0", signatures=np.array([unit, unit])),
             TagLayout: dict(tag_positions=np.array([[1.0, 0.0], [-1.0, 0.0]]),
                             ring_radius_m=1.0),
             Trajectory: dict(waypoints=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
@@ -617,9 +653,11 @@ class TestOnline:
                              tag_schedule=np.zeros((2, 72), dtype=np.int16)),
         }[cls]
         obj = cls(**kwargs)
+        for derived in fields(cls):
+            if not derived.init:  # region_starts, normalized, mean_vector
+                assert not getattr(obj, derived.name).flags.writeable, derived.name
         if cls is TraceBatch:  # read into region_starts, the schedule is not kept
             assert not hasattr(obj, "tag_schedule")
-            assert not obj.region_starts.flags.writeable
             del kwargs["tag_schedule"]
         arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
         for name, given in arrays.items():

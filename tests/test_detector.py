@@ -598,17 +598,30 @@ class TestDetectSybil:
                 detect_sybil(sims, sigma=sigma)
 
     def test_verdict_validation(self):
-        with pytest.raises(ParameterError):
-            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
-                    fake_identities=frozenset({"a", "b"}),
-                    legit_identities=frozenset({"b"}))
-        with pytest.raises(ParameterError):
-            Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
-                    fake_identities=frozenset({"a"}),
-                    legit_identities=frozenset())
+        # a flagged pair is two of the identities judged
+        with pytest.raises(ParameterError, match="distinct members"):
+            Verdict(threshold=0.5, identities=frozenset({"a", "c"}),
+                    sybil_pairs=frozenset({("a", "b")}))
+
+    def test_self_pair_rejected(self):
+        with pytest.raises(ParameterError, match="distinct members"):
+            Verdict(threshold=0.5, identities=frozenset({"a", "b"}),
+                    sybil_pairs=frozenset({("a", "a")}))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 7.0, np.nan])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        with pytest.raises(ParameterError, match=r"\(0, 1\)"):
+            Verdict(threshold=threshold, identities=frozenset({"a", "b"}),
+                    sybil_pairs=frozenset())
 
     def test_verdict_identities_union(self):
-        verdict = Verdict(threshold=0.5, sybil_pairs=frozenset({("a", "b")}),
-                          fake_identities=frozenset({"a", "b"}),
-                          legit_identities=frozenset({"c"}))
-        assert verdict.identities == frozenset({"a", "b", "c"})
+        verdict = Verdict(threshold=0.5, identities=frozenset({"a", "b", "c"}),
+                          sybil_pairs=frozenset({("b", "a")}))
+        assert verdict.sybil_pairs == frozenset({("a", "b")})
+        assert verdict.fake_identities == frozenset({"a", "b"})
+        assert verdict.legit_identities == frozenset({"c"})
+        assert verdict.identities == verdict.fake_identities | verdict.legit_identities
+        # the split is derived, never passed
+        with pytest.raises(TypeError):
+            Verdict(threshold=0.5, identities=frozenset({"a"}), sybil_pairs=frozenset(),
+                    fake_identities=frozenset(), legit_identities=frozenset({"a"}))

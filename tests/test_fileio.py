@@ -491,12 +491,10 @@ class TestReportFiles:
 
     def test_verdicts_json_structure(self, tmp_path):
         verdicts = {
-            (1, 8): Verdict(threshold=0.5, sybil_pairs=frozenset({("z", "y")}),
-                            fake_identities=frozenset({"y", "z"}),
-                            legit_identities=frozenset({"w"})),
-            (0, 7): Verdict(threshold=0.5, sybil_pairs=frozenset(),
-                            fake_identities=frozenset(),
-                            legit_identities=frozenset({"a", "b"})),
+            (1, 8): Verdict(threshold=0.5, identities=frozenset({"w", "y", "z"}),
+                            sybil_pairs=frozenset({("z", "y")})),
+            (0, 7): Verdict(threshold=0.5, identities=frozenset({"a", "b"}),
+                            sybil_pairs=frozenset()),
         }
         path = tmp_path / "verdicts.json"
         write_verdicts_json(path, verdicts, sigma=0.5)

@@ -49,7 +49,7 @@ from sybilscatter.pipeline import (
     expand_code,
     locate_rows,
 )
-from sybilscatter.scenario import check_layout
+from sybilscatter.scenario import _tag_layout, check_layout
 
 
 def _accepted(bits, spb, n_tags):
@@ -335,6 +335,75 @@ class TestSegmentation:
             SegmentBounds(t_start=5, t_end=5)
 
 
+def stock_trace(n, start, powers, ambient):
+    """Noise-free n-sample trace of the stock layout (64-bit code, 8 samples
+    per bit, 4 tags), its region at sample start, its schedule the cached
+    layout's: ambient plus each tag's power where the code is on."""
+    schedule = _tag_layout(64, 8, 4, n)[n - start:2 * n - start]
+    on = np.zeros(n)
+    on[start:start + 512] = np.repeat(alternating_code(64), 8)
+    return ReceivedTrace(identity="x", true_source_id="sx", t_s=0.0,
+                         sample_rate_hz=8000.0,
+                         samples=ambient + on * np.append(0.0, powers)[schedule],
+                         tag_schedule=schedule, tag_code=alternating_code(64),
+                         samples_per_bit=8, n_tags=4)
+
+
+# from this many samples (3.5 code spans) on, every noise-free stock trace decodes
+CONTRACT_LEN = 1800
+
+
+class TestLengthContract:
+    """What the length rule promises for the stock layout, noise-free.
+
+    The constructors accept any trace of one code span plus two samples
+    (514).  Such a trace never decodes at a wrong start, but below
+    CONTRACT_LEN it may fall below the 3x-median decision floor and be
+    rejected; from CONTRACT_LEN on every start decodes.  Powers are 20 to
+    1e4 times the ambient (times 1e-6 with no ambient)."""
+
+    PATTERNS = {
+        "ascending": np.geomspace(20.0, 1e4, 4),
+        "descending": np.geomspace(1e4, 20.0, 4),
+        "strong first": [1e4, 20.0, 20.0, 20.0],
+        "strong last": [20.0, 20.0, 20.0, 1e4],
+        "near-equal": [20.0, 21.0, 22.0, 23.0],
+        "one at 1e4": [20.0, 1e4, 20.0, 20.0],
+    }
+
+    @staticmethod
+    def _broken(n, start, powers, ambient):
+        """The contract's violations by one trace: a wrong start, or no
+        decision at CONTRACT_LEN samples or more."""
+        found, decodable = locate_rows(stock_trace(n, start, powers, ambient))[:2]
+        if decodable:
+            return [] if found == start else [("wrong start", n, start, int(found))]
+        return [("undecodable", n, start)] if n >= CONTRACT_LEN else []
+
+    def test_grid_of_lengths_starts_and_powers(self):
+        broken, cases = [], 0
+        for n in (514, 777, 1024, 1480, 1556, 1800, 2048, 2560):
+            for ambient in (0.0, 1.0):
+                for name, ratios in self.PATTERNS.items():
+                    powers = (ambient or 1e-6) * np.asarray(ratios)
+                    for start in range(0, n - 511, 3):
+                        broken += [(name, ambient, *b)
+                                   for b in self._broken(n, start, powers, ambient)]
+                        cases += 1
+        assert cases == 30_708
+        assert broken == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(514, 5120), data=st.data())
+    def test_random_lengths_starts_and_powers(self, n, data):
+        start = data.draw(st.integers(0, n - 512), label="start")
+        ambient = data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="ambient")
+        exponents = data.draw(st.lists(st.floats(np.log10(20.0), 4.0), min_size=4,
+                                       max_size=4), label="log10 power ratios")
+        powers = (ambient or 1e-6) * 10.0 ** np.array(exponents)
+        assert self._broken(n, start, powers, ambient) == []
+
+
 class TestCertifiedSegmentation:
     """locate_rows reads lags from prefix sums and re-runs np.correlate on
     every row whose decisions its error bound cannot certify."""
@@ -557,10 +626,20 @@ class TestMultipathSignature:
         with pytest.raises(ParameterError):
             MultipathSignature.from_raw([1.0, -0.1])
 
-    @pytest.mark.parametrize("normalized", [[0.0, 0.0], [-0.6, 0.8], [0.6, 0.6]])
-    def test_constructor_rejects_what_a_profile_row_cannot_be(self, normalized):
-        with pytest.raises(ParameterError):
-            MultipathSignature(raw=np.array([3.0, 4.0]), normalized=np.array(normalized))
+    def test_constructor_takes_only_the_raw_powers(self):
+        signature = MultipathSignature(raw=[3e-9, 4e-9])
+        np.testing.assert_array_equal(signature.normalized, [0.6, 0.8])
+        with pytest.raises(TypeError):
+            MultipathSignature(raw=[3.0, 4.0], normalized=[0.6, 0.8])
+        with pytest.raises(ShapeError):
+            MultipathSignature(raw=[[3.0, 4.0]])
+
+    @pytest.mark.parametrize("raw", [[np.nan, 4.0], [np.inf, 4.0], [1e200, 1e200]])
+    def test_non_finite_powers_rejected(self, raw):
+        # an overflowing squared sum would normalize to zeros
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParameterError, match="must be finite"):
+                MultipathSignature(raw=raw)
 
 
 class TestBuildSignatureFromTrace:
@@ -602,21 +681,27 @@ class TestSignalProfile:
         with pytest.raises(ParameterError):
             SignalProfile.from_rows("a", np.array([[0.5, 0.5]]))
 
-    def test_mean_vector_consistency_enforced(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ParameterError):
-            SignalProfile(identity="a", signatures=rows,
-                          mean_vector=np.array([0.9, 0.1]))
+    def test_mean_is_derived_from_the_rows(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        profile = SignalProfile(identity="a", signatures=rows)
+        assert profile.mean_vector.tobytes() == rows.mean(axis=0).tobytes()
+        with pytest.raises(TypeError):
+            SignalProfile(identity="a", signatures=rows, mean_vector=rows.mean(axis=0))
+
+    def test_empty_profile_rejected(self):
+        # no rows have no mean; an empty window is never a profile
+        with pytest.raises(ShapeError, match="L >= 1"):
+            SignalProfile(identity="a", signatures=np.empty((0, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_and_means_rejected(self, bad):
         # a NaN row passed every comparison of the other checks, and the
-        # distance matrix's diagonal is zero only for finite rows
+        # distance matrix's diagonal is zero only for finite rows; the mean
+        # of finite rows is finite
         rows = np.array([[0.6, 0.8], [bad, 0.8]])
-        mean = np.array([bad, 0.8])
-        for signatures, mean_vector in ((rows, mean), (rows[:1], mean)):
+        for signatures in (rows, rows[1:]):
             with pytest.raises(ParameterError, match="must be finite"):
-                SignalProfile(identity="a", signatures=signatures, mean_vector=mean_vector)
+                SignalProfile(identity="a", signatures=signatures)
 
 
 class TestProfileWindows:
