@@ -11,6 +11,7 @@ follow by pair membership.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -173,37 +174,28 @@ class Verdict:
             object.__setattr__(self, name, value)
 
 
-class _Workspace:
-    """Work vectors of the logistic kernel, for scores of one shape."""
+def _logistic(z):
+    """(g(z), max |z|) for a float64 array z; max |z| is NaN or inf exactly
+    when some score is not finite.
 
-    def __init__(self, shape):
-        # |z|, -|z|, exp(-|z|), 1 + exp(-|z|); the trainer then reuses it
-        # for the residual
-        self.e = np.empty(shape)
-        self.c = np.empty(shape)  # g(z) - 1/2
-
-    def logistic(self, z) -> float:
-        """Write g(z) - 1/2 to self.c; return max |z|, which is NaN or inf
-        exactly when some score is not finite.
-
-        g is evaluated on -|z|, so exp never overflows, and reflected:
-        g(z) - 1/2 = copysign(g(|z|) - 1/2, z).  Every step after the
-        division is exact, because g(|z|) lies in [1/2, 1]: g(|z|) - 1/2 is
-        a Sterbenz subtraction, and 1/2 + c is g(|z|) itself for z >= 0 and
-        the representable 1 - g(|z|) for z < 0.  So g(-z) == 1 - g(z) holds
-        bit-exactly, and the result has the bits of the two-branch form
-        where(z >= 0, g(|z|), 1 - g(|z|)) for every non-NaN z.
-        """
-        e, c = self.e, self.c
-        np.absolute(z, out=e)
-        largest = np.maximum.reduce(e, axis=None, initial=0.0)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.add(e, 1.0, out=e)
-        np.divide(1.0, e, out=c)
-        np.subtract(c, 0.5, out=c)
-        np.copysign(c, z, out=c)
-        return largest
+    g is evaluated on -|z|, so exp never overflows, and reflected:
+    g(z) - 1/2 = copysign(g(|z|) - 1/2, z).  Every step after the division
+    is exact, because g(|z|) lies in [1/2, 1]: g(|z|) - 1/2 is a Sterbenz
+    subtraction, and 1/2 + c is g(|z|) itself for z >= 0 and the
+    representable 1 - g(|z|) for z < 0.  So g(-z) == 1 - g(z) holds
+    bit-exactly, and the result has the bits of the two-branch form
+    where(z >= 0, g(|z|), 1 - g(|z|)) for every non-NaN z.
+    """
+    e = np.absolute(z, out=np.empty(z.shape))
+    largest = np.maximum.reduce(e, axis=None, initial=0.0)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=e)
+    g = np.divide(1.0, e, out=e)
+    np.subtract(g, 0.5, out=g)
+    np.copysign(g, z, out=g)
+    np.add(g, 0.5, out=g)
+    return g, largest
 
 
 # OpenBLAS runs a dgemv of 460,800 or more matrix elements on several
@@ -214,63 +206,80 @@ class _Workspace:
 # samples of the stock (11, N) design.
 _BLOCK_ELEMENTS = 11 * 8192
 
+# exp(u) is finite below this; log of the largest float is 709.78
+_EXP_FINITE = 709.0
+_NO_GUARD = contextlib.nullcontext()
+
 
 class _Ascent:
-    """The (L + 1, N) design of a fit and the work vectors of its gradient.
+    """The label-signed (L + 1, N) design of a fit and the work vectors of
+    its gradient.
 
-    The design holds the columns of X as rows, then a row of ones, so the
-    parameters are one vector theta = (w, b) and the bias is its last
-    component.  The design is built and every work vector allocated once
-    per fit; an iteration rewrites the vectors in place.
+    Column n of the design is s_n (x_n, 1) with s_n = 2 y_n - 1: the
+    distance vector and a one, negated for a label-0 sample.  So the
+    parameters are one vector theta = (w, b), the bias is its last
+    component, and theta . column is u_n = s_n z_n for the score
+    z_n = w . x_n + b.  Negation is exact and rounding symmetric, so u_n
+    has the bits of -z_n or z_n.  The design is built and every work
+    vector allocated once per fit; an iteration rewrites the vectors in
+    place.
     """
 
     def __init__(self, X, y, v):
         n, dim = X.shape
+        sign = np.subtract(np.multiply(y, 2.0), 1.0)
         design = np.empty((dim + 1, n))
-        design[:dim] = X.T
-        design[dim] = 1.0
-        self.h = np.subtract(y, 0.5)
+        np.multiply(X.T, sign, out=design[:dim])
+        design[dim] = sign
         self.v = v
-        self.z = np.empty(n)
-        self.work = _Workspace(n)
+        self.u = np.empty(n)
+        self.rho = np.empty(n)
         self.grad = np.empty(dim + 1)
         self.part = np.empty(dim + 1)
-        # (design, z, r) views of each column block; the residual r is
-        # written to the workspace's e.  No samples make one empty block,
-        # whose gradient is zero.
+        # (design, u, rho) views of each column block.  No samples make one
+        # empty block, whose gradient is zero.
         width = max(1, _BLOCK_ELEMENTS // (dim + 1))
-        self.blocks = [(design[:, k:k + width], self.z[k:k + width],
-                        self.work.e[k:k + width]) for k in range(0, max(n, 1), width)]
+        self.blocks = [(design[:, k:k + width], self.u[k:k + width], self.rho[k:k + width])
+                       for k in range(0, max(n, 1), width)]
 
     def gradient(self, theta) -> float:
-        """Write design r to self.grad for r = v * (y - g(theta . design));
-        return max |z|, as _Workspace.logistic does.
+        """Write design rho to self.grad for rho = v / (1 + exp(u)); return
+        max |u|, which is max |z|: NaN or inf exactly when some score is
+        not finite.
 
-        The scores and the gradient are one dgemv per column block, and the
-        blocks' gradients are added in order.  np.matmul takes a block as
-        the strided view it is (np.dot would copy it).  For 0/1 labels
-        y - g(z) is exact in either form, so (y - 1/2) - (g(z) - 1/2) has
-        its bits.
+        design rho is the gradient of the weighted log-likelihood, because
+        s_n rho_n = v_n (y_n - g(z_n)) for 0/1 labels.  rho_n is v_n g(-u_n),
+        the weight times the probability of the wrong label, so it keeps its
+        relative accuracy for a correctly classified sample at any margin,
+        where y - g(z) would cancel to 0 once g(z) rounds to y (|z| > 36.7).
+        Past u = 709.78, exp(u) overflows to inf and rho to 0, its
+        limit; that overflow is expected and silent.
+
+        The scores and the gradient are one dgemv per column block, and
+        the blocks' gradients are added in order.  np.matmul takes a block
+        as the strided view it is (np.dot would copy it).
         """
-        grad, work = self.grad, self.work
-        for design, z, _ in self.blocks:
-            np.matmul(theta, design, out=z)
-        largest = work.logistic(self.z)
-        np.subtract(self.h, work.c, out=work.e)
-        np.multiply(self.v, work.e, out=work.e)
-        (design, _, r), *rest = self.blocks
-        np.matmul(design, r, out=grad)
-        for design, _, r in rest:
-            np.add(grad, np.matmul(design, r, out=self.part), out=grad)
+        grad, u, rho = self.grad, self.u, self.rho
+        for design, u_block, _ in self.blocks:
+            np.matmul(theta, design, out=u_block)
+        largest = np.maximum.reduce(np.absolute(u, out=rho), axis=None, initial=0.0)
+        # entering np.errstate costs about 2 us, 5 % of an iteration on a
+        # benchmark fold, so it is entered only when exp can overflow
+        with _NO_GUARD if largest < _EXP_FINITE else np.errstate(over="ignore"):
+            np.exp(u, out=rho)
+        np.add(rho, 1.0, out=rho)
+        np.divide(self.v, rho, out=rho)
+        (design, _, rho_block), *rest = self.blocks
+        np.matmul(design, rho_block, out=grad)
+        for design, _, rho_block in rest:
+            np.add(grad, np.matmul(design, rho_block, out=self.part), out=grad)
         return largest
 
 
 def sigmoid(z):
-    """Logistic function, stable for any float input (see _Workspace.logistic)."""
+    """Logistic function, stable for any float input (see _logistic)."""
     z = np.asarray(z, dtype=np.float64)
-    work = _Workspace(z.shape)
-    work.logistic(z)
-    g = np.add(work.c, 0.5, out=work.c)
+    g, _ = _logistic(z)
     return float(g) if z.ndim == 0 else g
 
 
@@ -311,7 +320,9 @@ def weighted_log_likelihood(weights, bias, X, y, v) -> float:
 
 def weighted_gradient(weights, bias, X, y, v):
     """Analytic gradient of weighted_log_likelihood in (weights, bias), as
-    train_mwle computes it."""
+    train_mwle computes it: sum_n s_n v_n g(-s_n z_n) (x_n, 1) with
+    s_n = 2 y_n - 1, which is sum_n v_n (y_n - g(z_n)) (x_n, 1) without
+    its cancellation at large margins (see _Ascent.gradient)."""
     fit = _Ascent(np.asarray(X, dtype=np.float64), y, v)
     fit.gradient(np.append(np.asarray(weights, dtype=np.float64), bias))
     return fit.grad[:-1], float(fit.grad[-1])
@@ -331,11 +342,13 @@ def train_mwle(samples: TrainingSet, config: TrainingConfig = TrainingConfig()) 
     models at any BLAS thread count, because every product runs on one
     thread (see _BLOCK_ELEMENTS).
 
-    The parameters are one vector theta = (w, b) over the (L + 1, N)
-    design of _Ascent, built once per fit.  Every vector an iteration
-    needs is allocated once and written in place, and every step is the
-    same BLAS call, ufunc or exact (see _Workspace) as in the allocating
-    form, so the iterates have its bits.
+    The parameters are one vector theta = (w, b) over the label-signed
+    (L + 1, N) design of _Ascent, built once per fit.  An iteration is one
+    dgemv per column block for the scores, |u| and its max, exp, add and
+    divide for the residual, and one dgemv per block for the gradient.
+    Every vector it needs is allocated once and written in place, and
+    every step is the same BLAS call or ufunc as in the allocating form,
+    so the iterates have its bits.
     """
     data = _trainable(samples)
     with np.errstate(over="ignore"):
@@ -379,10 +392,10 @@ def similarity_scores(model: LRModel, X) -> np.ndarray:
     as SimilarityMatrix rejects it.
     """
     z = np.matmul(X[..., None, :], model.weights[:, None])[..., 0, 0] + model.bias
-    work = _Workspace(z.shape)
-    if math.isnan(work.logistic(z)):
+    probs, largest = _logistic(z)
+    if math.isnan(largest):
         raise ParameterError("similarities must lie in [0, 1]")
-    return np.add(work.c, 0.5, out=work.c)
+    return probs
 
 
 def similarity_matrix(model: LRModel, distances: DistanceMatrix) -> SimilarityMatrix:

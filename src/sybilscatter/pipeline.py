@@ -44,9 +44,11 @@ def row_norms(rows) -> np.ndarray:
 
     The squared norm is one BLAS dot product per row, as np.linalg.norm
     takes it for a single vector, so a row's norm is bit-identical alone
-    or in a batch.
+    or in a batch.  Squares that overflow give an infinite norm, without a
+    warning: every caller rejects it.
     """
-    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 def _readonly_arrays(*arrays):
@@ -572,6 +574,10 @@ def _signature(trace: ReceivedTrace, start: int) -> MultipathSignature:
                 f"identity {trace.identity!r} at t={trace.t_s}: zero reflection on every tag")
         # every power underflows when squared
         raise DegenerateSignatureError("all-zero reflection vector cannot be normalized")
+    if norm == np.inf:
+        raise DegenerateSignatureError(
+            f"identity {trace.identity!r} at t={trace.t_s}: the squared reflection "
+            "powers overflow, so the vector cannot be normalized")
     raw, normalized = _readonly_arrays(raw, raw / norm)
     return prevalidated(MultipathSignature, raw=raw, normalized=normalized)
 
@@ -584,16 +590,18 @@ def signature_from_trace(trace: ReceivedTrace) -> MultipathSignature:
 def signature_rows(batch: TraceBatch):
     """Segment and extract every row of a batch: (kept, raw, normalized).
 
-    ``kept`` indexes the rows that segment and reflect on some tag, in row
-    order; ``raw`` and ``normalized`` are their (n_kept, K) signatures.  The
-    other rows are the ones for which signature_from_trace raises
-    SegmentationError or DegenerateSignatureError.
+    ``kept`` indexes the rows that segment and have a finite, nonzero
+    reflection norm, in row order; ``raw`` and ``normalized`` are their
+    (n_kept, K) signatures.  The other rows are the ones for which
+    signature_from_trace raises SegmentationError or
+    DegenerateSignatureError.
     """
     starts, decodable, _, _ = locate_rows(batch)
     found = np.flatnonzero(decodable)
     raw = reflection_rows(batch, starts)[found]
     norms = row_norms(raw)
-    live = norms > 0.0  # zero on every tag: no direction to normalize
+    # zero on every tag, or squares that overflow: no direction to normalize
+    live = (norms > 0.0) & (norms < np.inf)
     raw = raw[live]
     return found[live], raw, raw / norms[live][:, None]
 

@@ -463,17 +463,20 @@ def sigmoid(z):
 
 
 def weighted_gradient(weights, bias, X, y, v):
-    """The gradient with fresh arrays over the C-contiguous (L + 1, N)
-    design: scores and design r one product per column block, the blocks'
-    gradients summed in order."""
-    design = np.ascontiguousarray(np.vstack([X.T, np.ones(len(X))]))
+    """The gradient with fresh arrays over the C-contiguous label-signed
+    (L + 1, N) design, columns s (x, 1) with s = 2y - 1: scores u = s z and
+    design rho one product per column block, rho = v / (1 + exp(u)), the
+    blocks' gradients summed in order."""
+    sign = 2.0 * y - 1.0
+    design = np.ascontiguousarray(np.vstack([X.T * sign, sign]))
     width = max(1, _BLOCK_ELEMENTS // design.shape[0])
     blocks = [slice(lo, lo + width) for lo in range(0, len(X), width)]
-    z = np.concatenate([np.append(weights, bias) @ design[:, blk] for blk in blocks])
-    r = v * (y - sigmoid(z))
-    grad = design[:, blocks[0]] @ r[blocks[0]]
+    u = np.concatenate([np.append(weights, bias) @ design[:, blk] for blk in blocks])
+    with np.errstate(over="ignore"):
+        rho = v / (1.0 + np.exp(u))
+    grad = design[:, blocks[0]] @ rho[blocks[0]]
     for blk in blocks[1:]:
-        grad = grad + design[:, blk] @ r[blk]
+        grad = grad + design[:, blk] @ rho[blk]
     return grad[:-1], float(grad[-1])
 
 

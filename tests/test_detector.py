@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,42 @@ class TestGradient:
         grad_w, grad_b = weighted_gradient(np.ones(3), 0.5, np.zeros((0, 3)),
                                            np.zeros(0), np.zeros(0))
         assert grad_w.tolist() == [0.0, 0.0, 0.0] and grad_b == 0.0
+
+    def test_residual_keeps_its_value_at_large_margins(self):
+        # z = 40 on a label-1 sample and -40 on a label-0 one: both are
+        # classified correctly, g(z) rounds to y, and y - g(z) would read 0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        w = np.array([20.0])
+        for y, b, x, v in [(1.0, 0.0, 2.0, 1.5), (0.0, -100.0, 3.0, 0.7)]:
+            assert abs(w[0] * x + b) == 40.0
+            grad_w, grad_b = weighted_gradient(w, b, np.array([[x]]), np.array([y]),
+                                               np.array([v]))
+            # v (y - g(z)) = s v g(-40) for s = 2y - 1
+            residual = (2 * y - 1) * mpmath.mpf(v) / (1 + mpmath.exp(40))
+            for got, want in [(grad_w[0], float(residual * x)), (grad_b, float(residual))]:
+                assert got != 0.0
+                assert abs(got - want) <= 4 * np.spacing(abs(want)), (y, got, want)
+
+    def test_overflowing_exp_is_silent_and_saturates(self):
+        # at |z| >= 710 exp(u) is inf: a correct sample's residual is 0 and
+        # a wrong one's is its full weight, without a RuntimeWarning
+        X = np.array([[800.0], [800.0], [-800.0], [-800.0]])
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        v = np.array([1.0, 2.0, 4.0, 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad_w, grad_b = weighted_gradient(np.ones(1), 0.0, X, y, v)
+        # residuals 0, -2, +4, 0
+        assert grad_w.tolist() == [-2.0 * 800.0 + 4.0 * -800.0]
+        assert grad_b == 2.0
+
+        data = toy_set(np.random.default_rng(32))
+        wide = TrainingSet(X=1e4 * data.X, y=data.y, v=data.v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_mwle(wide, TrainingConfig(max_iters=5))
+        assert np.abs(wide.X @ model.weights + model.bias).max() > 710.0
 
     def test_likelihood_finite_at_extreme_scores(self):
         X = np.array([[100.0], [-100.0]])

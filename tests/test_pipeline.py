@@ -664,6 +664,20 @@ class TestBuildSignatureFromTrace:
         with pytest.raises(DegenerateSignatureError):
             build_signature(trace, SegmentBounds(start, start + trace.code_span))
 
+    def test_overflowing_squares_are_degenerate(self):
+        # finite samples of about 1e200 square past the largest float, so
+        # the norm is inf and raw / norm would be an all-zero "unit" row
+        huge = stock_trace(CONTRACT_LEN, 300, [2e197, 2e198, 2e199, 1e200], 0.0)
+        with pytest.raises(DegenerateSignatureError, match="overflow"):
+            signature_from_trace(huge)
+        in_range = [stock_trace(CONTRACT_LEN, start, [2e-3, 2e-2, 5e-3, 1e-2], 1e-3)
+                    for start in (100, 700)]
+        kept, raw, unit = pipeline.signature_rows(trace_batch([in_range[0], huge, in_range[1]]))
+        want_kept, want_raw, want_unit = pipeline.signature_rows(trace_batch(in_range))
+        assert kept.tolist() == [0, 2] and want_kept.tolist() == [0, 1]
+        assert raw.tobytes() == want_raw.tobytes()
+        assert unit.tobytes() == want_unit.tobytes()
+
 
 class TestSignalProfile:
     def test_identical_rows_mean(self):
