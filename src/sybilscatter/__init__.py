@@ -78,7 +78,6 @@ from .pipeline import (
     SignalProfile,
     build_profile,
     build_signature,
-    correlate,
     extract_reflection,
     full_window_ends,
     moving_average,

@@ -174,7 +174,6 @@ def _smooth_rows(x, window: int) -> np.ndarray:
     anchor = x[..., :1]
     csum = np.zeros(x.shape[:-1] + (n + 1,))
     np.cumsum(x - anchor, axis=-1, out=csum[..., 1:])
-    # take keeps the rows C-contiguous, which the BLAS correlation needs
     return anchor + (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / width
 
 
@@ -191,51 +190,6 @@ def moving_average(samples, window: int) -> np.ndarray:
     return _smooth_rows(x, window)
 
 
-def _correlate_rows(x, template) -> np.ndarray:
-    """correlate over each row of an (R, N) array: (R, N - M + 1) lags.
-
-    np.correlate per row: the exact kernel, whose decisions locate_rows
-    reproduces.  Each lag is one BLAS dot product, and its summation
-    order is what pins ties at the peak and floor.  locate_rows runs it
-    only on the rows its prefix-sum kernel cannot certify.
-    """
-    out = np.empty((x.shape[0], x.shape[1] - template.size + 1))
-    for row, lags in zip(x, out):
-        lags[:] = np.correlate(row, template, mode="valid")
-    return out
-
-
-def correlate(smoothed, code) -> np.ndarray:
-    """Sliding dot product of the signal against the code template.
-
-    c[n] = sum_m smoothed[n + m] * code[m] over all full-overlap lags.
-    """
-    x = np.asarray(smoothed, dtype=np.float64)
-    template = np.asarray(code, dtype=np.float64)
-    if x.ndim != 1 or template.ndim != 1:
-        raise ShapeError("both inputs must be 1-D")
-    if template.size == 0:
-        raise ParameterError("code must be nonempty")
-    if template.size > x.size:
-        raise ParameterError(
-            f"code length {template.size} exceeds signal length {x.size}")
-    return _correlate_rows(x[None], template)[0]
-
-
-def expand_code(code, samples_per_bit: int) -> np.ndarray:
-    """Expand an M-bit code to the sample domain."""
-    if samples_per_bit < 1:
-        raise ParameterError(f"samples_per_bit must be >= 1, got {samples_per_bit}")
-    return np.repeat(np.asarray(code, dtype=np.float64), samples_per_bit)
-
-
-@functools.lru_cache(maxsize=64)
-def _template(code_bytes: bytes, samples_per_bit: int) -> np.ndarray:
-    """expand_code of a uint8 code, read-only."""
-    return _readonly_arrays(
-        expand_code(np.frombuffer(code_bytes, dtype=np.uint8), samples_per_bit))[0]
-
-
 def _median_rows(c) -> np.ndarray:
     """np.median over the last axis, without its set-up cost; partitions c
     in place at the middle.
@@ -243,8 +197,8 @@ def _median_rows(c) -> np.ndarray:
     The middle element of a row, or the mean of the two middle elements of
     an even-length row, both as np.median takes them; the lower one is the
     largest element below the middle.  Unlike np.median it does not turn a
-    row holding NaN into NaN; locate_rows never needs it to, since such a
-    row's NaN peak fails every comparison anyway.
+    row holding NaN into NaN; _segmentation never needs it to, since such a
+    row's peak is NaN and fails every comparison anyway.
     """
     mid = c.shape[-1] // 2
     c.partition(mid, axis=-1)
@@ -255,58 +209,44 @@ def _median_rows(c) -> np.ndarray:
 
 def _row_index(positions, lead: int):
     """Index reading row r of an array with ``lead`` leading axes at positions[r]."""
-    rows = np.indices(positions.shape[:lead], sparse=True)
-    return (*(r.reshape(r.shape + (1,) * (positions.ndim - lead)) for r in rows), positions)
+    shape = positions.shape
+    return (*(np.arange(size).reshape((1,) * axis + (size,) + (1,) * (len(shape) - axis - 1))
+              for axis, size in enumerate(shape[:lead])), positions)
 
 
 def _segmentation(c):
-    """(starts, decodable, peaks, floors) of correlations along the last axis.
+    """(starts, decodable, peaks, floors) of lags along the last axis;
+    partitions c in place.
 
-    The peak lag is the region start.  A peak not above zero or below its
-    floor, PEAK_FLOOR_RATIO times the row's median correlation, means no
+    The region starts at the first maximal lag.  A peak not above zero or
+    below its floor, PEAK_FLOOR_RATIO times the row's median lag, means no
     code is convincingly present, and the row is not decodable.
     """
+    # the first maximal lag, read before _median_rows partitions c
     starts = c.argmax(axis=-1)
-    # read before _median_rows partitions c
-    peaks = c[_row_index(starts, starts.ndim)]
+    peaks = np.maximum.reduce(c, axis=-1)
     floors = PEAK_FLOOR_RATIO * _median_rows(c)
     return starts, (peaks > 0.0) & (peaks >= floors), peaks, floors
 
 
-def _exact_segmentation(batch, redo):
-    """_segmentation of np.correlate's lags on the rows of a batch, or the
-    row of a trace, that the mask redo selects: the reference decisions."""
-    smoothed = _smooth_rows(batch.samples[redo], SMOOTHING_WINDOW)
-    template = _template(batch.tag_code.tobytes(), batch.samples_per_bit)
-    return _segmentation(_correlate_rows(smoothed, template))
-
-
-# float64 unit roundoff
-_U = 2.0 ** -53
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u): a sum of n + 1 terms, added in
-    any order, errs by at most gamma_n times the sum of their magnitudes."""
-    return n * _U / (1.0 - n * _U)
-
-
 def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
-    """(c, A): the lags of each nonnegative row of x, smoothed, against an
-    alternating template, (..., n_lags), and each row's sum, from prefix
-    sums in O(N) per row; the rows lie along x's last axis.
+    """The lags of each nonnegative row of x, smoothed, against an
+    alternating template, (..., n_lags), from prefix sums in O(N) per row;
+    the rows lie along x's last axis.  These lags define segmentation (see
+    locate_rows).
 
-    The smoothed row is _smooth_rows' window sums over the same widths,
-    but of the unanchored prefix sum C of x.  With s = samples_per_bit
-    and P = 2 s, the template is n_runs runs of s ones, P apart, so lag n
-    sums the blocks B[n + j P], j < n_runs, where B[k] = Y[k + s] - Y[k]
-    and Y is the prefix sum of the smoothed row.  T, the cumulative sum
-    of B along stride P, turns that into one difference,
-    T[n + (n_runs - 1) P] - T[n - P].
+    The smoothed row is the window sums of _smoothing_bounds' widths, taken
+    from the prefix sum C of x.  With s = samples_per_bit and P = 2 s, the
+    template is n_runs runs of s ones, P apart, so lag n sums the blocks
+    B[n + j P], j < n_runs, where B[k] = Y[k + s] - Y[k] and Y is the prefix
+    sum of the smoothed row.  T, the cumulative sum of B along stride P,
+    turns that into one difference, T[n + (n_runs - 1) P] - T[n - P].
+    Every row is summed in the same order whatever its batch, so a row's
+    lags have the same bits alone or in a batch.
     """
     *lead, n = x.shape
     window = SMOOTHING_WINDOW
-    back, fwd = window // 2, (window - 1) // 2
+    back = window // 2
     width = _smoothing_bounds(n, window)[2]
     period = 2 * samples_per_bit
     n_blocks = n_lags + (n_runs - 1) * period
@@ -323,7 +263,6 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     prefix[..., :back + 1] = 0.0
     accumulate(x, axis=-1, out=prefix[..., back + 1:back + 1 + n])
     prefix[..., back + 1 + n:] = prefix[..., back + n, None]
-    total = prefix[..., -1]  # C[n]; Y and the lags never reach the pad
     smoothed = work[..., :n]
     np.subtract(prefix[..., window:], prefix[..., :n], out=smoothed)
     np.divide(smoothed, width, out=smoothed)
@@ -336,8 +275,8 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     chains = work.reshape(*lead, -1, period)
     accumulate(chains, axis=-2, out=chains)
     lags = n_runs * period
-    c = np.subtract(work[..., lags:lags + n_lags], work[..., :n_lags], out=prefix[..., :n_lags])
-    return c, total
+    return np.subtract(work[..., lags:lags + n_lags], work[..., :n_lags],
+                       out=prefix[..., :n_lags])
 
 
 def _chain_len(n_lags: int, samples_per_bit: int, n_runs: int) -> int:
@@ -349,125 +288,31 @@ def _chain_len(n_lags: int, samples_per_bit: int, n_runs: int) -> int:
     return -(-(n_lags + n_runs * samples_per_bit * 2) // (2 * samples_per_bit))
 
 
-@functools.lru_cache(maxsize=64)
-def _error_bound(n: int, samples_per_bit: int, n_runs: int, code_len: int):
-    """(k_sum, k_first, k_abs): on a nonnegative n-sample row x with sum
-    A, the lags of _alternating_lags(x) and those of np.correlate on
-    _smooth_rows(x) differ by at most E = k_sum A + k_first x[0] + k_abs.
-
-    Both estimate the lags c of the exact moving average y.  With u the
-    unit roundoff, eta = 2^-1074 a bound on the absolute error of a
-    division whose result underflows, w the window, w_min = w // 2 + 1
-    its narrowest truncation, rho = max over samples j of the sum of
-    1 / w_i over the windows i holding j (so sum y <= rho A), Q the chain
-    length, ones = n_runs s and M = code_len:
-    - fast path.  Each prefix sum of x adds at most n terms in order and
-      errs by e = gamma_n A.  The smoothed prefix sums then err by
-      e_Y = 2 e (1 + (w - 1) / w_min) + gamma_2 S
-      + gamma_n (1 + gamma_2) S + n eta, S = rho A + 2 e n / w_min: the
-      interior window sums telescope, so the prefix errors enter only at
-      the two ends and the w - 1 truncated windows.  A block B errs by
-      2 (1 + u) e_Y + u b, b the sum of y over it.  A stride sum adds at
-      most Q blocks, P apart, so disjoint: it errs by
-      e_T = Q 2 (1 + u) e_Y + u rho A
-      + gamma_Q (rho A + Q 2 (1 + u) e_Y + u rho A), and a lag, the
-      difference of two, by F = 2 (1 + u) e_T + u rho A;
-    - reference.  _smooth_rows' anchored prefix sums of x - x[0] err by
-      e_s = gamma_(n+1) (A + n x[0]), so a smoothed sample errs by
-      (1 + gamma_3) 2 e_s / w_min + gamma_3 x[0] + gamma_4 y_i + eta and
-      a lag, over its ones samples, by R = ones ((1 + gamma_3) 2 e_s /
-      w_min + gamma_3 x[0] + eta) + gamma_4 rho A.  np.correlate's dot
-      product, in whatever order its BLAS sums, adds gamma_M (rho A + R);
-      the template is 0/1, so every product is exact.
-    E is twice F + R + gamma_M (rho A + R) + 16 u rho A.  The doubling
-    and the last term absorb every rounding after the lags, none above
-    a few u times 3 rho A: in A itself, the median's midpoint, the
-    floor's x 3 and the comparisons.
-    """
-    lo, hi, width = _smoothing_bounds(n, SMOOTHING_WINDOW)
-    cover = np.zeros(n + 1)
-    np.add.at(cover, lo, 1.0 / width)
-    np.add.at(cover, hi, -1.0 / width)
-    rho = float(np.cumsum(cover).max())
-    w_min = SMOOTHING_WINDOW // 2 + 1
-    chain = _chain_len(n - code_len + 1, samples_per_bit, n_runs)
-    ones = n_runs * samples_per_bit
-    g = _gamma
-
-    def bound(total, first, eta):
-        e = g(n) * total
-        spread = rho * total + 2.0 * e * n / w_min
-        e_y = (2.0 * e * (1.0 + (SMOOTHING_WINDOW - 1) / w_min)
-               + g(2) * spread + g(n) * (1.0 + g(2)) * spread + n * eta)
-        blocks = chain * 2.0 * (1.0 + _U) * e_y
-        e_t = blocks + _U * rho * total + g(chain) * (rho * total + blocks + _U * rho * total)
-        fast = 2.0 * (1.0 + _U) * e_t + _U * rho * total
-        e_s = g(n + 1) * (total + n * first)
-        ref = (ones * ((1.0 + g(3)) * 2.0 * e_s / w_min + g(3) * first + eta)
-               + g(4) * rho * total)
-        return 2.0 * (fast + ref + g(code_len) * (rho * total + ref)
-                      + 16.0 * _U * rho * total)
-
-    return bound(1.0, 0.0, 0.0), bound(0.0, 1.0, 0.0), bound(0.0, 0.0, 2.0 ** -1074)
-
-
-def _fast_segmentation(x, samples_per_bit: int, n_runs: int, code_len: int):
-    """(starts, decodable, peaks, floors, certified) of every nonnegative
-    row of x along its last axis, from prefix sums.
-
-    A row is certified when its decisions are np.correlate's by
-    construction.  With E its error bound (see _error_bound), it needs:
-    - a top-two lag margin above 2 E: the exact argmax is the same lag,
-      and the exact peak within E;
-    - a peak above E: the exact peak is positive;
-    - |peak - floor| above 4 E: the median moves by at most E, the floor
-      by 3 E, the peak by E.
-    NaN or infinite lags or bounds certify nothing.
-    """
-    n = x.shape[-1]
-    k_sum, k_first, k_abs = _error_bound(n, samples_per_bit, n_runs, code_len)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, total = _alternating_lags(x, samples_per_bit, n_runs, n - code_len + 1)
-        bound = k_sum * total + k_first * x[..., 0] + k_abs
-        starts, decodable, peaks, floors = _segmentation(c)
-        # _median_rows left the top two lags in the upper half, which holds
-        # two or more by the length rule: partitioned, its -2 is the runner-up
-        upper = c[..., c.shape[-1] // 2:]
-        upper.partition(-2, axis=-1)
-        certified = ((peaks - upper[..., -2] > 2.0 * bound) & (peaks > bound)
-                     & (np.absolute(peaks - floors) > 4.0 * bound))
-    return starts, decodable, peaks, floors, certified
-
-
 def locate_rows(batch):
     """Segment every row of a TraceBatch, or a ReceivedTrace's one row to
     scalars: (starts, decodable, peaks, floors).
 
-    Each row is smoothed and correlated against the sample-domain code,
-    and _segmentation reads the region start, whether the row is
-    decodable, and the peak and floor that decided it from the lags.  The
-    decisions are np.correlate's on _smooth_rows' output.  The lags come
-    from prefix sums of the raw row, O(N) per row, and only the rows
-    whose decisions their error bound cannot certify (see
-    _fast_segmentation) are smoothed and re-run through np.correlate.
-    A certified row's peak and floor are within its bound of
-    np.correlate's.
+    Each row is smoothed and correlated against the sample-domain code, and
+    _segmentation reads the region start (the first maximal lag), whether
+    the row is decodable, and the peak and floor that decided it.  The lags
+    are _alternating_lags', from prefix sums of the raw row in O(N) per
+    row; they define segmentation.  Another summation order, such as
+    np.correlate's on the smoothed row, rounds each lag differently, so it
+    can decide otherwise only where two lags tie or the peak meets its
+    floor within that rounding.
     """
-    code_len = batch.tag_code.size * batch.samples_per_bit
     n_runs = (batch.tag_code.size + 1) // 2
-    *decisions, certified = _fast_segmentation(
-        batch.samples, batch.samples_per_bit, n_runs, code_len)
-    if not certified.all():
-        redo = ~certified
-        # a trace's scalars become 0-d arrays, which a mask writes like rows
-        decisions = [np.asarray(out) for out in decisions]
-        for out, exact in zip(decisions, _exact_segmentation(batch, redo)):
-            out[redo] = exact
-    return tuple(decisions)
+    n_lags = batch.samples.shape[-1] - batch.tag_code.size * batch.samples_per_bit + 1
+    # near the float64 limit the prefix sums overflow to inf and their
+    # differences to NaN; a NaN lag makes the peak NaN, which is not decodable
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _segmentation(
+            _alternating_lags(batch.samples, batch.samples_per_bit, n_runs, n_lags))
 
 
 def segment_backscatter(trace: ReceivedTrace) -> SegmentBounds:
-    """Locate the backscattered region of a trace (see locate_rows).
+    """Locate the backscattered region of a trace: the code span from the
+    first maximal lag of locate_rows.
 
     Raises SegmentationError when the trace is not decodable.
     """

@@ -2,9 +2,12 @@
 
 These are the one-at-a-time code paths the package used before it moved to
 batched kernels, kept here only as test oracles: the batched kernels must
-match them bit for bit.  Nothing in the package imports this module.
+match them bit for bit.  Segmentation also keeps np.correlate's lags and the
+rounding bound that holds the prefix-sum lags to them.  Nothing in the
+package imports this module.
 """
 
+import functools
 import math
 from collections import deque, namedtuple
 
@@ -27,9 +30,10 @@ from sybilscatter.harness import (
     predict_scores,
     trapezoid_area,
 )
-from sybilscatter.pipeline import PEAK_FLOOR_RATIO
+from sybilscatter.pipeline import PEAK_FLOOR_RATIO, _chain_len, _smoothing_bounds
 from sybilscatter.scenario import (
     MIN_GUARD_SPANS,
+    SMOOTHING_WINDOW,
     TRACE_SPANS,
     alternating_code,
     tag_block_bit_spans,
@@ -116,16 +120,146 @@ def moving_average(x, window):
     return anchor + (csum[hi] - csum[lo]) / (hi - lo)
 
 
+def expand_code(code, samples_per_bit):
+    """Expand an M-bit code to the sample domain."""
+    return np.repeat(np.asarray(code, dtype=np.float64), samples_per_bit)
+
+
+def lags(samples, code, spb, window):
+    """The prefix-sum lags of the smoothed samples against the expanded
+    alternating code, with fresh arrays and in locate_rows' summation order:
+    window sums of the prefix sum C, their prefix sum Y, the blocks
+    B[k] = Y[k + spb] - Y[k], and the cumulative sums T of B along stride
+    2 spb, each lag one difference of two T."""
+    n = samples.size
+    period = 2 * spb
+    runs = (len(code) + 1) // 2
+    n_lags = n - len(code) * spb + 1
+    n_blocks = n_lags + (runs - 1) * period
+    back = window // 2
+    idx = np.arange(n)
+    width = np.minimum(idx + window - back, n) - np.maximum(idx - back, 0)
+    csum = np.cumsum(samples)
+    padded = np.concatenate([np.zeros(back + 1), csum, np.full(window - back - 1, csum[-1])])
+    y = np.concatenate([[0.0], np.cumsum((padded[window:] - padded[:n]) / width)])
+    # B shifted by one period, so that T[k - P] reads 0 for k < P
+    blocks = np.zeros(-(-(period + n_blocks) // period) * period)
+    blocks[period:period + n_blocks] = y[spb:spb + n_blocks] - y[:n_blocks]
+    t = np.cumsum(blocks.reshape(-1, period), axis=0).ravel()
+    return t[runs * period:runs * period + n_lags] - t[:n_lags]
+
+
+def decisions(c):
+    """(start, decodable, peak, floor) of one row of lags: the first
+    maximal lag, and whether the peak is positive and at least the floor."""
+    start = int(np.argmax(c))
+    peak = float(c[start])
+    floor = PEAK_FLOOR_RATIO * float(np.median(c))
+    return start, peak > 0.0 and peak >= floor, peak, floor
+
+
 def segment(samples, code, spb, window):
     """(start, peak, floor); start is None when the trace is rejected."""
-    template = np.repeat(np.asarray(code, dtype=np.float64), spb)
-    c = np.correlate(moving_average(samples, window), template, mode="valid")
-    peak_idx = int(np.argmax(c))
-    peak = float(c[peak_idx])
-    floor = PEAK_FLOOR_RATIO * float(np.median(c))
-    if peak <= 0.0 or peak < floor:
-        return None, peak, floor
-    return peak_idx, peak, floor
+    start, decodable, peak, floor = decisions(lags(samples, code, spb, window))
+    return (start if decodable else None), peak, floor
+
+
+def correlate_lags(samples, code, spb, window):
+    """np.correlate's lags of the smoothed samples against the expanded
+    code: the reference that error_bound holds the prefix-sum lags to."""
+    return np.correlate(moving_average(samples, window), expand_code(code, spb),
+                        mode="valid")
+
+
+# float64 unit roundoff
+_U = 2.0 ** -53
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a sum of n + 1 terms, added in
+    any order, errs by at most gamma_n times the sum of their magnitudes."""
+    return n * _U / (1.0 - n * _U)
+
+
+@functools.lru_cache(maxsize=64)
+def error_bound(n, samples_per_bit, n_runs, code_len):
+    """(k_sum, k_first, k_abs): on a nonnegative n-sample row x with sum
+    A, the prefix-sum lags (lags, locate_rows) and np.correlate's
+    (correlate_lags) differ by at most E = k_sum A + k_first x[0] + k_abs.
+
+    Both estimate the lags c of the exact moving average y.  With u the
+    unit roundoff, eta = 2^-1074 a bound on the absolute error of a
+    division whose result underflows, w the window, w_min = w // 2 + 1
+    its narrowest truncation, rho = max over samples j of the sum of
+    1 / w_i over the windows i holding j (so sum y <= rho A), Q the chain
+    length, ones = n_runs s and M = code_len:
+    - prefix sums.  Each prefix sum of x adds at most n terms in order and
+      errs by e = gamma_n A.  The smoothed prefix sums then err by
+      e_Y = 2 e (1 + (w - 1) / w_min) + gamma_2 S
+      + gamma_n (1 + gamma_2) S + n eta, S = rho A + 2 e n / w_min: the
+      interior window sums telescope, so the prefix errors enter only at
+      the two ends and the w - 1 truncated windows.  A block B errs by
+      2 (1 + u) e_Y + u b, b the sum of y over it.  A stride sum adds at
+      most Q blocks, P apart, so disjoint: it errs by
+      e_T = Q 2 (1 + u) e_Y + u rho A
+      + gamma_Q (rho A + Q 2 (1 + u) e_Y + u rho A), and a lag, the
+      difference of two, by F = 2 (1 + u) e_T + u rho A;
+    - reference.  moving_average's anchored prefix sums of x - x[0] err by
+      e_s = gamma_(n+1) (A + n x[0]), so a smoothed sample errs by
+      (1 + gamma_3) 2 e_s / w_min + gamma_3 x[0] + gamma_4 y_i + eta and
+      a lag, over its ones samples, by R = ones ((1 + gamma_3) 2 e_s /
+      w_min + gamma_3 x[0] + eta) + gamma_4 rho A.  np.correlate's dot
+      product, in whatever order its BLAS sums, adds gamma_M (rho A + R);
+      the template is 0/1, so every product is exact.
+    E is twice F + R + gamma_M (rho A + R) + 16 u rho A.  The doubling
+    and the last term absorb every rounding after the lags, none above
+    a few u times 3 rho A: in A itself, the median's midpoint, the
+    floor's x 3 and the comparisons.
+    """
+    lo, hi, width = _smoothing_bounds(n, SMOOTHING_WINDOW)
+    cover = np.zeros(n + 1)
+    np.add.at(cover, lo, 1.0 / width)
+    np.add.at(cover, hi, -1.0 / width)
+    rho = float(np.cumsum(cover).max())
+    w_min = SMOOTHING_WINDOW // 2 + 1
+    chain = _chain_len(n - code_len + 1, samples_per_bit, n_runs)
+    ones = n_runs * samples_per_bit
+    g = _gamma
+
+    def bound(total, first, eta):
+        e = g(n) * total
+        spread = rho * total + 2.0 * e * n / w_min
+        e_y = (2.0 * e * (1.0 + (SMOOTHING_WINDOW - 1) / w_min)
+               + g(2) * spread + g(n) * (1.0 + g(2)) * spread + n * eta)
+        blocks = chain * 2.0 * (1.0 + _U) * e_y
+        e_t = blocks + _U * rho * total + g(chain) * (rho * total + blocks + _U * rho * total)
+        fast = 2.0 * (1.0 + _U) * e_t + _U * rho * total
+        e_s = g(n + 1) * (total + n * first)
+        ref = (ones * ((1.0 + g(3)) * 2.0 * e_s / w_min + g(3) * first + eta)
+               + g(4) * rho * total)
+        return 2.0 * (fast + ref + g(code_len) * (rho * total + ref)
+                      + 16.0 * _U * rho * total)
+
+    return bound(1.0, 0.0, 0.0), bound(0.0, 1.0, 0.0), bound(0.0, 0.0, 2.0 ** -1074)
+
+
+def row_bound(samples, code, spb):
+    """E of error_bound for one nonnegative trace of the stock window."""
+    k_sum, k_first, k_abs = error_bound(samples.size, spb, (len(code) + 1) // 2,
+                                        len(code) * spb)
+    return k_sum * float(np.cumsum(samples)[-1]) + k_first * float(samples[0]) + k_abs
+
+
+def certified(samples, code, spb):
+    """True when a nonnegative trace lies beyond the bound, so that its
+    prefix-sum decisions are np.correlate's: the top-two lag margin above
+    2 E (the same argmax) and |peak - floor| above 4 E (the same side of
+    the floor; the floor is 3 medians, each within E)."""
+    c = lags(samples, code, spb, SMOOTHING_WINDOW)
+    bound = row_bound(samples, code, spb)
+    _, _, peak, floor = decisions(c)
+    runner_up = np.sort(c)[-2] if c.size > 1 else -np.inf
+    return bool(peak - runner_up > 2.0 * bound and abs(peak - floor) > 4.0 * bound)
 
 
 def extract_reflection(x, mask):

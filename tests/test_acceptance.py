@@ -7,6 +7,7 @@ purpose; loosening them is a release decision, not a test fix.
 
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario
@@ -28,7 +29,6 @@ from sybilscatter import (
     build_signature,
     compare_distance_metrics,
     compute_class_weights,
-    correlate,
     cosine_distance,
     cross_validate,
     detect_sybil,
@@ -65,6 +65,7 @@ from sybilscatter.harness import (
     build_dataset,
     metrics_from_scores,
 )
+from sybilscatter.pipeline import locate_rows
 from sybilscatter.scenario import ChannelParams, Trajectory
 
 MAX_RUNTIME_S = 300.0
@@ -303,12 +304,20 @@ def _identity_battery(four_identity_run):
     impulse[10] = 1.0
     check("impulse smears to a 1/5 plateau",
           lambda: np.array_equal(moving_average(impulse, 5)[8:13], np.full(5, 0.2)))
+
+    def code_row(samples):
+        # the fields locate_rows reads; 4 samples per bit is below what a
+        # ReceivedTrace accepts, but the kernel runs on any row
+        return SimpleNamespace(samples=samples, tag_code=alternating_code(8),
+                               samples_per_bit=4)
+
     code_template = np.repeat(alternating_code(8), 4).astype(np.float64)
     embedded = np.concatenate([code_template, np.zeros(32)])
     check("embedded code correlates strongest at its true lag",
-          lambda: int(np.argmax(correlate(embedded, code_template))) == 0)
+          lambda: locate_rows(code_row(embedded))[0] == 0)
+    # the lags are nonnegative, so a zero peak means every lag is zero
     check("zero signal correlates to zero",
-          lambda: bool(np.all(correlate(np.zeros(64), code_template) == 0.0)))
+          lambda: locate_rows(code_row(np.zeros(64)))[2:] == (0.0, 0.0))
 
     # segmentation boundaries
     check("zero guard prefix starts at sample zero",

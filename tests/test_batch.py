@@ -52,7 +52,7 @@ from sybilscatter import (
 from sybilscatter import pipeline
 from sybilscatter.harness import DEFAULT_CORPUS_SPEC, DEFAULT_SEED, dataset_digest
 from sybilscatter.pipeline import (
-    _fast_segmentation,
+    _alternating_lags,
     full_window_ends,
     locate_rows,
     signature_rows,
@@ -321,7 +321,7 @@ class TestExtract:
                 return kernel(first, *args)
             monkeypatch.setattr(pipeline, name, wrapper)
 
-        spy("_fast_segmentation", lambda x: x)
+        spy("_alternating_lags", lambda x: x)
         spy("reflection_rows", lambda trace: trace.samples)
         _, streams = degraded_run
         for traces in streams.values():
@@ -331,61 +331,62 @@ class TestExtract:
                     signature_from_trace(trace)
                 except (SegmentationError, DegenerateSignatureError):
                     pass
-                assert seen and seen[0][0] == "_fast_segmentation"
+                assert seen and seen[0][0] == "_alternating_lags"
                 assert all(samples is trace.samples for _, samples in seen)
         assert _one_trace_outcomes(streams) == {"rejected", "degenerate", "kept"}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_every_rank_gives_the_same_bytes(self, degraded_run, data):
-        """_fast_segmentation on (R, N) rows, on each (1, N) row and on each
+        """_alternating_lags on (R, N) rows, on each (1, N) row and on each
         (N,) row, and locate_rows on the batch and on each trace, agree to
-        the byte.  The last row is one the bound cannot certify, so its 1-D
-        call re-runs it through np.correlate and must make its decisions."""
+        the byte.  The last row is a plateau whose lags tie near the peak,
+        where np.correlate may decide otherwise; locate_rows makes the
+        oracle's prefix-sum decisions."""
         _, streams = degraded_run
         pool = [trace for traces in streams.values() for trace in traces]
-        redone = [t for t in pool if not _fast_segmentation(t.samples, 8, 32, 512)[4]]
+        plateaus = [t for t in pool if t.samples[PLATEAU.start] == 1e-3]
         traces = (data.draw(st.lists(st.sampled_from(pool), max_size=5))
-                  + [data.draw(st.sampled_from(redone))])
+                  + [data.draw(st.sampled_from(plateaus))])
         rows = np.stack([trace.samples for trace in traces])
-        batch = _fast_segmentation(rows, 8, 32, 512)
+        batch = _alternating_lags(rows, 8, 32, 2049)
         located = locate_rows(trace_batch(traces))
         for k, trace in enumerate(traces):
-            one_row = _fast_segmentation(rows[k:k + 1], 8, 32, 512)
-            alone = _fast_segmentation(trace.samples, 8, 32, 512)
-            for of_batch, of_row, of_trace in zip(batch, one_row, alone):
-                assert np.shape(of_trace) == ()
-                assert (of_batch[k].tobytes() == of_row[0].tobytes()
-                        == np.asarray(of_trace).tobytes())
+            assert (batch[k].tobytes() == _alternating_lags(rows[k:k + 1], 8, 32, 2049).tobytes()
+                    == _alternating_lags(trace.samples, 8, 32, 2049).tobytes())
             for of_batch, of_trace in zip(located, locate_rows(trace)):
                 assert np.shape(of_trace) == ()
                 assert of_batch[k].tobytes() == np.asarray(of_trace).tobytes()
-        start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
-        lags = np.correlate(oracle.moving_average(trace.samples, 9),
-                            np.repeat(trace.tag_code, 8).astype(np.float64), mode="valid")
-        assert locate_rows(trace)[:2] == (np.argmax(lags), start is not None)
+        assert locate_rows(trace) == oracle.decisions(oracle.lags(trace.samples,
+                                                                  trace.tag_code, 8, 9))
 
     def test_locate_rows_matches_np_correlate(self, degraded_run):
-        # the flat plateaus tie many lags, so some rows need np.correlate
+        """On every certified row of the fixture, noise-only rows included,
+        locate_rows makes np.correlate's decisions.  The flat plateaus tie
+        many lags, so some rows are not certified, and on some of those the
+        prefix-sum lags start elsewhere; every rejection reports the
+        oracle's prefix-sum peak and floor."""
         _, streams = degraded_run
-        redone = 0
+        certified = differs = 0
         for traces in streams.values():
-            batch = trace_batch(traces)
-            starts, decodable, _, _ = locate_rows(batch)
-            redone += (~_fast_segmentation(batch.samples, 8, 32, 512)[4]).sum()
-            template = np.repeat(traces[0].tag_code, 8).astype(np.float64)
+            starts, decodable, _, _ = locate_rows(trace_batch(traces))
             for k, trace in enumerate(traces):
-                start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8, 9)
-                lags = np.correlate(oracle.moving_average(trace.samples, 9), template,
-                                    mode="valid")
-                assert starts[k] == np.argmax(lags)
-                assert decodable[k] == (start is not None)
-                if start is None:
+                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
+                                                               8, 9))
+                agree = (starts[k], decodable[k]) == exact[:2]
+                if oracle.certified(trace.samples, trace.tag_code, 8):
+                    assert agree
+                    certified += 1
+                differs += not agree
+                start, ok, peak, floor = oracle.decisions(oracle.lags(trace.samples,
+                                                                      trace.tag_code, 8, 9))
+                assert (starts[k], decodable[k]) == (start, ok)
+                if not ok:
                     with pytest.raises(SegmentationError) as err:
                         segment_backscatter(trace)
                     assert str(err.value) == (
                         f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
-        assert redone > 0
+        assert certified > 0 and differs > 0
 
     def test_scalar_calls_are_rows_of_the_batch(self, degraded_run):
         _, streams = degraded_run
@@ -693,15 +694,17 @@ class TestDigests:
                 for batch in simulate_scenario(config, seed).traces.values()]
 
     def test_every_row_is_certified(self, batches):
-        """No stock row needs np.correlate: a change that sends them there
-        fails here, not only in the benchmark's timings."""
+        """Every stock row lies beyond the oracle's rounding bound, and
+        locate_rows gives it np.correlate's start and decodable flag."""
         rows = 0
         for batch in batches:
-            *_, certified = _fast_segmentation(
-                batch.samples, batch.samples_per_bit, (batch.tag_code.size + 1) // 2,
-                batch.tag_code.size * batch.samples_per_bit)
-            assert certified.all()
-            rows += len(batch)
+            starts, decodable, _, _ = locate_rows(batch)
+            for k, trace in enumerate(batch):
+                assert oracle.certified(trace.samples, trace.tag_code, 8)
+                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
+                                                               8, 9))
+                assert (starts[k], decodable[k]) == exact[:2]
+                rows += 1
         assert rows == 500
 
     def test_every_row_is_a_layout_view(self, batches):

@@ -1,5 +1,7 @@
 """Signal pipeline: smoothing, synchronization, extraction, profiles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,6 @@ from sybilscatter import (
     alternating_code,
     build_profile,
     build_signature,
-    correlate,
     extract_reflection,
     moving_average,
     segment_backscatter,
@@ -37,16 +38,10 @@ from conftest import make_scenario, trace_batch
 from sybilscatter import pipeline
 from sybilscatter.pipeline import (
     _alternating_lags,
-    _correlate_rows,
-    _error_bound,
-    _fast_segmentation,
     _median_rows,
     _segmentation,
-    _smooth_rows,
     _smoothing_bounds,
     _tag_gathers,
-    _template,
-    expand_code,
     locate_rows,
 )
 from sybilscatter.scenario import _tag_layout, check_layout
@@ -123,29 +118,30 @@ def copies_trace(starts, background, powers, bits=64, spb=8, spans=5):
 
 
 def exact_decisions(trace):
-    """(argmax, decodable, peak, floor) of np.correlate on the oracle's
-    smoothing, the reference every locate_rows decision must match."""
-    start, peak, floor = oracle.segment(trace.samples, trace.tag_code,
-                                        trace.samples_per_bit, 9)
-    lags = np.correlate(oracle.moving_average(trace.samples, 9),
-                        expand_code(trace.tag_code, trace.samples_per_bit), mode="valid")
-    return int(np.argmax(lags)), start is not None, peak, floor
+    """(start, decodable, peak, floor) of np.correlate on the oracle's
+    smoothing, which locate_rows reproduces on every certified row."""
+    return oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
+                                                  trace.samples_per_bit, 9))
 
 
 def certified(trace):
-    runs = (trace.tag_code.size + 1) // 2
-    return bool(_fast_segmentation(trace.samples[None], trace.samples_per_bit, runs,
-                                   trace.code_span)[4][0])
+    """The trace lies beyond the oracle's rounding bound, so locate_rows
+    must make np.correlate's decisions on it."""
+    return oracle.certified(trace.samples, trace.tag_code, trace.samples_per_bit)
 
 
 def assert_exact_decisions(traces):
     """locate_rows on the batch and on each trace, and segment_backscatter,
-    against exact_decisions, down to the SegmentationError message."""
+    against the oracle's prefix-sum lags down to the SegmentationError
+    message, and against np.correlate on the certified traces."""
     starts, decodable, _, _ = locate_rows(trace_batch(traces))
     for k, trace in enumerate(traces):
-        start, ok, peak, floor = exact_decisions(trace)
+        start, ok, peak, floor = oracle.decisions(
+            oracle.lags(trace.samples, trace.tag_code, trace.samples_per_bit, 9))
         one_start, one_ok, _, _ = locate_rows(trace)
         assert (starts[k], decodable[k]) == (one_start, one_ok) == (start, ok)
+        if certified(trace):
+            assert exact_decisions(trace)[:2] == (start, ok)
         if ok:
             assert segment_backscatter(trace).t_start == start
         else:
@@ -215,48 +211,12 @@ class TestOnlineSetUp:
         trace = handmade_trace(n_tags=3)
         segment_backscatter(trace)
         lo, hi, width = _smoothing_bounds(trace.samples.size, 9)
-        template = _template(trace.tag_code.tobytes(), trace.samples_per_bit)
         gathers = [arr for tags, offsets, _ in _tag_gathers(trace.tag_code.tobytes(),
                                                             trace.samples_per_bit, 3)
                    for arr in (tags, offsets)]
-        for arr in [lo, hi, width, template] + gathers:
+        for arr in [lo, hi, width] + gathers:
             assert not arr.flags.writeable
-        np.testing.assert_array_equal(template, expand_code(trace.tag_code, 8))
         np.testing.assert_array_equal(width, hi - lo)
-
-
-class TestCorrelate:
-    def test_perfect_overlap_peaks_at_zero_lag(self):
-        code = np.repeat(alternating_code(16), 4).astype(float)
-        c = correlate(code, code)
-        assert int(np.argmax(c)) == 0
-
-    def test_embedded_code_peaks_at_offset(self):
-        rng = np.random.default_rng(5)
-        template = rng.random(32) + 0.5
-        for _ in range(30):
-            offset = int(rng.integers(0, 200))
-            signal = np.zeros(256)
-            signal[offset:offset + 32] = template
-            c = correlate(signal, template)
-            assert int(np.argmax(c)) == offset
-            # brute-force check of the full lag curve
-            expected = np.array([signal[n:n + 32] @ template
-                                 for n in range(256 - 32 + 1)])
-            np.testing.assert_allclose(c, expected, rtol=1e-12)
-
-    def test_zero_signal_gives_zero_curve(self):
-        c = correlate(np.zeros(50), np.ones(10))
-        np.testing.assert_array_equal(c, np.zeros(41))
-
-    def test_lag_count(self):
-        assert correlate(np.ones(50), np.ones(10)).size == 41
-
-    def test_code_longer_than_signal_rejected(self):
-        with pytest.raises(ParameterError):
-            correlate(np.ones(5), np.ones(10))
-        with pytest.raises(ParameterError):
-            correlate(np.ones(5), np.ones(0))
 
 
 class TestSegmentation:
@@ -405,24 +365,29 @@ class TestLengthContract:
 
 
 class TestCertifiedSegmentation:
-    """locate_rows reads lags from prefix sums and re-runs np.correlate on
-    every row whose decisions its error bound cannot certify."""
+    """locate_rows decides on its prefix-sum lags.  A row is certified when
+    it lies beyond the oracle's rounding bound: its top-two lag margin
+    exceeds 2 E and |peak - floor| exceeds 4 E.  Then np.correlate on the
+    smoothed row decides the same; nearer a tie it may not."""
 
     def test_exact_tie_takes_the_first_copy(self):
-        # 1,024 samples apart keeps both copies equally aligned for BLAS
+        # every lag is an exact integer, so the two copies tie in every
+        # summation order, and both kernels take the first
         trace = copies_trace([512, 1536], 0, [9.0, 9.0])
-        lags = np.correlate(_smooth_rows(trace.samples[None], 9)[0],
-                            expand_code(trace.tag_code, 8), mode="valid")
+        lags = _alternating_lags(trace.samples, 8, 32, trace.samples.size - 511)
         assert lags[512] == lags[1536] == lags.max()
         assert not certified(trace)
+        assert exact_decisions(trace)[:2] == (512, True)
         assert_exact_decisions([trace])
         assert segment_backscatter(trace).t_start == 512
 
     def test_peak_equal_to_floor_is_decodable(self):
-        # peak 256 (837 + 1674) equals 3 x the background lags' 256 x 837
+        # peak 256 (837 + 1674) equals 3 x the background lags' 256 x 837,
+        # exactly in both kernels
         trace = copies_trace([0], 837, [2304.0])
-        start, ok, peak, floor = exact_decisions(trace)
+        start, ok, peak, floor = locate_rows(trace)
         assert peak == floor and (start, ok) == (0, True)
+        assert exact_decisions(trace)[:2] == (0, True)
         assert not certified(trace)
         assert_exact_decisions([trace])
 
@@ -455,6 +420,8 @@ class TestCertifiedSegmentation:
         assert_exact_decisions(traces)
 
     def test_near_ties_reproduce_np_correlate(self):
+        """Certified near ties make np.correlate's decisions; uncertified
+        ones may not."""
         # second copies within a few ulps to 1e-6 of the first, and
         # backgrounds within as little of the floor, noisy and not
         rng = np.random.default_rng(12)
@@ -469,12 +436,11 @@ class TestCertifiedSegmentation:
                         traces.append(code_trace(samples, trace.tag_code))
         flags = [certified(t) for t in traces]
         assert any(flags) and not all(flags)
-        # the prefix-sum lags alone decide some of these rows differently,
-        # and the bound flags every one of them
-        fast_starts, fast_ok, *_ = _fast_segmentation(
-            np.stack([t.samples for t in traces]), 8, 32, 512)
+        # the prefix-sum lags decide some of these rows otherwise than
+        # np.correlate, and the bound leaves every one of them uncertified
+        starts, decodable, _, _ = locate_rows(trace_batch(traces))
         wrong = [k for k, t in enumerate(traces)
-                 if (fast_starts[k], fast_ok[k]) != exact_decisions(t)[:2]]
+                 if (starts[k], decodable[k]) != exact_decisions(t)[:2]]
         assert wrong and not any(flags[k] for k in wrong)
         assert_exact_decisions(traces)
 
@@ -482,72 +448,30 @@ class TestCertifiedSegmentation:
     @given(bits=st.integers(1, 12), spb=st.integers(1, 8), extra=st.integers(0, 80),
            data=st.data())
     def test_fast_lags_within_the_bound(self, bits, spb, extra, data):
+        """The prefix-sum lags lie within the oracle's bound of
+        np.correlate's, at every scale from subnormal sums to 1e200, and
+        beyond the bound locate_rows makes np.correlate's decisions."""
         n = max(bits * spb + extra, 9)
         scale = data.draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e200]))
         x = scale * data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
         code = alternating_code(bits) if bits > 1 else np.ones(1, dtype=np.uint8)
-        runs = (bits + 1) // 2
-        lags, total = _alternating_lags(x[None], spb, runs, n - bits * spb + 1)
-        exact = np.correlate(_smooth_rows(x[None], 9)[0], expand_code(code, spb), mode="valid")
-        k_sum, k_first, k_abs = _error_bound(n, spb, runs, bits * spb)
-        bound = k_sum * total[0] + k_first * x[0] + k_abs
-        assert np.all(np.abs(lags[0] - exact) <= bound)
-
-    @settings(max_examples=150, deadline=None)
-    @given(n_lags=st.sampled_from([3, 4, 5, 8, 33, 2048, 2049]), rows=st.integers(0, 4),
-           steps=st.booleans(), special_share=st.sampled_from([0.0, 0.01, 0.3]),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_runner_up_is_read_from_the_median_partition(self, n_lags, rows, steps,
-                                                         special_share, seed, data):
-        """_fast_segmentation's runner-up, c[..., -2] once the upper half of
-        _median_rows' partition is partitioned, and its certified flag
-        against the form that wrote -inf at the argmax and took the max, on
-        (R, N) and (N,) rows of lags with duplicated peaks, NaN and
-        infinities, and odd and even lag counts up to the stock 2,049."""
-        lead = (rows,) if rows else ()
-        rng = np.random.default_rng(seed)
-        # 0.1 steps tie many lags, the peak among them; normal lags rarely tie
-        c = (rng.integers(-3, 4, lead + (n_lags,)) * 0.1 if steps
-             else rng.normal(size=lead + (n_lags,)))
-        special = rng.random(c.shape) < special_share
-        c[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
-        # the largest totals put the bound near the gaps between lags
-        total = np.asarray(data.draw(arrays(
-            np.float64, lead, elements=st.sampled_from([0.0, 1.0, 1e7, 1e8]))))
-        x = np.zeros(lead + (511 + n_lags,))  # the stock 512-sample code span
-        k_sum, _, k_abs = _error_bound(x.shape[-1], 8, 32, 512)
-        bound = k_sum * total + k_abs
-        with np.errstate(invalid="ignore"):
-            starts = c.argmax(axis=-1)[..., None]
-            peaks = np.take_along_axis(c, starts, axis=-1)[..., 0]
-            knocked = c.copy()
-            np.put_along_axis(knocked, starts, -np.inf, axis=-1)
-            runner_up = np.maximum.reduce(knocked, axis=-1)
-            ordered = np.sort(c, axis=-1)  # NaN last, as np.partition puts it
-            mid = n_lags // 2
-            median = (ordered[..., mid] if n_lags % 2
-                      else (ordered[..., mid - 1] + ordered[..., mid]) / 2.0)
-            expected = ((peaks - runner_up > 2.0 * bound) & (peaks > bound)
-                        & (np.absolute(peaks - 3.0 * median) > 4.0 * bound))
-        lags = c.copy()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "_alternating_lags", lambda *args: (lags, total))
-            *_, got = _fast_segmentation(x, 8, 32, 512)
-        assert np.shape(got) == lead
-        assert np.asarray(got).tobytes() == expected.tobytes()
-        # a NaN lag is the argmax, so such a row certifies nothing
-        clean = ~np.isnan(peaks)
-        assert not np.any(np.asarray(got)[~clean])
-        assert lags[..., -2][clean].tobytes() == runner_up[clean].tobytes()
+        lags = _alternating_lags(x, spb, (bits + 1) // 2, n - bits * spb + 1)
+        assert lags.tobytes() == oracle.lags(x, code, spb, 9).tobytes()
+        exact = oracle.correlate_lags(x, code, spb, 9)
+        assert np.all(np.abs(lags - exact) <= oracle.row_bound(x, code, spb))
+        if oracle.certified(x, code, spb):
+            row = SimpleNamespace(samples=x, tag_code=code, samples_per_bit=spb)
+            assert locate_rows(row)[:2] == oracle.decisions(exact)[:2]
 
     @settings(max_examples=60, deadline=None)
     @given(extra=st.integers(0, 1), data=st.data())
     def test_one_or_two_lags_never_decode(self, extra, data):
-        # the length rule's reason: np.correlate's lags of a nonnegative
-        # row are nonnegative, so the floor is 3x the only lag, or 1.5x
-        # the sum of the two
+        # the length rule's reason: the prefix-sum lags of a nonnegative
+        # row are nonnegative (each is a difference along a nondecreasing
+        # stride sum), so the floor is 3x the only lag, or 1.5x the sum of
+        # the two
         x = data.draw(arrays(np.float64, (4, 70 + extra), elements=st.floats(0.0, 1e6)))
-        lags = _correlate_rows(_smooth_rows(x, 9), expand_code(alternating_code(14), 5))
+        lags = _alternating_lags(x, 5, 7, 1 + extra)
         assert lags.shape == (4, 1 + extra)
         assert not _segmentation(lags)[1].any()
 
