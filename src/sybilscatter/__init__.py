@@ -22,7 +22,6 @@ from .detector import (
     Verdict,
     compute_class_weights,
     detect_sybil,
-    sigmoid,
     similarity_matrix,
     train_mwle,
     weighted_gradient,
@@ -31,7 +30,6 @@ from .detector import (
 from .distance import (
     DistanceMatrix,
     adjusted_distances,
-    baseline_distance,
     baseline_distances,
     cosine_distance,
     distance_matrix,
@@ -42,7 +40,6 @@ from .errors import (
     GeometryError,
     IdentityError,
     InsufficientDataError,
-    MaskError,
     MetricsUndefinedError,
     ParameterError,
     SegmentationError,
@@ -78,9 +75,7 @@ from .pipeline import (
     SignalProfile,
     build_profile,
     build_signature,
-    extract_reflection,
     full_window_ends,
-    moving_average,
     segment_backscatter,
     signature_from_trace,
     signature_rows,
@@ -96,8 +91,6 @@ from .scenario import (
     TraceBatch,
     Trajectory,
     alternating_code,
-    position_at,
-    reflected_power,
     simulate_scenario,
     synthesize_trace,
     synthesize_traces,

@@ -209,7 +209,7 @@ def cmd_evaluate(args) -> int:
         verdicts = harness.scenario_verdicts(model, dataset, args.sigma)
         fileio.write_verdicts_json(out / "verdicts.json", verdicts, args.sigma)
     else:
-        k = _clamp_folds(args, len(dataset.scenario_keys()))
+        k = _clamp_folds(args, len(dataset.keys))
         report = harness.cross_validate(dataset, k=k, seed=args.seed,
                                         sigma=args.sigma)
     fileio.write_metrics_json(out / "metrics.json", report)

@@ -136,10 +136,6 @@ class SimilarityMatrix:
         object.__setattr__(self, "identities", ids)
         object.__setattr__(self, "probs", p)
 
-    def prob(self, from_identity: str, to_identity: str) -> float:
-        return float(self.probs[self.identities.index(from_identity),
-                                self.identities.index(to_identity)])
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -274,13 +270,6 @@ class _Ascent:
         for design, _, rho_block in rest:
             np.add(grad, np.matmul(design, rho_block, out=self.part), out=grad)
         return largest
-
-
-def sigmoid(z):
-    """Logistic function, stable for any float input (see _logistic)."""
-    z = np.asarray(z, dtype=np.float64)
-    g, _ = _logistic(z)
-    return float(g) if z.ndim == 0 else g
 
 
 def compute_class_weights(labels) -> dict:

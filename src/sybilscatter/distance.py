@@ -141,7 +141,11 @@ def baseline_distances(windows_f, windows_g, metric: str) -> np.ndarray:
 
 def cosine_distance(f, g) -> float:
     """1 - cos(angle between f and g); in [0, 1] for nonnegative vectors."""
-    return baseline_distance(f, g, "cosine")
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if f.ndim != 1 or f.shape != g.shape:
+        raise ShapeError(f"vectors must be equal-length 1-D, got {f.shape} vs {g.shape}")
+    return float(baseline_distances(f[None, None], g[None, None], "cosine")[0, 0])
 
 
 def distance_matrix(profiles) -> DistanceMatrix:
@@ -173,11 +177,3 @@ def distance_matrix(profiles) -> DistanceMatrix:
     values.setflags(write=False)
     return prevalidated(DistanceMatrix, identities=identities, values=values)
 
-
-def baseline_distance(f, g, metric: str) -> float:
-    """Classical distances used for the metric-comparison experiment."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f.ndim != 1 or f.shape != g.shape:
-        raise ShapeError(f"vectors must be equal-length 1-D, got {f.shape} vs {g.shape}")
-    return float(baseline_distances(f[None, None], g[None, None], metric)[0, 0])

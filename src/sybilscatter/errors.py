@@ -36,10 +36,6 @@ class ShapeError(ValueError):
     """Array arguments have inconsistent dimensions."""
 
 
-class MaskError(ValueError):
-    """A reflect mask does not mark both sample classes."""
-
-
 class SegmentationError(RuntimeError):
     """Correlation peak too weak to locate the backscatter region.
 

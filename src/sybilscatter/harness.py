@@ -143,14 +143,8 @@ class LabeledDataset:
     def labels(self) -> np.ndarray:
         return self.y
 
-    def features(self) -> np.ndarray:
-        return self.X
-
     def positive_fraction(self) -> float:
         return float(self.y.mean()) if len(self) else 0.0
-
-    def scenario_keys(self) -> tuple:
-        return self.keys
 
     def rows(self):
         """Each sample as (scenario key, window, from, to, label, distances)."""

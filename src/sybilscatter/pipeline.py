@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DegenerateSignatureError,
     InsufficientDataError,
-    MaskError,
     ParameterError,
     SegmentationError,
     ShapeError,
@@ -84,10 +83,6 @@ class MultipathSignature:
         object.__setattr__(self, "normalized", raw / norm)
         _readonly_arrays(raw, self.normalized)
 
-    @classmethod
-    def from_raw(cls, raw) -> "MultipathSignature":
-        return cls(raw=raw)
-
     @property
     def n_tags(self) -> int:
         return int(self.raw.size)
@@ -121,10 +116,6 @@ class SignalProfile:
         object.__setattr__(self, "mean_vector", np.add.reduce(rows, axis=0) / rows.shape[0])
         _readonly_arrays(rows, self.mean_vector)
 
-    @classmethod
-    def from_rows(cls, identity: str, rows) -> "SignalProfile":
-        return cls(identity=identity, signatures=np.atleast_2d(rows))
-
     @property
     def profile_len(self) -> int:
         return int(self.signatures.shape[0])
@@ -148,46 +139,14 @@ class SegmentBounds:
 
 
 @functools.lru_cache(maxsize=64)
-def _smoothing_bounds(n: int, window: int):
-    """Running-sum bounds (lo, hi) of each output sample of an n-sample
-    moving average, and the truncated window widths hi - lo as floats (the
-    values a division by the integer widths would convert them to)."""
-    back, fwd = window // 2, (window - 1) // 2
+def _smoothing_widths(n: int) -> np.ndarray:
+    """Widths of the SMOOTHING_WINDOW moving average's windows over an
+    n-sample row, truncated at its ends, as floats (the values a division
+    by the integer widths would convert them to)."""
+    back = SMOOTHING_WINDOW // 2
     idx = np.arange(n)
-    lo = np.maximum(idx - back, 0)
-    hi = np.minimum(idx + fwd + 1, n)
-    return _readonly_arrays(lo, hi, (hi - lo).astype(np.float64))
-
-
-def _smooth_rows(x, window: int) -> np.ndarray:
-    """moving_average over the last axis of an (..., N) array."""
-    n = x.shape[-1]
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if window > n:
-        raise ParameterError(f"window {window} exceeds signal length {n}")
-    if window == 1:
-        return x.copy()
-    lo, hi, width = _smoothing_bounds(n, window)
-    # anchored on each row's first sample so the running sums stay near zero
-    # and a constant row really does pass through bit-exactly
-    anchor = x[..., :1]
-    csum = np.zeros(x.shape[:-1] + (n + 1,))
-    np.cumsum(x - anchor, axis=-1, out=csum[..., 1:])
-    return anchor + (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / width
-
-
-def moving_average(samples, window: int) -> np.ndarray:
-    """Centered moving average with edge truncation.
-
-    Each output sample is the mean of the window centered on it (the extra
-    tap of an even window falls on the past side); windows are truncated at
-    the array edges, so a constant sequence passes through unchanged.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"samples must be 1-D, got shape {x.shape}")
-    return _smooth_rows(x, window)
+    width = np.minimum(idx + SMOOTHING_WINDOW - back, n) - np.maximum(idx - back, 0)
+    return _readonly_arrays(width.astype(np.float64))[0]
 
 
 def _median_rows(c) -> np.ndarray:
@@ -235,7 +194,7 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     the rows lie along x's last axis.  These lags define segmentation (see
     locate_rows).
 
-    The smoothed row is the window sums of _smoothing_bounds' widths, taken
+    The smoothed row is the window sums over _smoothing_widths, taken
     from the prefix sum C of x.  With s = samples_per_bit and P = 2 s, the
     template is n_runs runs of s ones, P apart, so lag n sums the blocks
     B[n + j P], j < n_runs, where B[k] = Y[k + s] - Y[k] and Y is the prefix
@@ -247,7 +206,7 @@ def _alternating_lags(x, samples_per_bit: int, n_runs: int, n_lags: int):
     *lead, n = x.shape
     window = SMOOTHING_WINDOW
     back = window // 2
-    width = _smoothing_bounds(n, window)[2]
+    width = _smoothing_widths(n)
     period = 2 * samples_per_bit
     n_blocks = n_lags + (n_runs - 1) * period
     # two buffers serve every step, since fresh pages cost as much as a
@@ -340,22 +299,6 @@ def _reflections(on, off) -> np.ndarray:
     """
     return np.maximum(np.add.reduce(on, axis=-1) / on.shape[-1]
                       - np.add.reduce(off, axis=-1) / off.shape[-1], 0.0)
-
-
-def extract_reflection(block, reflect_mask) -> float:
-    """Reflected-power estimate for one tag block.
-
-    Mean of samples taken while the tag reflects minus mean while it
-    absorbs, clamped below at zero (noise can push the difference negative,
-    but a reflection cannot remove power).
-    """
-    x = np.asarray(block, dtype=np.float64)
-    mask = np.asarray(reflect_mask, dtype=bool)
-    if x.ndim != 1 or mask.shape != x.shape:
-        raise ShapeError(f"block {x.shape} and mask {mask.shape} must be equal-length 1-D")
-    if mask.all() or not mask.any():
-        raise MaskError("mask must select at least one reflected and one non-reflected sample")
-    return float(_reflections(x[mask], x[~mask]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -463,8 +406,9 @@ def build_profile(identity: str, signatures, profile_len: int = DEFAULT_PROFILE_
     if len(signatures) < profile_len:
         raise InsufficientDataError(
             f"identity {identity!r}: {len(signatures)} valid signatures, need {profile_len}")
-    return SignalProfile.from_rows(
-        identity, np.vstack([sig.normalized for sig in signatures[-profile_len:]]))
+    return SignalProfile(
+        identity=identity,
+        signatures=np.vstack([sig.normalized for sig in signatures[-profile_len:]]))
 
 
 def max_age_periods_for(profile_len: int) -> int:

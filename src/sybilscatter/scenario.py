@@ -581,12 +581,6 @@ def reflected_powers(channel: ChannelParams, tx_power_w: float,
     return incident * collected * channel.tag_transfer
 
 
-def reflected_power(channel: ChannelParams, tx_power_w: float,
-                    d_t_m: float, d_r_m: float) -> float:
-    """Tag-reflected signal strength at the receiver for one tag."""
-    return float(reflected_powers(channel, tx_power_w, d_t_m, d_r_m))
-
-
 def positions_at(trajectory: Trajectory, t_s) -> np.ndarray:
     """Piecewise-linear interpolation of the trajectory: (n, 2) at n times."""
     t = np.asarray(t_s, dtype=np.float64)
@@ -598,11 +592,6 @@ def positions_at(trajectory: Trajectory, t_s) -> np.ndarray:
             f"[{wp[0, 0]}, {wp[-1, 0]}]")
     return np.column_stack([np.interp(t, wp[:, 0], wp[:, 1]),
                             np.interp(t, wp[:, 0], wp[:, 2])])
-
-
-def position_at(trajectory: Trajectory, t_s: float) -> np.ndarray:
-    """Piecewise-linear interpolation of the trajectory at time t_s."""
-    return positions_at(trajectory, [t_s])[0]
 
 
 def tag_reflection_power_rows(scenario: ScenarioConfig, agent: RobotAgent,

@@ -30,7 +30,7 @@ from sybilscatter.harness import (
     predict_scores,
     trapezoid_area,
 )
-from sybilscatter.pipeline import PEAK_FLOOR_RATIO, _chain_len, _smoothing_bounds
+from sybilscatter.pipeline import PEAK_FLOOR_RATIO, _chain_len
 from sybilscatter.scenario import (
     MIN_GUARD_SPANS,
     SMOOTHING_WINDOW,
@@ -216,7 +216,11 @@ def error_bound(n, samples_per_bit, n_runs, code_len):
     a few u times 3 rho A: in A itself, the median's midpoint, the
     floor's x 3 and the comparisons.
     """
-    lo, hi, width = _smoothing_bounds(n, SMOOTHING_WINDOW)
+    back = SMOOTHING_WINDOW // 2
+    idx = np.arange(n)
+    lo = np.maximum(idx - back, 0)
+    hi = np.minimum(idx + SMOOTHING_WINDOW - back, n)
+    width = hi - lo
     cover = np.zeros(n + 1)
     np.add.at(cover, lo, 1.0 / width)
     np.add.at(cover, hi, -1.0 / width)

@@ -24,7 +24,7 @@ from sybilscatter import (
     ablation_normalization,
     adjusted_distances,
     alternating_code,
-    baseline_distance,
+    baseline_distances,
     build_corpus,
     build_signature,
     compare_distance_metrics,
@@ -34,17 +34,12 @@ from sybilscatter import (
     detect_sybil,
     distance_matrix,
     evaluate,
-    extract_reflection,
     extract_signatures,
     generate_dataset,
     kfold_split,
-    moving_average,
-    position_at,
     predict_scores,
     rank_auroc,
-    reflected_power,
     segment_backscatter,
-    sigmoid,
     signature_from_trace,
     similarity_matrix,
     simulate_scenario,
@@ -55,7 +50,7 @@ from sybilscatter import (
     train_mwle,
     trapezoid_area,
 )
-from sybilscatter.detector import LRModel, SimilarityMatrix
+from sybilscatter.detector import LRModel, SimilarityMatrix, similarity_scores
 from sybilscatter.harness import (
     COMPARE_CORPUS_SPEC,
     DEFAULT_CORPUS_SPEC,
@@ -65,8 +60,8 @@ from sybilscatter.harness import (
     build_dataset,
     metrics_from_scores,
 )
-from sybilscatter.pipeline import locate_rows
-from sybilscatter.scenario import ChannelParams, Trajectory
+from sybilscatter.pipeline import locate_rows, reflection_rows
+from sybilscatter.scenario import ChannelParams, Trajectory, positions_at, reflected_powers
 
 MAX_RUNTIME_S = 300.0
 
@@ -248,19 +243,19 @@ def _identity_battery(four_identity_run):
     # channel model
     ch = ChannelParams()
     check("reflection linear in tx power",
-          lambda: reflected_power(ch, 6.0, 1.7, 0.34)
-          == 2.0 * reflected_power(ch, 3.0, 1.7, 0.34))
+          lambda: reflected_powers(ch, 6.0, 1.7, 0.34)
+          == 2.0 * reflected_powers(ch, 3.0, 1.7, 0.34))
     check("reflection inverse-square in tag distance",
-          lambda: reflected_power(ch, 3.0, 3.4, 0.34)
-          == reflected_power(ch, 3.0, 1.7, 0.34) / 4.0)
+          lambda: reflected_powers(ch, 3.0, 3.4, 0.34)
+          == reflected_powers(ch, 3.0, 1.7, 0.34) / 4.0)
 
     # trajectory interpolation
     walk = Trajectory(waypoints=np.array([(0.0, 0.0, 0.0), (5.0, 1.0, 1.0)]),
                       speed_mps=float(np.hypot(1.0, 1.0) / 5.0))
     check("waypoint endpoint exact",
-          lambda: tuple(position_at(walk, 5.0)) == (1.0, 1.0))
+          lambda: positions_at(walk, [5.0]).tolist() == [[1.0, 1.0]])
     check("segment midpoint is the mean",
-          lambda: tuple(position_at(walk, 2.5)) == (0.5, 0.5))
+          lambda: positions_at(walk, [2.5]).tolist() == [[0.5, 0.5]])
 
     # synthesis edge cases
     quiet = replace(make_scenario(FOUR_ID_SPECS, snr_db=None),
@@ -294,17 +289,7 @@ def _identity_battery(four_identity_run):
           lambda: [tuple(s) for s in tag_block_bit_spans(64, 4)]
           == [(0, 16), (16, 32), (32, 48), (48, 64)])
 
-    # smoothing and correlation
-    const = np.full(40, 3.7)
-    check("moving average passes constants through",
-          lambda: np.array_equal(moving_average(const, 7), const))
-    check("window one returns input verbatim",
-          lambda: np.array_equal(moving_average(const, 1), const))
-    impulse = np.zeros(21)
-    impulse[10] = 1.0
-    check("impulse smears to a 1/5 plateau",
-          lambda: np.array_equal(moving_average(impulse, 5)[8:13], np.full(5, 0.2)))
-
+    # correlation
     def code_row(samples):
         # the fields locate_rows reads; 4 samples per bit is below what a
         # ReceivedTrace accepts, but the kernel runs on any row
@@ -341,25 +326,30 @@ def _identity_battery(four_identity_run):
     check("pure noise is rejected", pure_noise_rejected)
 
     # extraction on constants
+    def one_tag_row(samples):
+        # one tag keying one reflecting bit then one absorbing bit, 64
+        # samples each; the fields reflection_rows reads
+        return SimpleNamespace(samples=samples, tag_code=alternating_code(2),
+                               samples_per_bit=64, n_tags=1)
+
     block = np.concatenate([np.full(64, 5.0), np.full(64, 2.0)])
-    mask = np.concatenate([np.ones(64, dtype=bool), np.zeros(64, dtype=bool)])
     check("constant halves extract their difference",
-          lambda: extract_reflection(block, mask) == 3.0)
+          lambda: reflection_rows(one_tag_row(block), 0).tolist() == [3.0])
     check("identical halves extract zero",
-          lambda: extract_reflection(np.full(128, 2.0), mask) == 0.0)
+          lambda: reflection_rows(one_tag_row(np.full(128, 2.0)), 0).tolist() == [0.0])
 
     # signature normalization
     check("3-4-5 normalization",
-          lambda: MultipathSignature.from_raw(np.array([3e-9, 4e-9]))
+          lambda: MultipathSignature(raw=np.array([3e-9, 4e-9]))
           .normalized.tolist() == [0.6, 0.8])
     pow2 = np.array([2.7e-5, 9.1e-6, 4.4e-5, 1.3e-5])
     check("power-of-two scaling leaves normalization unchanged",
           lambda: all(
-              np.array_equal(MultipathSignature.from_raw(pow2 * a).normalized,
-                             MultipathSignature.from_raw(pow2).normalized)
+              np.array_equal(MultipathSignature(raw=pow2 * a).normalized,
+                             MultipathSignature(raw=pow2).normalized)
               for a in (0.5, 4.0)))
     check("equal powers normalize to 0.5 each",
-          lambda: MultipathSignature.from_raw(np.full(4, 7e-5))
+          lambda: MultipathSignature(raw=np.full(4, 7e-5))
           .normalized.tolist() == [0.5, 0.5, 0.5, 0.5])
     sig345 = build_signature(known_layout_trace([3e-9, 4e-9]),
                              SegmentBounds(512, 1024))
@@ -370,10 +360,10 @@ def _identity_battery(four_identity_run):
     # exact-mean rows stick to values whose sums stay representable
     unit_rows = np.array([[1.0, 0.0]] * 3)
     check("identical profile rows give that mean",
-          lambda: SignalProfile.from_rows("a", unit_rows).mean_vector.tolist()
+          lambda: SignalProfile(identity="a", signatures=unit_rows).mean_vector.tolist()
           == [1.0, 0.0])
     check("single-row profile is its own mean",
-          lambda: SignalProfile.from_rows("a", [[0.6, 0.8]]).mean_vector.tolist()
+          lambda: SignalProfile(identity="a", signatures=[[0.6, 0.8]]).mean_vector.tolist()
           == [0.6, 0.8])
 
     # distances
@@ -389,8 +379,8 @@ def _identity_battery(four_identity_run):
           lambda: adjusted_distances(f[None], f[None], np.array([0.2, 0.1]))[0] == 0.0)
 
     trio = np.array([[0.6, 0.8]] * 3)
-    profile_a = SignalProfile.from_rows("a", trio)
-    profile_b = SignalProfile.from_rows("b", trio)
+    profile_a = SignalProfile(identity="a", signatures=trio)
+    profile_b = SignalProfile(identity="b", signatures=trio)
     check("equal profiles are zero at every lag",
           lambda: adjusted_distances(profile_a.signatures, profile_b.signatures,
                                      profile_a.mean_vector).tolist()
@@ -401,8 +391,8 @@ def _identity_battery(four_identity_run):
         out = []
         for i in range(n):
             r = rng.random((3, 4)) + 0.1
-            out.append(SignalProfile.from_rows(
-                f"id{i}", r / np.linalg.norm(r, axis=1, keepdims=True)))
+            out.append(SignalProfile(identity=f"id{i}",
+                                     signatures=r / np.linalg.norm(r, axis=1, keepdims=True)))
         return out
 
     check("two profiles make two directed vectors",
@@ -418,7 +408,7 @@ def _identity_battery(four_identity_run):
 
     def duplicate_profile_zeroed():
         profiles = ring_profiles(3)
-        twin = SignalProfile.from_rows("twin", profiles[0].signatures)
+        twin = SignalProfile(identity="twin", signatures=profiles[0].signatures)
         m = distance_matrix(profiles + [twin])
         i, j = m.identities.index("id0"), m.identities.index("twin")
         return np.all(m.values[i, j] == 0.0) and np.all(m.values[j, i] == 0.0)
@@ -426,24 +416,29 @@ def _identity_battery(four_identity_run):
     check("duplicated profile has exactly-zero mutual entries",
           duplicate_profile_zeroed)
     check("manhattan fixture",
-          lambda: baseline_distance(np.zeros(2), np.ones(2), "manhattan") == 2.0)
+          lambda: baseline_distances(np.zeros((1, 2)), np.ones((1, 2)),
+                                     "manhattan").tolist() == [2.0])
     check("euclidean fixture",
-          lambda: baseline_distance(np.zeros(2), np.array([3.0, 4.0]),
-                                    "euclidean") == 5.0)
+          lambda: baseline_distances(np.zeros((1, 2)), np.array([[3.0, 4.0]]),
+                                     "euclidean").tolist() == [5.0])
     check("chebyshev fixture",
-          lambda: baseline_distance(np.array([1.0, 5.0]), np.array([4.0, 1.0]),
-                                    "chebyshev") == 4.0)
+          lambda: baseline_distances(np.array([[1.0, 5.0]]), np.array([[4.0, 1.0]]),
+                                     "chebyshev").tolist() == [4.0])
 
-    # similarity model
-    check("sigmoid at zero", lambda: sigmoid(0.0) == 0.5)
+    # similarity model: one-column distances scored by g(z) itself
+    def logistic(z):
+        return similarity_scores(LRModel(weights=[1.0], bias=0.0),
+                                 np.asarray(z, dtype=np.float64)[:, None])
+
+    check("sigmoid at zero", lambda: logistic([0.0]).tolist() == [0.5])
     rng = np.random.default_rng(14)
     zs = rng.normal(scale=25.0, size=1000)
     check("sigmoid reflection symmetry",
-          lambda: np.array_equal(sigmoid(-zs), 1.0 - sigmoid(zs)))
+          lambda: np.array_equal(logistic(-zs), 1.0 - logistic(zs)))
 
     def sigmoid_saturates():
         with np.errstate(over="raise"):
-            return sigmoid(50.0) == 1.0 and sigmoid(-1000.0) == 0.0
+            return logistic([50.0, -1000.0]).tolist() == [1.0, 0.0]
 
     check("sigmoid saturation without overflow", sigmoid_saturates)
     def pair_probs(model, d_ab, d_ba):

@@ -412,7 +412,7 @@ class TestWindows:
         periods = np.cumsum(gaps).tolist()
         assembler = ProfileAssembler("a", profile_len)
         reference = oracle.ProfileAssembler(profile_len)
-        sig = MultipathSignature.from_raw([1.0, 2.0, 3.0])
+        sig = MultipathSignature(raw=[1.0, 2.0, 3.0])
         emitted = [e for e, p in enumerate(periods) if assembler.push(p, sig) is not None]
         expected = [e for e, p in enumerate(periods) if reference.push(p, sig)]
         assert emitted == expected
@@ -447,11 +447,12 @@ class TestOnline:
         out = []
         for i in range(n):
             rows = rng.random((10, 4)) + 0.05
-            out.append(SignalProfile.from_rows(f"id{i}", rows / np.linalg.norm(
-                rows, axis=1, keepdims=True)))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            out.append(SignalProfile(identity=f"id{i}", signatures=rows))
         # a twin gives exact zeros, a constant profile degenerate centering
-        out.append(SignalProfile.from_rows("twin", out[0].signatures))
-        out.append(SignalProfile.from_rows("flat", np.tile(out[1].signatures[0], (10, 1))))
+        out.append(SignalProfile(identity="twin", signatures=out[0].signatures))
+        out.append(SignalProfile(identity="flat",
+                                 signatures=np.tile(out[1].signatures[0], (10, 1))))
         return out
 
     def test_distance_matrix_matches_pairwise(self):

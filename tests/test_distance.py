@@ -13,7 +13,6 @@ from sybilscatter import (
     ShapeError,
     SignalProfile,
     adjusted_distances,
-    baseline_distance,
     baseline_distances,
     cosine_distance,
     distance_matrix,
@@ -59,6 +58,12 @@ class TestCosineDistance:
         for _ in range(100):
             d = cosine_distance(rng.random(4) + 0.01, rng.random(4) + 0.01)
             assert 0.0 <= d <= 1.0
+
+    def test_vectors_must_be_equal_length_1d(self):
+        with pytest.raises(ShapeError):
+            cosine_distance(np.ones(2), np.ones(3))
+        with pytest.raises(ShapeError):
+            cosine_distance(np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestAdjustedCosineDistance:
@@ -129,27 +134,30 @@ class TestAdjustedDistanceRows:
             adjusted_distances(np.ones((2, 3)), np.ones((2, 4)), np.ones(3))
 
 
+def baseline(f, g, metric):
+    """The baseline distance of one row pair: a one-row block."""
+    return baseline_distances(np.asarray(f, dtype=np.float64)[None],
+                              np.asarray(g, dtype=np.float64)[None], metric)[0]
+
+
 class TestBaselineDistances:
     def test_manhattan(self):
-        assert baseline_distance(np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                                 "manhattan") == 2.0
+        assert baseline([0.0, 0.0], [1.0, 1.0], "manhattan") == 2.0
 
     def test_euclidean(self):
-        assert baseline_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]),
-                                 "euclidean") == 5.0
+        assert baseline([0.0, 0.0], [3.0, 4.0], "euclidean") == 5.0
 
     def test_chebyshev(self):
-        assert baseline_distance(np.array([1.0, 5.0]), np.array([4.0, 1.0]),
-                                 "chebyshev") == 4.0
+        assert baseline([1.0, 5.0], [4.0, 1.0], "chebyshev") == 4.0
 
     def test_cosine_baseline_matches_function(self):
         f = np.array([0.3, 0.7])
         g = np.array([0.6, 0.2])
-        assert baseline_distance(f, g, "cosine") == cosine_distance(f, g)
+        assert baseline(f, g, "cosine") == cosine_distance(f, g)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ParameterError):
-            baseline_distance(np.ones(2), np.ones(2), "minkowski")
+            baseline(np.ones(2), np.ones(2), "minkowski")
 
     def test_bulk_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -158,14 +166,13 @@ class TestBaselineDistances:
         for metric in ("manhattan", "euclidean", "chebyshev", "cosine"):
             bulk = baseline_distances(rows_f, rows_g, metric)
             for l in range(8):
-                assert abs(bulk[l] - baseline_distance(rows_f[l], rows_g[l],
-                                                       metric)) <= 1e-12
+                assert abs(bulk[l] - baseline(rows_f[l], rows_g[l], metric)) <= 1e-12
 
 
 class TestProfileDistances:
     def _profiles(self, seed=6, n=3, rows=4, k=4):
         rng = np.random.default_rng(seed)
-        return [SignalProfile.from_rows(f"id{i}", unit_rows(rng, rows, k))
+        return [SignalProfile(identity=f"id{i}", signatures=unit_rows(rng, rows, k))
                 for i in range(n)]
 
     def test_vector_centers_on_first_profile(self):
@@ -178,7 +185,7 @@ class TestProfileDistances:
 
     def test_self_distance_vector_is_zero(self):
         pf = self._profiles()[0]
-        other = SignalProfile.from_rows("twin", pf.signatures)
+        other = SignalProfile(identity="twin", signatures=pf.signatures)
         np.testing.assert_array_equal(
             adjusted_distances(pf.signatures, other.signatures, pf.mean_vector),
             np.zeros(pf.profile_len))
@@ -187,12 +194,12 @@ class TestProfileDistances:
         pf, pg, _ = self._profiles()
         values = baseline_distances(pf.signatures, pg.signatures, "euclidean")
         for l in range(pf.profile_len):
-            assert values[l] == baseline_distance(pf.signatures[l], pg.signatures[l], "euclidean")
+            assert values[l] == baseline(pf.signatures[l], pg.signatures[l], "euclidean")
 
     def test_profile_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)
-        pf = SignalProfile.from_rows("a", unit_rows(rng, 3, 4))
-        pg = SignalProfile.from_rows("b", unit_rows(rng, 4, 4))
+        pf = SignalProfile(identity="a", signatures=unit_rows(rng, 3, 4))
+        pg = SignalProfile(identity="b", signatures=unit_rows(rng, 4, 4))
         with pytest.raises(ShapeError):
             adjusted_distances(pf.signatures, pg.signatures, pf.mean_vector)
         with pytest.raises(ShapeError):
@@ -202,7 +209,7 @@ class TestProfileDistances:
 class TestDistanceMatrix:
     def _profiles(self, n):
         rng = np.random.default_rng(8)
-        return [SignalProfile.from_rows(f"id{i}", unit_rows(rng, 3, 4))
+        return [SignalProfile(identity=f"id{i}", signatures=unit_rows(rng, 3, 4))
                 for i in range(n)]
 
     def test_two_profiles_two_vectors(self):
@@ -224,7 +231,7 @@ class TestDistanceMatrix:
 
     def test_duplicate_profile_mutual_zeros(self):
         profiles = self._profiles(3)
-        twin = SignalProfile.from_rows("twin", profiles[0].signatures)
+        twin = SignalProfile(identity="twin", signatures=profiles[0].signatures)
         matrix = distance_matrix(profiles + [twin])
         i, j = matrix.identities.index("id0"), matrix.identities.index("twin")
         np.testing.assert_array_equal(matrix.values[i, j], 0.0)
@@ -261,7 +268,8 @@ def profile_sets(draw):
     repeated = draw(st.integers(0, n - 2)) if n > 2 else None
     if repeated is not None:
         picks[-1] = picks[repeated]
-    profiles = [SignalProfile.from_rows(f"id{i}", pool[rows]) for i, rows in enumerate(picks)]
+    profiles = [SignalProfile(identity=f"id{i}", signatures=pool[rows])
+                for i, rows in enumerate(picks)]
     return profiles, repeated
 
 
@@ -308,7 +316,7 @@ class TestDistanceMatrixProperties:
         # d(F, G) centers on F's mean and d(G, F) on G's
         rng = np.random.default_rng(11)
         for _ in range(50):
-            profiles = [SignalProfile.from_rows(f"id{i}", unit_rows(rng, 4, 4))
+            profiles = [SignalProfile(identity=f"id{i}", signatures=unit_rows(rng, 4, 4))
                         for i in range(2)]
             values = distance_matrix(profiles).values
             assert np.all(values[0, 1] != values[1, 0])

@@ -14,7 +14,6 @@ from sybilscatter import (
     TraceBatch,
     Verdict,
     metrics_from_scores,
-    position_at,
     simulate_scenario,
 )
 from sybilscatter.fileio import (
@@ -40,6 +39,7 @@ from sybilscatter.fileio import (
     write_trace_csv,
     write_verdicts_json,
 )
+from sybilscatter.scenario import positions_at
 
 SCENARIO_INI = """\
 [scenario]
@@ -517,7 +517,7 @@ class TestScenarioConfigFiles:
         assert config.channel.tag_transfer == 0.05
         assert config.tag_layout.n_tags == 4
         np.testing.assert_allclose(
-            position_at(config.receiver_trajectory, 3.0), (0.05, 0.0))
+            positions_at(config.receiver_trajectory, [3.0]), [(0.05, 0.0)])
         by_source = {a.true_source_id: a for a in config.agents}
         assert set(by_source) == {"robotA", "robotB"}
         attacker = by_source["robotA"]
@@ -530,9 +530,8 @@ class TestScenarioConfigFiles:
         config = read_scenario_config(path)
         walker = next(a for a in config.agents if a.true_source_id == "robotB")
         # 0.4 m at 0.2 m/s, then a dwell pad out to horizon + 1
-        np.testing.assert_allclose(position_at(walker.trajectory, 0.0), (-0.9, 0.5))
-        np.testing.assert_allclose(position_at(walker.trajectory, 2.0), (-0.5, 0.5))
-        np.testing.assert_allclose(position_at(walker.trajectory, 7.0), (-0.5, 0.5))
+        np.testing.assert_allclose(positions_at(walker.trajectory, [0.0, 2.0, 7.0]),
+                                   [(-0.9, 0.5), (-0.5, 0.5), (-0.5, 0.5)])
 
     def test_waypoints_spelling(self, tmp_path):
         text = SCENARIO_INI.replace(

@@ -96,8 +96,8 @@ class TestDatasetConstruction:
 
     def test_dataset_shape_and_provenance(self, small_dataset):
         assert small_dataset.profile_len == 3
-        assert len(small_dataset.scenario_keys()) == 3
-        assert small_dataset.features().shape == (len(small_dataset), 3)
+        assert len(small_dataset.keys) == 3
+        assert small_dataset.X.shape == (len(small_dataset), 3)
         assert 0.0 < small_dataset.positive_fraction() < 0.5
 
     def test_generation_is_deterministic(self, small_dataset):
@@ -151,7 +151,7 @@ class TestDatasetConstruction:
         assert len(picked) == 3
         assert list(picked.rows())[1][:5] == list(small_dataset.rows())[5][:5]
         assert picked.X[1].tobytes() == small_dataset.X[5].tobytes()
-        assert set(picked.sources) == set(picked.scenario_keys())
+        assert set(picked.sources) == set(picked.keys)
 
 
 @pytest.fixture
@@ -168,7 +168,6 @@ class TestLabeledDataset:
     def test_columns_are_read_only(self, tiny_dataset):
         for name in ("X", "y", "scenario", "window", "from_id", "to_id"):
             assert not getattr(tiny_dataset, name).flags.writeable
-        assert tiny_dataset.features() is tiny_dataset.X
         assert tiny_dataset.labels() is tiny_dataset.y
 
     def test_label_two_rejected(self, tiny_dataset):
@@ -209,9 +208,9 @@ class TestLabeledDataset:
             replace(tiny_dataset, identities=("n1", "n0", "n2", "n3"))
 
     def test_subset_keeps_first_appearance_order_and_picked_sources(self, tiny_dataset):
-        assert tiny_dataset.scenario_keys() == ((1, 8), (0, 7), (2, 9))
+        assert tiny_dataset.keys == ((1, 8), (0, 7), (2, 9))
         picked = tiny_dataset.subset([3, 2, 1])
-        assert picked.scenario_keys() == ((2, 9), (1, 8), (0, 7))
+        assert picked.keys == ((2, 9), (1, 8), (0, 7))
         assert picked.scenario.tolist() == [0, 1, 2]
         assert [row[:5] for row in picked.rows()] == [
             ((2, 9), 0, "n2", "n3", 0), ((1, 8), 1, "n1", "n0", 1),
@@ -402,7 +401,8 @@ class TestRobotLevelMetrics:
         entries = [(key, 0, "a", "c", 0, 0.2), (key, 1, "a", "c", 0, 0.6)]
         ds = labeled_dataset(entries, sources)
         sims = _scenario_similarities(ds, np.arange(2), np.array([0.2, 0.6]))
-        assert sims[key].prob("a", "c") == pytest.approx(0.4)
+        assert sims[key].identities == ("a", "c")
+        assert sims[key].probs[0, 1] == pytest.approx(0.4)
 
 
 def _many_scenarios():
@@ -426,7 +426,7 @@ class TestAggregationOracle:
     def test_kfold_split_matches_oracle(self, walking_dataset, k, by_scenario):
         for ds in (walking_dataset, _many_scenarios()):
             for seed in (0, 11):
-                if by_scenario and k > len(ds.scenario_keys()):
+                if by_scenario and k > len(ds.keys):
                     with pytest.raises(ParameterError):
                         kfold_split(ds, k, seed, by_scenario)
                     with pytest.raises(ValueError):
@@ -458,10 +458,11 @@ class TestAggregationOracle:
         scores = predict_scores(model, walking_dataset, indices)
         pairs = oracle._pair_mean_scores(walking_dataset, indices, scores)
         sims = _scenario_similarities(walking_dataset, indices, scores)
-        assert list(sims) == sorted(pairs, key=walking_dataset.scenario_keys().index)
+        assert list(sims) == sorted(pairs, key=walking_dataset.keys.index)
         for key, means in pairs.items():
+            ids = sims[key].identities
             for (i, j), mean in means.items():
-                assert sims[key].prob(i, j).hex() == mean.hex()
+                assert sims[key].probs[ids.index(i), ids.index(j)].hex() == mean.hex()
         truth = oracle._scenario_truth(walking_dataset, pairs)
         labels, best = oracle._identity_scores(
             {key: pairs[key] for key in sims}, truth)
@@ -505,7 +506,7 @@ class TestCrossValidation:
         labels = small_dataset.labels()
         weights = compute_class_weights(labels)
         assert isinstance(data, TrainingSet) and len(data) == len(small_dataset)
-        assert data.X.tobytes() == small_dataset.features().tobytes()
+        assert data.X.tobytes() == small_dataset.X.tobytes()
         np.testing.assert_array_equal(data.y, labels)
         assert data.v.tolist() == [weights[c] for c in labels.tolist()]
 
@@ -517,7 +518,7 @@ class TestCrossValidation:
     def test_scenario_verdicts_cover_identities(self, small_dataset):
         model = train_mwle(small_dataset.training_samples())
         verdicts = scenario_verdicts(model, small_dataset)
-        assert set(verdicts) == set(small_dataset.scenario_keys())
+        assert set(verdicts) == set(small_dataset.keys)
         for key, verdict in verdicts.items():
             assert verdict.identities == {"n0", "n1", "n2", "n3"}
 

@@ -1,4 +1,4 @@
-"""Signal pipeline: smoothing, synchronization, extraction, profiles."""
+"""Signal pipeline: synchronization, extraction, profiles."""
 
 from types import SimpleNamespace
 
@@ -12,7 +12,6 @@ import oracle
 from sybilscatter import (
     DegenerateSignatureError,
     InsufficientDataError,
-    MaskError,
     MultipathSignature,
     ParameterError,
     ProfileAssembler,
@@ -24,8 +23,6 @@ from sybilscatter import (
     alternating_code,
     build_profile,
     build_signature,
-    extract_reflection,
-    moving_average,
     segment_backscatter,
     signature_from_trace,
     simulate_scenario,
@@ -40,9 +37,10 @@ from sybilscatter.pipeline import (
     _alternating_lags,
     _median_rows,
     _segmentation,
-    _smoothing_bounds,
+    _smoothing_widths,
     _tag_gathers,
     locate_rows,
+    reflection_rows,
 )
 from sybilscatter.scenario import _tag_layout, check_layout
 
@@ -151,52 +149,6 @@ def assert_exact_decisions(traces):
                 f"correlation peak {peak:.3e} below decision floor {floor:.3e}")
 
 
-class TestMovingAverage:
-    @settings(max_examples=60, deadline=None)
-    @given(value=st.floats(-1e300, 1e300, allow_subnormal=True), n=st.integers(1, 60),
-           data=st.data())
-    def test_constants_pass_through(self, value, n, data):
-        window = data.draw(st.integers(1, n))
-        np.testing.assert_array_equal(moving_average(np.full(n, value), window),
-                                      np.full(n, value))
-
-    def test_constant_unchanged(self):
-        x = np.full(40, 3.7)
-        np.testing.assert_array_equal(moving_average(x, 9), x)
-
-    def test_window_one_is_identity(self):
-        x = np.random.default_rng(0).random(20)
-        out = moving_average(x, 1)
-        np.testing.assert_array_equal(out, x)
-        assert out is not x
-
-    def test_impulse_plateau(self):
-        x = np.zeros(21)
-        x[10] = 1.0
-        out = moving_average(x, 5)
-        np.testing.assert_allclose(out[8:13], 0.2, rtol=0, atol=1e-15)
-        assert out[7] == 0.0 and out[13] == 0.0
-
-    def test_matches_brute_force_including_even_windows(self):
-        rng = np.random.default_rng(4)
-        x = rng.random(50)
-        for window in (2, 3, 4, 7, 10, 49, 50):
-            back, fwd = window // 2, (window - 1) // 2
-            expected = np.array([
-                x[max(i - back, 0):min(i + fwd + 1, x.size)].mean()
-                for i in range(x.size)])
-            np.testing.assert_allclose(moving_average(x, window), expected,
-                                       rtol=0, atol=1e-12)
-
-    def test_window_bounds(self):
-        with pytest.raises(ParameterError):
-            moving_average(np.ones(5), 0)
-        with pytest.raises(ParameterError):
-            moving_average(np.ones(5), 6)
-        with pytest.raises(ShapeError):
-            moving_average(np.ones((2, 3)), 2)
-
-
 class TestOnlineSetUp:
     @pytest.mark.parametrize("n_lags", [1, 2, 7, 8, 2048, 2049])
     def test_median_rows_is_np_median(self, n_lags):
@@ -210,13 +162,15 @@ class TestOnlineSetUp:
     def test_cached_tables_are_read_only(self):
         trace = handmade_trace(n_tags=3)
         segment_backscatter(trace)
-        lo, hi, width = _smoothing_bounds(trace.samples.size, 9)
+        width = _smoothing_widths(trace.samples.size)
         gathers = [arr for tags, offsets, _ in _tag_gathers(trace.tag_code.tobytes(),
                                                             trace.samples_per_bit, 3)
                    for arr in (tags, offsets)]
-        for arr in [lo, hi, width] + gathers:
+        for arr in [width] + gathers:
             assert not arr.flags.writeable
-        np.testing.assert_array_equal(width, hi - lo)
+        # samples under each 9-tap window, truncated at the row's ends
+        np.testing.assert_array_equal(
+            width, np.convolve(np.ones(trace.samples.size), np.ones(9), mode="same"))
 
 
 class TestSegmentation:
@@ -476,27 +430,26 @@ class TestCertifiedSegmentation:
         assert not _segmentation(lags)[1].any()
 
 
+def one_tag_row(samples, code, spb):
+    """The fields reflection_rows reads of a one-tag row whose code starts
+    at sample 0."""
+    return SimpleNamespace(samples=np.asarray(samples, dtype=np.float64),
+                           tag_code=np.asarray(code, dtype=np.uint8),
+                           samples_per_bit=spb, n_tags=1)
+
+
 class TestExtractReflection:
     def test_constant_difference(self):
-        block = np.array([5.0, 2.0, 5.0, 2.0])
-        mask = np.array([True, False, True, False])
-        assert extract_reflection(block, mask) == 3.0
+        row = one_tag_row([5.0, 2.0, 5.0, 2.0], [1, 0, 1, 0], 1)
+        assert reflection_rows(row, 0).tolist() == [3.0]
 
     def test_identical_halves_give_zero(self):
-        block = np.full(8, 1.3)
-        mask = np.array([True] * 4 + [False] * 4)
-        assert extract_reflection(block, mask) == 0.0
+        row = one_tag_row(np.full(8, 1.3), [1, 0], 4)
+        assert reflection_rows(row, 0).tolist() == [0.0]
 
     def test_negative_difference_clamped(self):
-        block = np.array([1.0, 2.0, 1.0, 2.0])
-        mask = np.array([True, False, True, False])
-        assert extract_reflection(block, mask) == 0.0
-
-    def test_mask_must_mark_both_classes(self):
-        with pytest.raises(MaskError):
-            extract_reflection(np.ones(4), np.ones(4, dtype=bool))
-        with pytest.raises(MaskError):
-            extract_reflection(np.ones(4), np.zeros(4, dtype=bool))
+        row = one_tag_row([1.0, 2.0, 1.0, 2.0], [1, 0, 1, 0], 1)
+        assert reflection_rows(row, 0).tolist() == [0.0]
 
     def test_noisy_recovery_within_estimator_bound(self):
         """Block estimates stay within 3 sigma / sqrt(N) of injected powers."""
@@ -521,38 +474,36 @@ class TestExtractReflection:
 
 class TestMultipathSignature:
     def test_three_four_five_normalization(self):
-        signature = MultipathSignature.from_raw([3e-9, 4e-9])
+        signature = MultipathSignature(raw=[3e-9, 4e-9])
         np.testing.assert_array_equal(signature.raw, [3e-9, 4e-9])
         np.testing.assert_array_equal(signature.normalized, [0.6, 0.8])
 
     def test_equal_powers_symmetric(self):
-        signature = MultipathSignature.from_raw([7.3e-5] * 4)
+        signature = MultipathSignature(raw=[7.3e-5] * 4)
         np.testing.assert_array_equal(signature.normalized, [0.5] * 4)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             raw = rng.random(4) * 1e-4
-            base = MultipathSignature.from_raw(raw).normalized
+            base = MultipathSignature(raw=raw).normalized
             # power-of-two scales are exact; arbitrary ones round
             np.testing.assert_array_equal(
-                MultipathSignature.from_raw(4.0 * raw).normalized, base)
+                MultipathSignature(raw=4.0 * raw).normalized, base)
             alpha = rng.uniform(0.1, 9.0)
             np.testing.assert_allclose(
-                MultipathSignature.from_raw(alpha * raw).normalized, base,
+                MultipathSignature(raw=alpha * raw).normalized, base,
                 rtol=0, atol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateSignatureError):
-            MultipathSignature.from_raw(np.zeros(4))
+            MultipathSignature(raw=np.zeros(4))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ParameterError):
-            MultipathSignature.from_raw([1.0, -0.1])
+            MultipathSignature(raw=[1.0, -0.1])
 
     def test_constructor_takes_only_the_raw_powers(self):
-        signature = MultipathSignature(raw=[3e-9, 4e-9])
-        np.testing.assert_array_equal(signature.normalized, [0.6, 0.8])
         with pytest.raises(TypeError):
             MultipathSignature(raw=[3.0, 4.0], normalized=[0.6, 0.8])
         with pytest.raises(ShapeError):
@@ -606,18 +557,21 @@ class TestBuildSignatureFromTrace:
 class TestSignalProfile:
     def test_identical_rows_mean(self):
         v = np.array([0.6, 0.8])
-        profile = SignalProfile.from_rows("a", np.tile(v, (5, 1)))
+        profile = SignalProfile(identity="a", signatures=np.tile(v, (5, 1)))
         np.testing.assert_array_equal(profile.mean_vector, v)
 
     def test_single_row_profile(self):
         v = np.array([0.6, 0.8])
-        profile = SignalProfile.from_rows("a", v)
+        profile = SignalProfile(identity="a", signatures=v[None])
         assert profile.profile_len == 1
         np.testing.assert_array_equal(profile.mean_vector, v)
+        # a bare vector is not promoted to one row
+        with pytest.raises(ShapeError, match="L >= 1"):
+            SignalProfile(identity="a", signatures=v)
 
     def test_rows_must_be_unit_norm(self):
         with pytest.raises(ParameterError):
-            SignalProfile.from_rows("a", np.array([[0.5, 0.5]]))
+            SignalProfile(identity="a", signatures=np.array([[0.5, 0.5]]))
 
     def test_mean_is_derived_from_the_rows(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
@@ -645,7 +599,7 @@ class TestSignalProfile:
 class TestProfileWindows:
     def _signatures(self, n, seed=8):
         rng = np.random.default_rng(seed)
-        return [MultipathSignature.from_raw(rng.random(4) + 0.1)
+        return [MultipathSignature(raw=rng.random(4) + 0.1)
                 for _ in range(n)]
 
     def test_build_profile_takes_most_recent(self):
@@ -685,7 +639,8 @@ class TestProfileWindows:
         sigs = self._signatures(4)
         assembler = ProfileAssembler("a", profile_len=3)
         profiles = [assembler.push(k, s) for k, s in enumerate(sigs)]
-        expected = SignalProfile.from_rows("a", np.vstack([s.normalized for s in sigs[1:]]))
+        expected = SignalProfile(identity="a",
+                                 signatures=np.vstack([s.normalized for s in sigs[1:]]))
         profile = profiles[-1]
         assert isinstance(profile, SignalProfile) and profile.identity == "a"
         assert profile.signatures.tobytes() == expected.signatures.tobytes()

@@ -20,8 +20,6 @@ from sybilscatter import (
     TrajectoryError,
     TrajectoryRangeError,
     alternating_code,
-    position_at,
-    reflected_power,
     simulate_scenario,
     synthesize_trace,
     tag_block_bit_spans,
@@ -31,7 +29,7 @@ from sybilscatter import (
 
 from conftest import FOUR_ID_SPECS, SCHEDULE_RULE, make_scenario, parked
 from sybilscatter.fileio import TRACE_HEADER, read_trace_csv
-from sybilscatter.scenario import TraceBatch, _tag_layout
+from sybilscatter.scenario import TraceBatch, _tag_layout, positions_at, reflected_powers
 
 # Hand-evaluated reflection budget, pinned before the implementation:
 # P_t=1, G_t=G_r=1, lam=0.125, d_t=2, d_r=0.12, transfer=1.
@@ -42,40 +40,36 @@ class TestReflectedPower:
     def test_pinned_fixture(self):
         channel = ChannelParams(wavelength_m=0.125, tx_gain=1.0, rx_gain=1.0,
                                 tag_transfer=1.0)
-        assert reflected_power(channel, 1.0, 2.0, 0.12) == FRIIS_FIXTURE
+        assert reflected_powers(channel, 1.0, 2.0, 0.12) == FRIIS_FIXTURE
 
     def test_linear_in_tx_power(self):
         channel = ChannelParams()
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.uniform(0.1, 10.0)
-            d_t, d_r = rng.uniform(0.5, 3.0), rng.uniform(0.05, 0.3)
-            assert reflected_power(channel, 2.0 * p, d_t, d_r) \
-                == 2.0 * reflected_power(channel, p, d_t, d_r)
+            d_t, d_r = rng.uniform(0.5, 3.0, 8), rng.uniform(0.05, 0.3, 8)
+            np.testing.assert_array_equal(reflected_powers(channel, 2.0 * p, d_t, d_r),
+                                          2.0 * reflected_powers(channel, p, d_t, d_r))
 
     def test_inverse_square_in_tag_distance(self):
         channel = ChannelParams()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            d_t = rng.uniform(0.5, 3.0)
-            a = reflected_power(channel, 1.0, d_t, 0.12)
-            b = reflected_power(channel, 1.0, 2.0 * d_t, 0.12)
-            assert a == 4.0 * b
+        d_t = np.random.default_rng(1).uniform(0.5, 3.0, 50)
+        np.testing.assert_array_equal(reflected_powers(channel, 1.0, d_t, 0.12),
+                                      4.0 * reflected_powers(channel, 1.0, 2.0 * d_t, 0.12))
 
     def test_strictly_decreasing_in_both_distances(self):
         channel = ChannelParams()
-        base = reflected_power(channel, 1.0, 1.0, 0.1)
-        assert reflected_power(channel, 1.0, 1.3, 0.1) < base
-        assert reflected_power(channel, 1.0, 1.0, 0.13) < base
+        base = reflected_powers(channel, 1.0, 1.0, 0.1)
+        assert np.all(reflected_powers(channel, 1.0, [1.3, 1.0], [0.1, 0.13]) < base)
 
     def test_rejects_nonpositive_inputs(self):
         channel = ChannelParams()
         with pytest.raises(ParameterError):
-            reflected_power(channel, 0.0, 1.0, 0.1)
-        with pytest.raises(ParameterError):
-            reflected_power(channel, 1.0, -1.0, 0.1)
-        with pytest.raises(ParameterError):
-            reflected_power(channel, 1.0, 1.0, 0.0)
+            reflected_powers(channel, 0.0, 1.0, 0.1)
+        with pytest.raises(ParameterError, match="d_t_m"):
+            reflected_powers(channel, 1.0, [1.0, -1.0], 0.1)
+        with pytest.raises(ParameterError, match="d_r_m"):
+            reflected_powers(channel, 1.0, 1.0, [0.1, 0.0])
 
 
 class TestChannelParams:
@@ -124,12 +118,12 @@ class TestTrajectory:
     def test_position_at_waypoint(self):
         traj = Trajectory(waypoints=np.array([(0.0, 0.0, 0.0), (5.0, 1.0, 0.0)]),
                           speed_mps=0.2)
-        np.testing.assert_array_equal(position_at(traj, 5.0), [1.0, 0.0])
+        np.testing.assert_array_equal(positions_at(traj, [0.0, 5.0]), [[0.0, 0.0], [1.0, 0.0]])
 
     def test_position_at_midpoint(self):
         traj = Trajectory(waypoints=np.array([(0.0, 0.0, 2.0), (5.0, 1.0, 0.0)]),
                           speed_mps=np.hypot(1.0, 2.0) / 5.0)
-        np.testing.assert_array_equal(position_at(traj, 2.5), [0.5, 1.0])
+        np.testing.assert_array_equal(positions_at(traj, [2.5]), [[0.5, 1.0]])
 
     def test_position_at_matches_reinterpolation(self):
         rng = np.random.default_rng(2)
@@ -144,20 +138,18 @@ class TestTrajectory:
             # resample times so every segment runs at exactly that speed
             times = np.concatenate([[0.0], np.cumsum(seg / speed)])
             traj = Trajectory(waypoints=np.column_stack([times, pts]), speed_mps=speed)
-            for t in rng.uniform(times[0], times[-1], 10):
-                k = int(np.searchsorted(times, t, side="right")) - 1
-                k = min(k, n - 2)
-                frac = (t - times[k]) / (times[k + 1] - times[k])
-                expected = pts[k] + frac * (pts[k + 1] - pts[k])
-                np.testing.assert_allclose(position_at(traj, t), expected,
-                                           rtol=0, atol=1e-12)
+            ts = rng.uniform(times[0], times[-1], 10)
+            k = np.minimum(np.searchsorted(times, ts, side="right") - 1, n - 2)
+            frac = (ts - times[k]) / (times[k + 1] - times[k])
+            expected = pts[k] + frac[:, None] * (pts[k + 1] - pts[k])
+            np.testing.assert_allclose(positions_at(traj, ts), expected, rtol=0, atol=1e-12)
 
     def test_query_outside_span_rejected(self):
         traj = parked(0.0, 0.0, 5.0)
-        with pytest.raises(TrajectoryRangeError):
-            position_at(traj, -0.1)
-        with pytest.raises(TrajectoryRangeError):
-            position_at(traj, 6.1)
+        with pytest.raises(TrajectoryRangeError, match="-0.1"):
+            positions_at(traj, [0.0, -0.1])
+        with pytest.raises(TrajectoryRangeError, match="6.1"):
+            positions_at(traj, [6.1, 1.0])
 
     def test_speed_deviation_rejected(self):
         wp = np.array([(0.0, 0.0, 0.0), (1.0, 0.3, 0.0)])  # 0.3 m/s segment
@@ -167,7 +159,7 @@ class TestTrajectory:
     def test_dwell_segments_exempt_from_speed_check(self):
         wp = np.array([(0.0, 1.0, 1.0), (7.0, 1.0, 1.0)])
         traj = Trajectory(waypoints=wp, speed_mps=0.2)
-        np.testing.assert_array_equal(position_at(traj, 3.0), [1.0, 1.0])
+        np.testing.assert_array_equal(positions_at(traj, [3.0]), [[1.0, 1.0]])
 
     def test_times_must_increase(self):
         wp = np.array([(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
@@ -182,7 +174,7 @@ class TestTrajectory:
     def test_from_path_dwell_padding(self):
         traj = Trajectory.from_path([(0.0, 0.0), (1.0, 0.0)], 0.5, dwell_s=4.0)
         assert traj.t_max == 6.0
-        np.testing.assert_array_equal(position_at(traj, 5.0), [1.0, 0.0])
+        np.testing.assert_array_equal(positions_at(traj, [5.0]), [[1.0, 0.0]])
 
 
 class TestRobotAgent:

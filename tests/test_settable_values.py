@@ -1,4 +1,5 @@
-"""The count of settable values in the package, pinned.
+"""The count of settable values in the package, pinned, and a caller for
+every public name.
 
 A settable value is a defaulted parameter of a public function or method
 (a name without a leading underscore) or of an ``__init__``, or a
@@ -13,6 +14,11 @@ from pathlib import Path
 import sybilscatter
 
 SETTABLE_VALUES = 69
+
+# Exported for the gradient check of acceptance criterion 5, which holds
+# the trainer's gradient to finite differences of its objective; no
+# program calls them.
+TEST_ONLY_EXPORTS = {"weighted_gradient", "weighted_log_likelihood"}
 
 
 def _takes_no_init(value):
@@ -41,3 +47,30 @@ def test_settable_value_count_is_pinned():
     total = sum(_settable(ast.parse(path.read_text(encoding="utf-8")))
                 for path in sorted(package.glob("*.py")))
     assert total == SETTABLE_VALUES
+
+
+def _used_names(tree):
+    """Every name a module reads, every attribute it takes and every name
+    it imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    package = Path(sybilscatter.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    root = Path(__file__).resolve().parents[1]
+    callers = [path for path in package.glob("*.py") if path.name != "__init__.py"]
+    callers += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    used = set().union(*(_used_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in callers))
+    assert sorted(exports - used) == sorted(TEST_ONLY_EXPORTS)
