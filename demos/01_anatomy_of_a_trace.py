@@ -53,7 +53,7 @@ print(f"ambient floor {config.ambient_w:.1e} W, SNR {config.snr_db:.0f} dB\n")
 # The guard regions carry only ambient noise; the code region carries the
 # tag-modulated reflections on top of it.
 bounds = segment_backscatter(trace)
-truth_start = trace.scheduled_start()
+truth_start = int(trace.region_starts)
 print(f"segmentation: code region found at [{bounds.t_start}, {bounds.t_end})")
 print(f"generator scheduled it at       [{truth_start}, {truth_start + trace.code_span})\n")
 

@@ -88,7 +88,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioRun,
     TagLayout,
-    TraceBatch,
     Trajectory,
     alternating_code,
     simulate_scenario,

@@ -24,11 +24,11 @@ from .scenario import (
     DEFAULT_SPEED_MPS,
     DEFAULT_TX_POWER_W,
     ChannelParams,
+    ReceivedTrace,
     RobotAgent,
     ScenarioConfig,
     ScenarioRun,
     TagLayout,
-    TraceBatch,
     Trajectory,
     alternating_code,
 )
@@ -116,10 +116,10 @@ def read_run_labels(path) -> dict:
 
 
 def read_trace_csv(path, identity: str, labels: dict):
-    """One identity's traces as a TraceBatch, or None for a file without
-    a trace; ConfigError names path:line for a malformed line or a
-    non-finite value, and the file for traces of unequal length or a
-    layout or tag schedule TraceBatch rejects."""
+    """One identity's traces as a stream, a 2-D ReceivedTrace, or None for
+    a file without a trace; ConfigError names path:line for a malformed
+    line or a non-finite value, and the file for traces of unequal length
+    or a layout or tag schedule ReceivedTrace rejects."""
     times, rows, tags = [], [], []  # per trace: t_s, samples, tag indices
     with open(path, encoding="utf-8") as fp:
         header = fp.readline().strip()
@@ -151,7 +151,7 @@ def read_trace_csv(path, identity: str, labels: dict):
         raise ConfigError(f"{path}: traces of {lengths} samples; the traces of one "
                           "file must be of equal length")
     mod = labels["modulation"]
-    return _construct(f"{path}:", lambda: TraceBatch(
+    return _construct(f"{path}:", lambda: ReceivedTrace(
         identity=identity, true_source_id=labels["identities"][identity], t_s=times,
         sample_rate_hz=float(mod["sample_rate_hz"]), samples=rows, tag_schedule=tags,
         tag_code=alternating_code(mod["code_bits"]), samples_per_bit=mod["samples_per_bit"],
@@ -159,7 +159,7 @@ def read_trace_csv(path, identity: str, labels: dict):
 
 
 def read_run(run_dir) -> tuple:
-    """Load a scenario directory back into (TraceBatch by identity, labels).
+    """Load a scenario directory back into (stream by identity, labels).
 
     An identity without a trace file, or whose file holds no trace, is
     left out.
@@ -222,6 +222,8 @@ def read_samples_csv(path) -> LabeledDataset:
                 values = [float(v) for v in parts[8:]]
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed sample line") from None
+            if not -2 ** 63 <= window < 2 ** 63:
+                raise ConfigError(f"{path}:{lineno}: window {window} does not fit in int64")
             i, j, src_i, src_j = parts[3:7]
             if i == j:
                 raise ConfigError(f"{path}:{lineno}: from_id and to_id are both {i!r}")
@@ -372,12 +374,20 @@ def _boolean(text):
         raise ValueError("not a boolean") from None
 
 
+def _finite(text) -> float:
+    """float(text), which must be finite: every INI float is parsed here."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()} is not a finite number")
+    return value
+
+
 def _optional_float(text):
-    return None if text.lower() in ("none", "off", "") else float(text)
+    return None if text.lower() in ("none", "off", "") else _finite(text)
 
 
 # value parser of each scalar field annotation of the config dataclasses
-FIELD_PARSERS = {"int": int, "float": float, "bool": _boolean, "str": str,
+FIELD_PARSERS = {"int": int, "float": _finite, "bool": _boolean, "str": str,
                  "float | None": _optional_float}
 
 
@@ -456,7 +466,7 @@ def _parse_rows(text, width: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != width:
             raise ConfigError(f"line needs {width} values, got {line!r}")
-        rows.append([float(p) for p in parts])
+        rows.append([_finite(p) for p in parts])
     if not rows:
         raise ConfigError("no rows")
     return np.array(rows)
@@ -472,7 +482,7 @@ def _alphas(text) -> dict:
         ident, _, value = token.partition(":")
         if not value:
             raise ConfigError(f"alpha entry needs 'identity:value', got {token!r}")
-        scale[ident] = float(value)
+        scale[ident] = _finite(value)
     return scale
 
 
@@ -484,7 +494,7 @@ def _section_trajectory(section: _Section, horizon_s: float,
     a ``path`` of x y rows walked at ``speed_mps`` (padded with a final
     dwell if it ends before the horizon), or a stationary ``position``.
     """
-    speed = section.get("speed_mps", float, default_speed)
+    speed = section.get("speed_mps", _finite, default_speed)
     given = [k for k in ("waypoints", "path", "position") if k in section]
     if len(given) != 1:
         raise ConfigError(
@@ -523,7 +533,7 @@ def read_scenario_config(path) -> ScenarioConfig:
                          **_fields(path, cp, "channel", ChannelParams))
 
     tg = _Section(path, cp, "tags", TAGS_KEYS)
-    ring_radius = tg.get("ring_radius_m", float, DEFAULT_RING_RADIUS_M)
+    ring_radius = tg.get("ring_radius_m", _finite, DEFAULT_RING_RADIUS_M)
     if "positions" in tg:
         layout = _construct(tg.where, TagLayout, tag_positions=tg.rows("positions", 2),
                             ring_radius_m=ring_radius)
@@ -547,7 +557,7 @@ def read_scenario_config(path) -> ScenarioConfig:
             true_source_id=name[len("agent."):],
             claimed_identities=tuple(identities),
             trajectory=_section_trajectory(ag, horizon_s, DEFAULT_SPEED_MPS),
-            base_tx_power_w=ag.get("power", float, DEFAULT_TX_POWER_W),
+            base_tx_power_w=ag.get("power", _finite, DEFAULT_TX_POWER_W),
             power_scale_per_identity=ag.get("alphas", _alphas, {}),
         ))
     if not agents:

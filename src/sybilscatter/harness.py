@@ -46,7 +46,7 @@ from .pipeline import (
     signature_rows,
     window_rows,
 )
-from .scenario import TraceBatch, simulate_scenario
+from .scenario import ReceivedTrace, simulate_scenario
 
 ADJUSTED_METRIC = "adjusted"
 DATASET_METRICS = (ADJUSTED_METRIC,) + BASELINE_METRICS
@@ -107,8 +107,12 @@ class LabeledDataset:
         X = np.array(self.X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] < 1:
             raise ShapeError(f"X must be an (N, L) array with L >= 1, got {X.shape}")
-        columns = {name: np.array(getattr(self, name), dtype=np.int64)
-                   for name in ("y", "scenario", "window", "from_id", "to_id")}
+        try:
+            columns = {name: np.array(getattr(self, name), dtype=np.int64)
+                       for name in ("y", "scenario", "window", "from_id", "to_id")}
+        except OverflowError:
+            raise ParameterError("y, scenario, window, from_id and to_id must fit "
+                                 "in int64") from None
         if any(column.shape != X.shape[:1] for column in columns.values()):
             raise ShapeError(f"every column needs the {len(X)} rows of X")
         if not np.all(np.isfinite(X)):
@@ -206,16 +210,17 @@ class ScenarioSignatures:
 def extract_signatures(run, config_index: int = 0) -> ScenarioSignatures:
     """Run every trace of a scenario through the signal pipeline.
 
-    Each identity's TraceBatch goes through signature_rows; a stream that
-    is not a TraceBatch raises ShapeError.  Traces that fail segmentation
-    or yield a degenerate signature are skipped; their period simply has
-    no entry for that identity.
+    Each identity's stream, a 2-D ReceivedTrace, goes through
+    signature_rows; anything else, one trace included, raises ShapeError.
+    Traces that fail segmentation or yield a degenerate signature are
+    skipped; their period simply has no entry for that identity.
     """
     periods, signatures, raw = {}, {}, {}
     for identity, traces in run.traces.items():
-        if not isinstance(traces, TraceBatch):
-            raise ShapeError(f"identity {identity!r}: traces must be a TraceBatch, "
-                             f"got {type(traces).__name__}")
+        if not (isinstance(traces, ReceivedTrace) and traces.samples.ndim == 2):
+            got = "one trace" if isinstance(traces, ReceivedTrace) else type(traces).__name__
+            raise ShapeError(f"identity {identity!r}: traces must be a 2-D "
+                             f"ReceivedTrace, got {got}")
         kept, raw_rows, unit_rows = signature_rows(traces)
         if kept.size:
             periods[identity], raw[identity], signatures[identity] = kept, raw_rows, unit_rows

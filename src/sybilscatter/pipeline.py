@@ -26,7 +26,6 @@ from .errors import (
 from .scenario import (
     SMOOTHING_WINDOW,
     ReceivedTrace,
-    TraceBatch,
     prevalidated,
     tag_block_bit_spans,
 )
@@ -248,8 +247,8 @@ def _chain_len(n_lags: int, samples_per_bit: int, n_runs: int) -> int:
 
 
 def locate_rows(batch):
-    """Segment every row of a TraceBatch, or a ReceivedTrace's one row to
-    scalars: (starts, decodable, peaks, floors).
+    """Segment every row of a ReceivedTrace, a stream's rows to arrays and
+    one trace's row to scalars: (starts, decodable, peaks, floors).
 
     Each row is smoothed and correlated against the sample-domain code, and
     _segmentation reads the region start (the first maximal lag), whether
@@ -323,7 +322,7 @@ def _tag_gathers(code_bytes: bytes, samples_per_bit: int, n_tags: int) -> list:
 
 
 def reflection_rows(batch, starts) -> np.ndarray:
-    """Raw K-vectors of each row of a TraceBatch or ReceivedTrace, its region at starts.
+    """Raw K-vectors of each row of a ReceivedTrace, its region at starts.
 
     Works on the raw (unsmoothed) samples: block means are already noise
     averages, and smoothing would only correlate the estimation errors.
@@ -375,8 +374,9 @@ def signature_from_trace(trace: ReceivedTrace) -> MultipathSignature:
     return _signature(trace, _region_start(trace))
 
 
-def signature_rows(batch: TraceBatch):
-    """Segment and extract every row of a batch: (kept, raw, normalized).
+def signature_rows(batch: ReceivedTrace):
+    """Segment and extract every row of a stream, a 2-D ReceivedTrace:
+    (kept, raw, normalized).
 
     ``kept`` indexes the rows that segment and have a finite, nonzero
     reflection norm, in row order; ``raw`` and ``normalized`` are their

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,15 +96,18 @@ def _readonly(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
-def prevalidated(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` whose fields were already
-    validated in bulk; its own per-instance checks are skipped."""
-    obj = object.__new__(cls)
+def _set_fields(obj, **fields):
     # attribute by attribute, as a dataclass __init__ sets them: filling
     # obj.__dict__ directly would give every instance its own dict
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def prevalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields were already
+    validated in bulk; its own per-instance checks are skipped."""
+    return _set_fields(object.__new__(cls), **fields)
 
 
 @dataclass(frozen=True)
@@ -294,154 +297,116 @@ def _tag_layout(n_bits: int, samples_per_bit: int, n_tags: int, n: int) -> np.nd
     return layout
 
 
-def _layout_schedule(trace, start: int) -> np.ndarray:
-    """The schedule of a trace (or of a batch's rows) whose region starts at
-    sample ``start``, n for none: a read-only view of the cached _tag_layout."""
-    n = trace.samples.shape[-1]
-    layout = _tag_layout(trace.tag_code.size, trace.samples_per_bit, trace.n_tags, n)
-    return layout[n - start:2 * n - start]
+@dataclass(frozen=True, eq=False, init=False)
+class ReceivedTrace(Sequence):
+    """Magnitude samples received for one identity announcement, or for a
+    stream of them.
 
-
-def _trace_arrays(samples, tag_schedule, tag_code, samples_per_bit, n_tags,
-                  sample_rate_hz, ndim):
-    """Validate the arrays of one trace (ndim 1) or of a row batch (ndim 2).
-
-    Returns samples and code as read-only copies in the stored dtypes, so
-    the caller's arrays stay writeable, and each row's region start (n for
-    an all-guard row) in place of the schedule.  Rows are traces of equal
-    length sharing one code.  Besides check_layout, a trace must carry the
-    alternating code and hold one code span plus two samples, that is three
-    correlation lags: the lags are sums of nonnegative products, so with
-    one lag the decision floor is 3x the peak and with two at least 1.5x,
-    and such a trace never decodes.  A checked span is longer than the
-    smoothing window.  Last, every schedule row must be the layout's
-    schedule at its first tagged sample (_tag_layout), so the start alone
-    is its ground truth; being equal to it, the values are tags 0..n_tags.
-    """
-    samples = np.array(samples, dtype=np.float64)
-    schedule = np.asarray(tag_schedule)
-    code = np.array(tag_code, dtype=np.uint8)
-    _positive("sample_rate_hz", sample_rate_hz)
-    if code.ndim != 1 or not np.array_equal(code, 1 - np.arange(code.size) % 2):
-        raise ParameterError(
-            "tag_code is not the alternating code: the rule is "
-            "tag_code = 1, 0, 1, 0, ... (alternating_code(len(tag_code)))")
-    check_layout(code.size, samples_per_bit, n_tags)
-    if samples.ndim != ndim or schedule.shape != samples.shape:
-        raise ShapeError(
-            f"samples {samples.shape} and tag_schedule {schedule.shape} "
-            f"must be {ndim}-D arrays of equal shape")
-    n = samples.shape[-1]
-    span = code.size * samples_per_bit
-    if n < span + 2:
-        raise ParameterError(
-            f"trace of {n} samples is too short: the rule is at "
-            f"least one code span plus two samples (three lags), {span + 2} samples")
-    if not np.all(np.isfinite(samples)):
-        raise ParameterError("trace magnitudes must be finite")
-    if np.any(samples < 0):
-        raise ParameterError("trace magnitudes must be nonnegative")
-    tagged = schedule != 0
-    starts = np.where(tagged.any(axis=-1), tagged.argmax(axis=-1), n)
-    layout = _tag_layout(code.size, samples_per_bit, n_tags, n)
-    if not all(np.array_equal(row, layout[n - s:2 * n - s])
-               for row, s in zip(schedule.reshape(-1, n), starts.reshape(-1))):
-        raise ParameterError(
-            "tag_schedule does not follow the layout: the rule is a row of "
-            f"zeros, or tags 1..{n_tags} over their code blocks "
-            "(tag_block_bit_spans) from the row's first tagged sample on, "
-            "cut off only by the trace end")
-    for arr in (samples, starts, code):
-        arr.flags.writeable = False
-    return samples, starts, code
-
-
-@dataclass(frozen=True)
-class ReceivedTrace:
-    """Magnitude samples received for one identity announcement.
-
-    ``tag_schedule`` annotates each sample with the tag block it belongs to
-    (1..K over the backscattered region, 0 over the ambient-only guards);
-    ``tag_code`` is the known M-bit modulation pattern shared by all tags.
-    The schedule must follow the simulator's layout (_trace_arrays) and is
-    stored as a read-only view of one array cached per layout.
+    ``samples`` is one trace of n samples, or a (P, n) stream of P traces,
+    row k announced at ``t_s[k]``; rows share the code, the modulation and
+    the tag count.  ``tag_code`` is the known M-bit modulation pattern
+    shared by all tags.  The ``tag_schedule`` given annotates each sample
+    with the tag block it belongs to (1..K over the backscattered region,
+    0 over the ambient-only guards).  It must follow the layout, so only
+    ``region_starts`` is kept, each row's first tagged sample (n for
+    none); ``tag_schedule`` reads the layout back at those starts.  A
+    stream is a sequence of its rows; see ``__getitem__``.
     """
 
     identity: str
     true_source_id: str
-    t_s: float
+    t_s: float | np.ndarray
     sample_rate_hz: float
     samples: np.ndarray
-    tag_schedule: np.ndarray
     tag_code: np.ndarray
     samples_per_bit: int
     n_tags: int
+    region_starts: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        samples, start, code = _trace_arrays(
-            self.samples, self.tag_schedule, self.tag_code, self.samples_per_bit,
-            self.n_tags, self.sample_rate_hz, ndim=1)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "tag_code", code)
-        object.__setattr__(self, "tag_schedule", _layout_schedule(self, int(start)))
+    def __init__(self, identity, true_source_id, t_s, sample_rate_hz, samples,
+                 tag_schedule, tag_code, samples_per_bit, n_tags):
+        """Validate once, for either rank.
+
+        Samples and code are stored as read-only copies in their dtypes, so
+        the caller's arrays stay writeable.  Besides check_layout, a trace
+        must carry the alternating code and hold one code span plus two
+        samples, that is three correlation lags: the lags are sums of
+        nonnegative products, so with one lag the decision floor is 3x the
+        peak and with two at least 1.5x, and such a trace never decodes.
+        A checked span is longer than the smoothing window.  Last, every
+        schedule row must be the layout's schedule at its first tagged
+        sample (_tag_layout), so the start alone is its ground truth; being
+        equal to it, the values are tags 0..n_tags.
+        """
+        samples = np.array(samples, dtype=np.float64)
+        schedule = np.asarray(tag_schedule)
+        code = np.array(tag_code, dtype=np.uint8)
+        t_s = np.array(t_s, dtype=np.float64)
+        _positive("sample_rate_hz", sample_rate_hz)
+        if code.ndim != 1 or not np.array_equal(code, 1 - np.arange(code.size) % 2):
+            raise ParameterError(
+                "tag_code is not the alternating code: the rule is "
+                "tag_code = 1, 0, 1, 0, ... (alternating_code(len(tag_code)))")
+        check_layout(code.size, samples_per_bit, n_tags)
+        if samples.ndim not in (1, 2) or schedule.shape != samples.shape:
+            raise ShapeError(
+                f"samples {samples.shape} and tag_schedule {schedule.shape} "
+                "must be 1-D or 2-D arrays of equal shape")
+        n = samples.shape[-1]
+        span = code.size * samples_per_bit
+        if n < span + 2:
+            raise ParameterError(
+                f"trace of {n} samples is too short: the rule is at "
+                f"least one code span plus two samples (three lags), {span + 2} samples")
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("trace magnitudes must be finite")
+        if np.any(samples < 0):
+            raise ParameterError("trace magnitudes must be nonnegative")
+        if t_s.shape != samples.shape[:-1]:
+            raise ShapeError(f"t_s {t_s.shape} must hold one time per row of "
+                             f"samples {samples.shape}")
+        tagged = schedule != 0
+        starts = np.where(tagged.any(axis=-1), tagged.argmax(axis=-1), n)
+        for arr in (samples, starts, code, t_s):
+            arr.flags.writeable = False
+        _set_fields(self, identity=identity, true_source_id=true_source_id,
+                    t_s=t_s if t_s.ndim else float(t_s), sample_rate_hz=sample_rate_hz,
+                    samples=samples, tag_code=code, samples_per_bit=samples_per_bit,
+                    n_tags=n_tags, region_starts=starts if starts.ndim else starts[()])
+        if not np.array_equal(schedule, self.tag_schedule):
+            raise ParameterError(
+                "tag_schedule does not follow the layout: the rule is a row of "
+                f"zeros, or tags 1..{n_tags} over their code blocks "
+                "(tag_block_bit_spans) from the row's first tagged sample on, "
+                "cut off only by the trace end")
+
+    @property
+    def tag_schedule(self) -> np.ndarray:
+        """The tag of each sample, read-only: the cached layout
+        (_tag_layout) read at each row's region start."""
+        n = self.samples.shape[-1]
+        layout = _tag_layout(self.tag_code.size, self.samples_per_bit, self.n_tags, n)
+        schedule = layout[n - self.region_starts[..., None] + np.arange(n)]
+        schedule.flags.writeable = False
+        return schedule
 
     @property
     def code_span(self) -> int:
         """Length of the backscattered region in samples."""
         return int(self.tag_code.size) * int(self.samples_per_bit)
 
-    def scheduled_start(self):
-        """Ground-truth start index of the backscattered region, or None."""
-        nz = np.nonzero(self.tag_schedule)[0]
-        return int(nz[0]) if nz.size else None
-
-
-@dataclass(frozen=True, eq=False)
-class TraceBatch(Sequence):
-    """Every trace of one identity as one array, one row per trace.
-
-    Row k of ``samples`` is the trace announced at ``t_s[k]``; all rows
-    share the code, the modulation and the tag count.  The batch is
-    validated once as a whole.  The ``tag_schedule`` rows it is built from
-    follow the layout (_trace_arrays), so it keeps only ``region_starts``,
-    each row's first tagged sample (the row length for none).  As a
-    sequence it yields ReceivedTrace objects; see ``__getitem__``.
-    """
-
-    identity: str
-    true_source_id: str
-    t_s: np.ndarray
-    sample_rate_hz: float
-    samples: np.ndarray
-    tag_schedule: InitVar[np.ndarray]
-    tag_code: np.ndarray
-    samples_per_bit: int
-    n_tags: int
-    region_starts: np.ndarray = field(init=False)
-
-    def __post_init__(self, tag_schedule):
-        samples, starts, code = _trace_arrays(
-            self.samples, tag_schedule, self.tag_code, self.samples_per_bit,
-            self.n_tags, self.sample_rate_hz, ndim=2)
-        t_s = np.array(self.t_s, dtype=np.float64)
-        if t_s.shape != samples.shape[:1]:
-            raise ShapeError(f"t_s {t_s.shape} must hold one time per row of "
-                             f"samples {samples.shape}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "region_starts", starts)
-        object.__setattr__(self, "tag_code", code)
-        _readonly(self, "t_s", t_s)
-
     def __len__(self) -> int:
+        if self.samples.ndim == 1:
+            raise TypeError("a one-row ReceivedTrace is one trace, not a stream")
         return int(self.samples.shape[0])
 
     def __getitem__(self, k):
-        """The trace of row k, holding its own copy of the samples row.
+        """The trace of row k of a stream, holding its own copy of the
+        samples row.
 
-        A row view would pin the whole batch for as long as any one trace
+        A row view would pin the whole stream for as long as any one trace
         taken from it is kept; a consumer that keeps a subset of the traces
         (a receiver dropping lost announcements) would then hold every row.
-        The schedule is the layout's cached view at the row's region start.
         """
         if isinstance(k, slice):
             return tuple(self[i] for i in range(*k.indices(len(self))))
@@ -452,9 +417,8 @@ class TraceBatch(Sequence):
             ReceivedTrace, identity=self.identity,
             true_source_id=self.true_source_id, t_s=float(self.t_s[k]),
             sample_rate_hz=self.sample_rate_hz, samples=samples,
-            tag_schedule=_layout_schedule(self, int(self.region_starts[k])),
             tag_code=self.tag_code, samples_per_bit=self.samples_per_bit,
-            n_tags=self.n_tags)
+            n_tags=self.n_tags, region_starts=self.region_starts[k])
 
 
 @dataclass(frozen=True)
@@ -517,8 +481,8 @@ class ScenarioConfig:
 class ScenarioRun:
     """Output of simulate_scenario: per-identity trace streams plus truth.
 
-    ``traces`` maps each identity to a TraceBatch, one row per update
-    period, as the simulator and the trace reader return it.
+    ``traces`` maps each identity to a stream, a 2-D ReceivedTrace with one
+    row per update period, as the simulator and the trace reader return it.
     """
 
     traces: dict
@@ -621,8 +585,9 @@ def tag_reflection_powers(scenario: ScenarioConfig, agent: RobotAgent,
 
 
 def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str,
-                      t_s, rng_seeds) -> TraceBatch:
-    """Synthesize the received traces of one identity, one row per announcement.
+                      t_s, rng_seeds) -> ReceivedTrace:
+    """Synthesize one identity's stream of received traces, one row per
+    announcement.
 
     Row k is announced at t_s[k] and drawn from its own generator, seeded
     with rng_seeds[k].  Layout: an ambient-only guard prefix of random
@@ -671,7 +636,7 @@ def synthesize_traces(scenario: ScenarioConfig, agent: RobotAgent, identity: str
         arr.flags.writeable = False
     # finite and nonnegative by construction from a validated config
     return prevalidated(
-        TraceBatch, identity=identity, true_source_id=agent.true_source_id,
+        ReceivedTrace, identity=identity, true_source_id=agent.true_source_id,
         t_s=t_s, sample_rate_hz=scenario.sample_rate_hz, samples=samples,
         tag_code=code, samples_per_bit=spb, n_tags=scenario.tag_layout.n_tags,
         region_starts=starts)

@@ -10,13 +10,13 @@ import pytest
 from sybilscatter import (
     ChannelParams,
     LabeledDataset,
+    ReceivedTrace,
     RobotAgent,
     ScenarioConfig,
     TagLayout,
     Trajectory,
     simulate_scenario,
 )
-from sybilscatter.scenario import TraceBatch
 
 
 def parked(x, y, horizon_s, speed_mps=0.2):
@@ -66,15 +66,16 @@ def labeled_dataset(rows, sources):
         keys=tuple(codes), identities=tuple(names), sources=sources)
 
 
-# the message of the tag schedule rule of ReceivedTrace and TraceBatch
+# the message of the tag schedule rule of ReceivedTrace
 SCHEDULE_RULE = r"tag_schedule does not follow the layout: the rule is a row of zeros"
 
 
-def trace_batch(traces):
-    """The traces of one identity as one TraceBatch, built by the validated
-    constructor as a caller with its own arrays would build it."""
+def trace_stream(traces):
+    """The traces of one identity as one stream, a 2-D ReceivedTrace, built
+    by the validated constructor as a caller with its own arrays would
+    build it."""
     first = traces[0]
-    return TraceBatch(
+    return ReceivedTrace(
         identity=first.identity, true_source_id=first.true_source_id,
         t_s=[t.t_s for t in traces], sample_rate_hz=first.sample_rate_hz,
         samples=np.stack([t.samples for t in traces]),

@@ -108,10 +108,9 @@ def simulate_scenario(scenario, trace_seeds):
 
 # ---------------------------------------------------------------- extract
 
-def moving_average(x, window):
-    if window == 1:
-        return x.copy()
-    back, fwd = window // 2, (window - 1) // 2
+def moving_average(x):
+    """The SMOOTHING_WINDOW-tap moving average, truncated at the row ends."""
+    back, fwd = SMOOTHING_WINDOW // 2, (SMOOTHING_WINDOW - 1) // 2
     anchor = x[0]
     csum = np.concatenate([[0.0], np.cumsum(x - anchor)])
     idx = np.arange(x.size)
@@ -125,10 +124,10 @@ def expand_code(code, samples_per_bit):
     return np.repeat(np.asarray(code, dtype=np.float64), samples_per_bit)
 
 
-def lags(samples, code, spb, window):
+def lags(samples, code, spb):
     """The prefix-sum lags of the smoothed samples against the expanded
     alternating code, with fresh arrays and in locate_rows' summation order:
-    window sums of the prefix sum C, their prefix sum Y, the blocks
+    SMOOTHING_WINDOW sums of the prefix sum C, their prefix sum Y, the blocks
     B[k] = Y[k + spb] - Y[k], and the cumulative sums T of B along stride
     2 spb, each lag one difference of two T."""
     n = samples.size
@@ -136,6 +135,7 @@ def lags(samples, code, spb, window):
     runs = (len(code) + 1) // 2
     n_lags = n - len(code) * spb + 1
     n_blocks = n_lags + (runs - 1) * period
+    window = SMOOTHING_WINDOW
     back = window // 2
     idx = np.arange(n)
     width = np.minimum(idx + window - back, n) - np.maximum(idx - back, 0)
@@ -158,16 +158,16 @@ def decisions(c):
     return start, peak > 0.0 and peak >= floor, peak, floor
 
 
-def segment(samples, code, spb, window):
+def segment(samples, code, spb):
     """(start, peak, floor); start is None when the trace is rejected."""
-    start, decodable, peak, floor = decisions(lags(samples, code, spb, window))
+    start, decodable, peak, floor = decisions(lags(samples, code, spb))
     return (start if decodable else None), peak, floor
 
 
-def correlate_lags(samples, code, spb, window):
+def correlate_lags(samples, code, spb):
     """np.correlate's lags of the smoothed samples against the expanded
     code: the reference that error_bound holds the prefix-sum lags to."""
-    return np.correlate(moving_average(samples, window), expand_code(code, spb),
+    return np.correlate(moving_average(samples), expand_code(code, spb),
                         mode="valid")
 
 
@@ -259,7 +259,7 @@ def certified(samples, code, spb):
     prefix-sum decisions are np.correlate's: the top-two lag margin above
     2 E (the same argmax) and |peak - floor| above 4 E (the same side of
     the floor; the floor is 3 medians, each within E)."""
-    c = lags(samples, code, spb, SMOOTHING_WINDOW)
+    c = lags(samples, code, spb)
     bound = row_bound(samples, code, spb)
     _, _, peak, floor = decisions(c)
     runner_up = np.sort(c)[-2] if c.size > 1 else -np.inf
@@ -280,12 +280,11 @@ def build_signature(samples, start, code, spb, n_tags):
     return raw
 
 
-def signatures(traces, window):
+def signatures(traces):
     """(periods, raw rows, normalized rows) of one identity's traces."""
     periods, raws, normed = [], [], []
     for k, trace in enumerate(traces):
-        start, _, _ = segment(trace.samples, trace.tag_code, trace.samples_per_bit,
-                              window)
+        start, _, _ = segment(trace.samples, trace.tag_code, trace.samples_per_bit)
         if start is None:
             continue
         raw = build_signature(trace.samples, start, trace.tag_code,

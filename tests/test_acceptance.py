@@ -174,7 +174,7 @@ def _segmentation_oracle():
         for traces in run.traces.values():
             for trace in traces:
                 total += 1
-                exact += segment_backscatter(trace).t_start == trace.scheduled_start()
+                exact += segment_backscatter(trace).t_start == trace.region_starts
     return exact, total
 
 
@@ -189,7 +189,7 @@ def _extraction_oracle(seed):
     assert config.ambient_w > 20 * sigma  # keeps the nonnegativity clamp inactive
     errors = []
     for trace in run.traces["n0"]:
-        start = trace.scheduled_start()
+        start = int(trace.region_starts)
         sig = build_signature(trace, SegmentBounds(start, start + trace.code_span))
         errors.extend(sig.raw - powers)
     n_block = trace.code_span // trace.n_tags

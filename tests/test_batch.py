@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario, trace_batch
+from conftest import FOUR_ID_SPECS, labeled_dataset, make_scenario, trace_stream
 from sybilscatter import (
     ChannelParams,
     DegenerateSignatureError,
@@ -57,7 +57,7 @@ from sybilscatter.pipeline import (
     locate_rows,
     signature_rows,
 )
-from sybilscatter.scenario import TraceBatch, _tag_layout, reflected_powers
+from sybilscatter.scenario import _tag_layout, reflected_powers
 
 PROFILE_LEN = 5  # max age 10 periods
 OUTAGE = range(12, 24)  # 12 periods > 2 L
@@ -72,7 +72,7 @@ def _noise_only(trace, rng):
 def _flat(trace):
     samples = np.full(trace.samples.size, 1e-6)
     samples[PLATEAU] = 1e-3
-    return replace(trace, samples=samples)
+    return replace(trace, samples=samples, tag_schedule=trace.tag_schedule)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ def _one_trace_outcomes(streams):
     outcomes = set()
     for traces in streams.values():
         for trace in traces:
-            start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+            start, peak, floor = oracle.segment(trace.samples, trace.tag_code, 8)
             if start is None:
                 outcomes.add("rejected")
                 for call in (signature_from_trace, segment_backscatter):
@@ -155,7 +155,7 @@ class TestSimulate:
         assert list(run.traces) == list(expected)
         for ident, rows in expected.items():
             batch = run.traces[ident]
-            assert isinstance(batch, TraceBatch) and len(batch) == len(rows)
+            assert batch.samples.ndim == 2 and len(batch) == len(rows)
             for k, (t_s, samples, schedule) in enumerate(rows):
                 trace = batch[k]
                 assert trace.t_s == t_s
@@ -170,45 +170,110 @@ class TestSimulate:
         assert trace.samples.base is not batch.samples
         assert not trace.samples.flags.writeable
         assert [t.t_s for t in batch] == [t.t_s for t in batch[:]]
+        # one trace is not a stream of traces
+        for call in (len, lambda t: t[0], list):
+            with pytest.raises(TypeError, match="one trace, not a stream"):
+                call(trace)
+
+
+def _layout_rows(trace):
+    """The cached layout's schedule at each region start of a trace, in
+    the shape of its samples, one slice per row."""
+    n = trace.samples.shape[-1]
+    layout = _tag_layout(trace.tag_code.size, trace.samples_per_bit, trace.n_tags, n)
+    return np.array([layout[n - s:2 * n - s] for s in np.ravel(trace.region_starts)]
+                    ).reshape(trace.samples.shape)
+
+
+def _assert_same_trace(got, want):
+    """Every field, and the schedule read from them, holds the same values
+    in the same rank and types."""
+    for name in [f.name for f in fields(ReceivedTrace)] + ["tag_schedule"]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b), name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestSchedules:
-    """Every schedule follows its layout and is a view of one read-only
-    array cached per layout; a batch keeps only each row's region start."""
+    """A trace stores only its ground truth, each row's region start, at
+    either rank; ``tag_schedule`` reads the one array cached per layout
+    back at those starts."""
 
-    def _check_rows(self, batch):
-        layout = _tag_layout(batch.tag_code.size, batch.samples_per_bit, batch.n_tags,
-                             batch.samples.shape[1])
-        assert batch.region_starts.dtype == np.intp
-        assert batch.region_starts.shape == (len(batch),)
-        assert not batch.region_starts.flags.writeable
-        for trace, start in zip(batch, batch.region_starts):
-            assert trace.tag_schedule.dtype == np.int16
-            assert not trace.tag_schedule.flags.writeable
-            assert np.shares_memory(trace.tag_schedule, layout)
-            got = trace.scheduled_start()
-            assert (len(trace.samples) if got is None else got) == start
+    def test_fields_are_the_ground_truth(self):
+        assert [f.name for f in fields(ReceivedTrace)] == [
+            "identity", "true_source_id", "t_s", "sample_rate_hz", "samples",
+            "tag_code", "samples_per_bit", "n_tags", "region_starts"]
+        assert not next(f for f in fields(ReceivedTrace) if f.name == "region_starts").init
+
+    def _check(self, trace):
+        """The schedule is the layout at region_starts, read-only, and
+        region_starts is its first tagged sample (n for none)."""
+        schedule = trace.tag_schedule
+        assert schedule.dtype == np.int16 and schedule.shape == trace.samples.shape
+        assert not schedule.flags.writeable and not trace.region_starts.flags.writeable
+        with pytest.raises(ValueError):
+            schedule[..., 0] = 1
+        np.testing.assert_array_equal(schedule, _layout_rows(trace))
+        tagged = schedule != 0
+        np.testing.assert_array_equal(
+            trace.region_starts,
+            np.where(tagged.any(axis=-1), tagged.argmax(axis=-1), trace.samples.shape[-1]))
 
     def test_rows_equal_the_batch_rows(self, four_identity_run, degraded_run):
         _, streams = degraded_run
-        for batch in [*four_identity_run.traces.values(), *map(trace_batch, streams.values())]:
-            self._check_rows(batch)
+        for stream in [*four_identity_run.traces.values(), *map(trace_stream, streams.values())]:
+            assert stream.region_starts.dtype == np.intp
+            assert stream.region_starts.shape == (len(stream),)
+            self._check(stream)
+            for k, trace in enumerate(stream):
+                assert trace.region_starts.shape == ()
+                assert trace.region_starts == stream.region_starts[k]
+                self._check(trace)
+                np.testing.assert_array_equal(trace.tag_schedule, stream.tag_schedule[k])
+
+    def test_rows_equal_traces_built_from_them(self, four_identity_run, degraded_run):
+        """stream[k] is the trace the validating constructor builds from row
+        k's samples and schedule; the guard-only row as well, and the
+        benchmark's noise-only trace (1-D, all-zero schedule)."""
+        _, streams = degraded_run
+        # the first degraded identity holds the outage's guard-only rows
+        for stream in (four_identity_run.traces["n0"], trace_stream(next(iter(streams.values())))):
+            for k, trace in enumerate(stream):
+                built = ReceivedTrace(
+                    identity=stream.identity, true_source_id=stream.true_source_id,
+                    t_s=stream.t_s[k], sample_rate_hz=stream.sample_rate_hz,
+                    samples=stream.samples[k], tag_schedule=stream.tag_schedule[k],
+                    tag_code=stream.tag_code, samples_per_bit=stream.samples_per_bit,
+                    n_tags=stream.n_tags)
+                _assert_same_trace(trace, built)
+        trace = four_identity_run.traces["n0"][3]
+        noise = ReceivedTrace(
+            identity=trace.identity, true_source_id=trace.true_source_id, t_s=trace.t_s,
+            sample_rate_hz=trace.sample_rate_hz, samples=np.full(trace.samples.size, 1e-6),
+            tag_schedule=np.zeros_like(trace.tag_schedule), tag_code=trace.tag_code,
+            samples_per_bit=trace.samples_per_bit, n_tags=trace.n_tags)
+        assert noise.region_starts == noise.samples.size and not noise.tag_schedule.any()
+        assert noise.t_s == trace.t_s and isinstance(noise.t_s, float)
+        self._check(noise)
 
     def test_one_layout_shares_one_array(self, four_identity_run, degraded_run):
+        """Traces of one layout, of either rank and from any scenario, read
+        one cached array; no trace stores a schedule."""
         run, streams = degraded_run
-        batch = four_identity_run.traces["n0"]
-        first, other = batch[0], four_identity_run.traces["n2"][7]
-        assert first.scheduled_start() != other.scheduled_start()
-        assert np.shares_memory(first.tag_schedule, other.tag_schedule)
-        assert not hasattr(batch, "tag_schedule")
+        stream = four_identity_run.traces["n0"]
+        first, other = stream[0], four_identity_run.traces["n2"][7]
+        assert first.region_starts != other.region_starts
         # the corpus scenario has the same layout: 4 tags, 64 bits, 8 samples each
         ident = next(iter(streams))
         guard_only = streams[ident][OUTAGE[0]]
-        assert guard_only.scheduled_start() is None
-        built = replace(run.traces[ident][0])
-        assert built.scheduled_start() is not None
-        for trace in (guard_only, built):
-            assert np.shares_memory(trace.tag_schedule, first.tag_schedule)
+        assert guard_only.region_starts == guard_only.samples.size
+        built = replace(run.traces[ident][0], tag_schedule=run.traces[ident][0].tag_schedule)
+        assert built.region_starts < built.samples.size
+        _tag_layout.cache_clear()
+        for trace in (stream, first, other, guard_only, built):
+            assert "tag_schedule" not in vars(trace)
+            self._check(trace)
+        assert _tag_layout.cache_info().misses == 1
 
     def test_cached_layout_is_read_only(self):
         layout = _tag_layout(64, 8, 4, 2560)
@@ -234,26 +299,26 @@ class TestSchedules:
 
 class TestExtract:
     def _expected(self, streams):
-        return {ident: oracle.signatures(traces, 9) for ident, traces in streams.items()}
+        return {ident: oracle.signatures(traces) for ident, traces in streams.items()}
 
     def test_fixture_covers_every_degraded_path(self, degraded_run):
         _, streams = degraded_run
         rejected = degenerate = 0
         for traces in streams.values():
             for trace in traces:
-                start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+                start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8)
                 if start is None:
                     rejected += 1
                 elif not oracle.build_signature(trace.samples, start, trace.tag_code,
                                                 8, trace.n_tags).any():
                     degenerate += 1
         assert rejected >= len(OUTAGE) and degenerate >= 2
-        periods, _, _ = oracle.signatures(next(iter(streams.values())), 9)
+        periods, _, _ = oracle.signatures(next(iter(streams.values())))
         assert np.diff(periods).max() > 2 * PROFILE_LEN
 
     def test_signatures_match_per_trace_oracle(self, degraded_run):
         run, streams = degraded_run
-        traces = {i: trace_batch(ts) for i, ts in streams.items()}
+        traces = {i: trace_stream(ts) for i, ts in streams.items()}
         got = extract_signatures(ScenarioRun(traces, run.true_sources, run.seed))
         expected = self._expected(streams)
         assert list(got.periods) == [i for i, e in expected.items() if e[0]]
@@ -272,21 +337,23 @@ class TestExtract:
             run = simulate_scenario(config, 21)
             got = extract_signatures(run)
             traces = list(run.traces["n0"])
-            periods, raw, _ = oracle.signatures(traces, 9)
+            periods, raw, _ = oracle.signatures(traces)
             assert len(periods) == len(traces)
             np.testing.assert_array_equal(got.periods["n0"], periods)
             np.testing.assert_array_equal(got.raw["n0"], np.vstack(raw))
 
-    def test_streams_must_be_trace_batches(self):
-        # nothing stacks loose traces: a tuple or list stream is a
-        # ShapeError naming its identity, one layout or mixed
+    def test_streams_must_be_two_dimensional_traces(self):
+        # nothing stacks loose traces: a tuple or list stream, one layout
+        # or mixed, and one trace are ShapeErrors naming the identity
         config = make_scenario((("r0", ("n0",), (1.0, 0.4), None),), horizon_s=9.0)
         traces = list(simulate_scenario(config, 21).traces["n0"])
         longer = replace(traces[6], samples=np.pad(traces[6].samples, (0, 40)),
                          tag_schedule=np.pad(traces[6].tag_schedule, (0, 40)))
-        for stream in (tuple(traces), traces, tuple(traces[:6] + [longer] + traces[7:])):
+        for stream, got in [(tuple(traces), "tuple"), (traces, "list"),
+                            (tuple(traces[:6] + [longer] + traces[7:]), "tuple"),
+                            (traces[0], "one trace")]:
             with pytest.raises(ShapeError, match=r"identity 'n0': traces must be a "
-                                                 rf"TraceBatch, got {type(stream).__name__}"):
+                                                 rf"2-D ReceivedTrace, got {got}$"):
                 extract_signatures(ScenarioRun({"n0": stream}, {"n0": "r0"}, 21))
 
     @settings(max_examples=30, deadline=None)
@@ -295,9 +362,9 @@ class TestExtract:
         """Scaling every sample by 2^e scales each lag, mean and norm
         exactly, so the kept rows and the unit signatures keep their bits."""
         _, streams = degraded_run
-        batch = trace_batch(list(streams.values())[which])
+        batch = trace_stream(list(streams.values())[which])
         scaled = replace(batch, samples=batch.samples * 2.0 ** exponent,
-                         tag_schedule=np.stack([t.tag_schedule for t in batch]))
+                         tag_schedule=batch.tag_schedule)
         kept, _, unit = signature_rows(batch)
         kept_scaled, _, unit_scaled = signature_rows(scaled)
         assert kept.size < len(batch)
@@ -350,15 +417,15 @@ class TestExtract:
                   + [data.draw(st.sampled_from(plateaus))])
         rows = np.stack([trace.samples for trace in traces])
         batch = _alternating_lags(rows, 8, 32, 2049)
-        located = locate_rows(trace_batch(traces))
+        located = locate_rows(trace_stream(traces))
         for k, trace in enumerate(traces):
             assert (batch[k].tobytes() == _alternating_lags(rows[k:k + 1], 8, 32, 2049).tobytes()
                     == _alternating_lags(trace.samples, 8, 32, 2049).tobytes())
             for of_batch, of_trace in zip(located, locate_rows(trace)):
                 assert np.shape(of_trace) == ()
                 assert of_batch[k].tobytes() == np.asarray(of_trace).tobytes()
-        assert locate_rows(trace) == oracle.decisions(oracle.lags(trace.samples,
-                                                                  trace.tag_code, 8, 9))
+        assert locate_rows(trace) == oracle.decisions(
+            oracle.lags(trace.samples, trace.tag_code, 8))
 
     def test_locate_rows_matches_np_correlate(self, degraded_run):
         """On every certified row of the fixture, noise-only rows included,
@@ -369,17 +436,16 @@ class TestExtract:
         _, streams = degraded_run
         certified = differs = 0
         for traces in streams.values():
-            starts, decodable, _, _ = locate_rows(trace_batch(traces))
+            starts, decodable, _, _ = locate_rows(trace_stream(traces))
             for k, trace in enumerate(traces):
-                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
-                                                               8, 9))
+                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code, 8))
                 agree = (starts[k], decodable[k]) == exact[:2]
                 if oracle.certified(trace.samples, trace.tag_code, 8):
                     assert agree
                     certified += 1
                 differs += not agree
-                start, ok, peak, floor = oracle.decisions(oracle.lags(trace.samples,
-                                                                      trace.tag_code, 8, 9))
+                start, ok, peak, floor = oracle.decisions(
+                    oracle.lags(trace.samples, trace.tag_code, 8))
                 assert (starts[k], decodable[k]) == (start, ok)
                 if not ok:
                     with pytest.raises(SegmentationError) as err:
@@ -391,10 +457,10 @@ class TestExtract:
     def test_scalar_calls_are_rows_of_the_batch(self, degraded_run):
         _, streams = degraded_run
         traces = streams[list(streams)[1]]
-        kept, raw, normed = signature_rows(trace_batch(traces))
+        kept, raw, normed = signature_rows(trace_stream(traces))
         by_row = dict(zip(kept.tolist(), range(kept.size)))
         for k, trace in enumerate(traces):
-            start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8, 9)
+            start, _, _ = oracle.segment(trace.samples, trace.tag_code, 8)
             if start is not None:
                 assert segment_backscatter(trace).t_start == start
             if k in by_row:
@@ -424,12 +490,12 @@ class TestWindows:
     def test_dataset_matches_per_pair_oracle(self, degraded_run, metric, normalized):
         run, streams = degraded_run
         scenario = extract_signatures(
-            ScenarioRun({i: trace_batch(t) for i, t in streams.items()}, run.true_sources,
+            ScenarioRun({i: trace_stream(t) for i, t in streams.items()}, run.true_sources,
                         run.seed))
         ds = build_dataset([scenario], PROFILE_LEN, normalized=normalized, metric=metric)
         oracle_streams = {}
         for ident, traces in streams.items():
-            periods, raw, normed = oracle.signatures(traces, 9)
+            periods, raw, normed = oracle.signatures(traces)
             if periods:
                 oracle_streams[ident] = (periods, normed if normalized else raw)
         expected = oracle.dataset_rows(oracle_streams, run.true_sources, PROFILE_LEN,
@@ -629,11 +695,12 @@ class TestOnline:
 
     @pytest.mark.parametrize("cls", [DistanceMatrix, SimilarityMatrix, LRModel,
                                      MultipathSignature, SignalProfile, TagLayout,
-                                     Trajectory, ReceivedTrace, TraceBatch],
+                                     Trajectory, ReceivedTrace],
                              ids=lambda cls: cls.__name__)
     def test_constructors_copy_the_callers_arrays(self, cls):
-        """The validating constructors freeze a copy; only the loop's
-        prevalidated objects take the arrays they are given."""
+        """The validating constructors freeze a copy, a trace's at both
+        ranks; only the loop's prevalidated objects take the arrays they
+        are given.  A trace's derived schedule is its own read-only array."""
         unit = np.array([0.6, 0.8])
         trace = dict(identity="n0", true_source_id="r0", sample_rate_hz=1.0,
                      tag_code=np.tile(np.array([1, 0], dtype=np.uint8), 7),
@@ -651,22 +718,22 @@ class TestOnline:
                              speed_mps=1.0),
             ReceivedTrace: dict(trace, t_s=0.0, samples=np.ones(72),
                                 tag_schedule=np.zeros(72, dtype=np.int16)),
-            TraceBatch: dict(trace, t_s=np.zeros(2), samples=np.ones((2, 72)),
-                             tag_schedule=np.zeros((2, 72), dtype=np.int16)),
         }[cls]
-        obj = cls(**kwargs)
-        for derived in fields(cls):
-            if not derived.init:  # region_starts, normalized, mean_vector
-                assert not getattr(obj, derived.name).flags.writeable, derived.name
-        if cls is TraceBatch:  # read into region_starts, the schedule is not kept
-            assert not hasattr(obj, "tag_schedule")
-            del kwargs["tag_schedule"]
-        arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
-        for name, given in arrays.items():
-            own = getattr(obj, name)
-            assert given.flags.writeable and not own.flags.writeable, name
-            assert not np.shares_memory(own, given), name
-        assert len(arrays) >= 1
+        ranks = [kwargs]
+        if cls is ReceivedTrace:
+            ranks.append(dict(trace, t_s=np.zeros(2), samples=np.ones((2, 72)),
+                              tag_schedule=np.zeros((2, 72), dtype=np.int16)))
+        for kwargs in ranks:
+            obj = cls(**kwargs)
+            for derived in fields(cls):
+                if not derived.init:  # region_starts, normalized, mean_vector
+                    assert not getattr(obj, derived.name).flags.writeable, derived.name
+            arrays = {name: a for name, a in kwargs.items() if isinstance(a, np.ndarray)}
+            for name, given in arrays.items():
+                own = getattr(obj, name)
+                assert given.flags.writeable and not own.flags.writeable, name
+                assert not np.shares_memory(own, given), name
+            assert len(arrays) >= 1
 
 
 class TestDigests:
@@ -702,18 +769,21 @@ class TestDigests:
             starts, decodable, _, _ = locate_rows(batch)
             for k, trace in enumerate(batch):
                 assert oracle.certified(trace.samples, trace.tag_code, 8)
-                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
-                                                               8, 9))
+                exact = oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code, 8))
                 assert (starts[k], decodable[k]) == exact[:2]
                 rows += 1
         assert rows == 500
 
     def test_every_row_is_a_layout_view(self, batches):
+        """Each row's schedule is the cached layout read at its region start."""
         layout = _tag_layout(64, 8, 4, 2560)
         rows = 0
         for batch in batches:
             for k, trace in enumerate(batch):
-                assert np.shares_memory(trace.tag_schedule, layout)
-                assert batch.region_starts[k] == trace.scheduled_start()
+                start = batch.region_starts[k]
+                assert trace.region_starts == start < 2560
+                np.testing.assert_array_equal(trace.tag_schedule,
+                                              layout[2560 - start:5120 - start])
+                np.testing.assert_array_equal(batch.tag_schedule[k], trace.tag_schedule)
                 rows += 1
         assert rows == 500

@@ -2,6 +2,8 @@
 
 import json
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from conftest import SCHEDULE_RULE, labeled_dataset
 from sybilscatter import (
     ConfigError,
     LRModel,
-    TraceBatch,
+    ParameterError,
+    ReceivedTrace,
     Verdict,
     metrics_from_scores,
     simulate_scenario,
@@ -121,15 +124,16 @@ class TestTraceFiles:
         assert set(traces) == set(four_identity_run.traces)
         for identity, originals in four_identity_run.traces.items():
             loaded = traces[identity]
-            assert isinstance(loaded, TraceBatch) and len(loaded) == len(originals)
+            assert isinstance(loaded, ReceivedTrace) and len(loaded) == len(originals)
             assert loaded.samples.tobytes() == originals.samples.tobytes()
+            # the ground truth survives the schedule column
+            assert loaded.region_starts.tobytes() == originals.region_starts.tobytes()
+            assert loaded.t_s.tobytes() == originals.t_s.tobytes()
             for orig, back in zip(originals, loaded):
                 assert back.t_s == orig.t_s
                 assert back.true_source_id == orig.true_source_id
                 np.testing.assert_array_equal(back.samples, orig.samples)
                 np.testing.assert_array_equal(back.tag_schedule, orig.tag_schedule)
-                # both are views of the one array cached for their layout
-                assert np.shares_memory(back.tag_schedule, orig.tag_schedule)
 
     def test_writes_are_byte_identical(self, tmp_path, four_identity_run,
                                        four_identity_scenario):
@@ -396,6 +400,28 @@ class TestSamplesFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=":3:"):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("window", [2 ** 63, -2 ** 63 - 1, 10 ** 29])
+    def test_window_beyond_int64_rejected(self, tmp_path, window):
+        """The reader range-checks the window column and LabeledDataset
+        raises ParameterError, not OverflowError, for a code beyond int64;
+        the int64 bounds themselves load."""
+        path = tmp_path / "samples.csv"
+        write_samples_csv(path, handmade_dataset())
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        for edge in (2 ** 63 - 1, -2 ** 63):
+            lines[2] = ",".join(parts[:2] + [str(edge)] + parts[3:])
+            path.write_text("\n".join(lines) + "\n")
+            assert read_samples_csv(path).window[1] == edge
+        lines[2] = ",".join(parts[:2] + [str(window)] + parts[3:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=rf"samples\.csv:3: window {window} does not fit in int64"):
+            read_samples_csv(path)
+        ds = handmade_dataset()
+        with pytest.raises(ParameterError, match="must fit in int64"):
+            replace(ds, window=[window, *ds.window[1:].tolist()])
 
 
 class TestModelFiles:
@@ -668,6 +694,23 @@ UNPARSABLE_VALUES = [
 ]
 
 
+# (INI text, a line of it, the line with a non-finite float, its section and key):
+# the scalar fields, rows, alphas, power, ring_radius_m and speed_mps
+NON_FINITE_VALUES = [
+    (CORPUS_INI, "horizon_s = 12.0", "horizon_s = inf", "corpus", "horizon_s"),
+    (CORPUS_INI, "snr_db = 20", "snr_db = nan", "corpus", "snr_db"),
+    (SCENARIO_INI, "period_s = 0.6", "period_s = 1e400", "scenario", "period_s"),
+    (SCENARIO_INI, "wavelength_m = 0.125", "wavelength_m = -inf", "channel", "wavelength_m"),
+    (SCENARIO_INI, "ring_radius_m = 0.12", "ring_radius_m = inf", "tags", "ring_radius_m"),
+    (SCENARIO_INI, "position = 0.05 0.0", "position = 0.05 nan", "receiver", "position"),
+    (SCENARIO_INI, "position = 1.0 0.3", "position = -0.9 1e400", "agent.robotA", "position"),
+    (SCENARIO_INI, "n1:0.5", "n1:inf", "agent.robotA", "alphas"),
+    (SCENARIO_INI, "identities = n2", "identities = n2\npower = nan", "agent.robotB", "power"),
+    (SCENARIO_INI, "  -0.5 0.5", "  -0.5 -1e999", "agent.robotB", "path"),
+    (SCENARIO_INI, "speed_mps = 0.2", "speed_mps = 1e400", "agent.robotB", "speed_mps"),
+]
+
+
 def read_config(path):
     if "[corpus]" in path.read_text():
         return read_corpus_spec(path)
@@ -697,6 +740,19 @@ class TestConfigBoundary:
         key = new.split(" = ")[0]
         with pytest.raises(ConfigError, match=rf"config\.ini: \[[a-z.A-Z]+\] {key} = "):
             read_config(path)
+
+    @pytest.mark.parametrize("text,old,new,section,key", NON_FINITE_VALUES,
+                             ids=[f"{section}-{key}" for *_, section, key in NON_FINITE_VALUES])
+    def test_non_finite_float_names_file_section_and_key(self, tmp_path, text, old, new,
+                                                          section, key):
+        """Rejected where it is parsed, before a constructor or numpy sees it."""
+        path = tmp_path / "config.ini"
+        path.write_text(text.replace(old, new, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"config\.ini: \[{re.escape(section)}\] "
+                                                  rf"{key} = .*is not a finite number"):
+                read_config(path)
 
     @pytest.mark.parametrize("text,header", [
         (CORPUS_INI, "[sweeep]"), (CORPUS_INI, "[scenario]"),

@@ -31,7 +31,7 @@ from sybilscatter import (
     tag_reflection_powers,
 )
 
-from conftest import make_scenario, trace_batch
+from conftest import make_scenario, trace_stream
 from sybilscatter import pipeline
 from sybilscatter.pipeline import (
     _alternating_lags,
@@ -119,7 +119,7 @@ def exact_decisions(trace):
     """(start, decodable, peak, floor) of np.correlate on the oracle's
     smoothing, which locate_rows reproduces on every certified row."""
     return oracle.decisions(oracle.correlate_lags(trace.samples, trace.tag_code,
-                                                  trace.samples_per_bit, 9))
+                                                  trace.samples_per_bit))
 
 
 def certified(trace):
@@ -132,10 +132,10 @@ def assert_exact_decisions(traces):
     """locate_rows on the batch and on each trace, and segment_backscatter,
     against the oracle's prefix-sum lags down to the SegmentationError
     message, and against np.correlate on the certified traces."""
-    starts, decodable, _, _ = locate_rows(trace_batch(traces))
+    starts, decodable, _, _ = locate_rows(trace_stream(traces))
     for k, trace in enumerate(traces):
         start, ok, peak, floor = oracle.decisions(
-            oracle.lags(trace.samples, trace.tag_code, trace.samples_per_bit, 9))
+            oracle.lags(trace.samples, trace.tag_code, trace.samples_per_bit))
         one_start, one_ok, _, _ = locate_rows(trace)
         assert (starts[k], decodable[k]) == (one_start, one_ok) == (start, ok)
         if certified(trace):
@@ -179,7 +179,7 @@ class TestSegmentation:
         run = simulate_scenario(config, 17)
         for trace in run.traces["n0"]:
             bounds = segment_backscatter(trace)
-            assert bounds.t_start == trace.scheduled_start()
+            assert bounds.t_start == trace.region_starts
             assert bounds.t_end == bounds.t_start + trace.code_span
 
     def test_zero_guard_prefix(self):
@@ -237,8 +237,8 @@ class TestSegmentation:
                                     max_size=n_tags, unique=True), label="power ratios")
         start = data.draw(st.integers(0, 4 * bits * spb), label="start")
         trace = layout_trace(bits, spb, ambient * np.array(ratios), ambient, start)
-        assert trace.scheduled_start() == start
-        starts, decodable, _, _ = locate_rows(trace_batch([trace]))
+        assert trace.region_starts == start
+        starts, decodable, _, _ = locate_rows(trace_stream([trace]))
         assert (starts[0], decodable[0]) == locate_rows(trace)[:2] == (start, True)
         assert exact_decisions(trace)[:2] == (start, True)
 
@@ -392,7 +392,7 @@ class TestCertifiedSegmentation:
         assert any(flags) and not all(flags)
         # the prefix-sum lags decide some of these rows otherwise than
         # np.correlate, and the bound leaves every one of them uncertified
-        starts, decodable, _, _ = locate_rows(trace_batch(traces))
+        starts, decodable, _, _ = locate_rows(trace_stream(traces))
         wrong = [k for k, t in enumerate(traces)
                  if (starts[k], decodable[k]) != exact_decisions(t)[:2]]
         assert wrong and not any(flags[k] for k in wrong)
@@ -410,8 +410,8 @@ class TestCertifiedSegmentation:
         x = scale * data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
         code = alternating_code(bits) if bits > 1 else np.ones(1, dtype=np.uint8)
         lags = _alternating_lags(x, spb, (bits + 1) // 2, n - bits * spb + 1)
-        assert lags.tobytes() == oracle.lags(x, code, spb, 9).tobytes()
-        exact = oracle.correlate_lags(x, code, spb, 9)
+        assert lags.tobytes() == oracle.lags(x, code, spb).tobytes()
+        exact = oracle.correlate_lags(x, code, spb)
         assert np.all(np.abs(lags - exact) <= oracle.row_bound(x, code, spb))
         if oracle.certified(x, code, spb):
             row = SimpleNamespace(samples=x, tag_code=code, samples_per_bit=spb)
@@ -462,7 +462,7 @@ class TestExtractReflection:
         assert 5e-4 > 20 * sigma  # ambient floor keeps the clamp inactive
         errors = []
         for trace in run.traces["n0"]:
-            start = trace.scheduled_start()
+            start = int(trace.region_starts)
             signature = build_signature(
                 trace, SegmentBounds(start, start + trace.code_span))
             errors.extend(signature.raw - powers)
@@ -547,8 +547,8 @@ class TestBuildSignatureFromTrace:
             signature_from_trace(huge)
         in_range = [stock_trace(CONTRACT_LEN, start, [2e-3, 2e-2, 5e-3, 1e-2], 1e-3)
                     for start in (100, 700)]
-        kept, raw, unit = pipeline.signature_rows(trace_batch([in_range[0], huge, in_range[1]]))
-        want_kept, want_raw, want_unit = pipeline.signature_rows(trace_batch(in_range))
+        kept, raw, unit = pipeline.signature_rows(trace_stream([in_range[0], huge, in_range[1]]))
+        want_kept, want_raw, want_unit = pipeline.signature_rows(trace_stream(in_range))
         assert kept.tolist() == [0, 2] and want_kept.tolist() == [0, 1]
         assert raw.tobytes() == want_raw.tobytes()
         assert unit.tobytes() == want_unit.tobytes()

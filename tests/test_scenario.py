@@ -29,7 +29,7 @@ from sybilscatter import (
 
 from conftest import FOUR_ID_SPECS, SCHEDULE_RULE, make_scenario, parked
 from sybilscatter.fileio import TRACE_HEADER, read_trace_csv
-from sybilscatter.scenario import TraceBatch, _tag_layout, positions_at, reflected_powers
+from sybilscatter.scenario import _tag_layout, positions_at, reflected_powers
 
 # Hand-evaluated reflection budget, pinned before the implementation:
 # P_t=1, G_t=G_r=1, lam=0.125, d_t=2, d_r=0.12, transfer=1.
@@ -244,7 +244,7 @@ class TestSynthesizeTrace:
         trace = synthesize_trace(config, agent, "n0", 0.0, rng_seed=5)
         span = config.code_bits * config.samples_per_bit
         assert trace.samples.size == 5 * span
-        start = trace.scheduled_start()
+        start = int(trace.region_starts)
         assert span <= start <= 3 * span
         # guards are ambient only
         assert np.all(trace.samples[:start] == config.ambient_w)
@@ -353,10 +353,11 @@ class TestSamplesPerBitRule:
 
     @pytest.mark.parametrize("spb", REJECTED_SPB)
     def test_trace_batch_rejects(self, spb):
+        # a stream of one row
         fields = _trace_fields(spb, alternating_code(8))
         fields.update(samples=fields["samples"][None], tag_schedule=fields["tag_schedule"][None])
         with pytest.raises(ParameterError, match=rf"samples_per_bit {spb} {SPB_RULE}"):
-            TraceBatch(t_s=[0.0], **fields)
+            ReceivedTrace(t_s=[0.0], **fields)
 
     @pytest.mark.parametrize("code", [[1, 1, 0, 1, 0, 0, 1, 0], [0, 1] * 4, [1] * 8])
     def test_other_codes_are_rejected(self, code):
@@ -371,14 +372,14 @@ class TestSamplesPerBitRule:
 
 
 def _trace_constructors(bits, spb, n_tags, code=None, n=None):
-    """Calls of ReceivedTrace and TraceBatch on a layout, each raising what
-    its constructor raises."""
+    """Calls of ReceivedTrace on a layout, one trace and a stream of two,
+    each raising what the constructor raises."""
     code = 1 - np.arange(bits, dtype=np.uint8) % 2 if code is None else code
     fields = _trace_fields(spb, code, n_tags, n)
     rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
                 tag_schedule=np.stack([fields["tag_schedule"]] * 2))
     return [lambda: ReceivedTrace(t_s=0.0, **fields),
-            lambda: TraceBatch(t_s=[0.0, 1.0], **rows)]
+            lambda: ReceivedTrace(t_s=[0.0, 1.0], **rows)]
 
 
 def _config_constructors(bits, spb, n_tags):
@@ -490,14 +491,15 @@ MALFORMED = {
 
 
 def _schedule_constructors(schedule, tmp_path=None):
-    """ReceivedTrace, TraceBatch and, given tmp_path, read_trace_csv on one
-    stock-layout schedule, each returning what it builds."""
+    """ReceivedTrace on one stock-layout schedule, as one trace and in a
+    stream of two, and, given tmp_path, read_trace_csv on it, each
+    returning what it builds."""
     fields = _trace_fields(8, alternating_code(64), n_tags=4)
     rows = dict(fields, samples=np.stack([fields["samples"]] * 2),
                 tag_schedule=[list(schedule), [0] * STOCK])
     fields["tag_schedule"] = schedule
     builds = [lambda: ReceivedTrace(t_s=0.0, **fields),
-              lambda: TraceBatch(t_s=[0.0, 1.0], **rows)]
+              lambda: ReceivedTrace(t_s=[0.0, 1.0], **rows)]
     if tmp_path is not None:
         path = tmp_path / "trace_x.csv"
         path.write_text(f"{TRACE_HEADER}\n" + "".join(f"0.0,1.0,{tag}\n" for tag in schedule))
@@ -528,18 +530,18 @@ class TestScheduleValues:
     def test_every_start_of_the_stock_layout_is_accepted(self, tmp_path):
         """Every start 0..n - 1, a region cut off at the trace end included,
         and the all-guard schedule (start n)."""
-        layout = _tag_layout(64, 8, 4, STOCK)
         fields = _trace_fields(8, alternating_code(64), n_tags=4)
         for start in range(STOCK + 1):
             fields["tag_schedule"] = _stock_schedule(start)
             trace = ReceivedTrace(t_s=0.0, **fields)
-            assert np.shares_memory(trace.tag_schedule, layout)
-            assert trace.scheduled_start() == (None if start == STOCK else start)
+            assert trace.region_starts == start
+            np.testing.assert_array_equal(trace.tag_schedule, fields["tag_schedule"])
         for starts in np.array_split(np.arange(STOCK + 1), 16):
-            batch = TraceBatch(t_s=starts * 1.0, **dict(
-                fields, samples=np.ones((starts.size, STOCK)),
-                tag_schedule=np.stack([_stock_schedule(s) for s in starts])))
-            np.testing.assert_array_equal(batch.region_starts, starts)
+            schedule = np.stack([_stock_schedule(s) for s in starts])
+            stream = ReceivedTrace(t_s=starts * 1.0, **dict(
+                fields, samples=np.ones((starts.size, STOCK)), tag_schedule=schedule))
+            np.testing.assert_array_equal(stream.region_starts, starts)
+            np.testing.assert_array_equal(stream.tag_schedule, schedule)
         *_, read = _schedule_constructors(_stock_schedule(STOCK - 100), tmp_path)
         assert read().region_starts.tolist() == [STOCK - 100]
 
@@ -547,7 +549,7 @@ class TestScheduleValues:
         fields = _trace_fields(8, alternating_code(64), n_tags=4)
         fields["tag_schedule"] = _stock_schedule(REGION, np.float64)
         trace = ReceivedTrace(t_s=0.0, **fields)
-        assert trace.tag_schedule.dtype == np.int16 and trace.scheduled_start() == REGION
+        assert trace.tag_schedule.dtype == np.int16 and trace.region_starts == REGION
         np.testing.assert_array_equal(trace.tag_schedule, fields["tag_schedule"])
 
 
